@@ -5,13 +5,21 @@ Runs both on identical generated networks (grids plus random support graphs
 shaped like the separation workload) and prints per-size timings.
 
     python benchmarks/maxflow_backends.py [--repeat 50]
+
+Run from a checkout: the package is imported from the repository's ``src/``,
+ahead of any installed copy.
 """
 
 import argparse
+import os
 import random
+import sys
 import time
 
-from orienteer import _pushrelabel_py
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from orienteer import _pushrelabel_py  # noqa: E402
 
 try:
     from orienteer import _pushrelabel as compiled

@@ -23,7 +23,7 @@ import math
 import re
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import solver
 from .instance import parse_instance
@@ -86,20 +86,23 @@ def bench_one(path, mode, config):
             inst = parse_instance(fh.read(), name=name)
         if mode == "lp":
             rep = solver.solve_lp_only(inst, config)
-            row.status = rep.status if rep.status == "infeasible" else "bound"
+            row.status = rep.status
             row.upper = None if rep.status == "infeasible" else rep.upper_bound
             row.lp_bound = rep.lp_bound
             row.gap = rep.gap
         elif mode in CONFIG_FAMILIES:
-            rep = _root_bound(inst, config, CONFIG_FAMILIES[mode])
-            row.status = rep["status"]
-            row.upper = rep.get("upper")
-            row.lp_bound = rep.get("lp_bound")
-            row.cuts = rep.get("cuts", {})
-            if row.status == "bound" and row.lp_bound:
-                row.improvement = 100.0 * (row.lp_bound - row.upper) / row.lp_bound
-            elif row.status == "infeasible":
+            # a zero-node search stops right after the root cutting loop
+            rep = solver.solve_stop(inst, replace(config, families=CONFIG_FAMILIES[mode], max_nodes=0))
+            if rep.status == "infeasible":
+                row.status = "infeasible"
                 row.improvement = 0.0
+            else:
+                row.status = "bound"
+                row.upper = rep.root_bound
+                row.lp_bound = rep.lp_bound
+                row.cuts = {f: rep.cut_counts[f] for f in (CONNECTIVITY, CONFLICT, COVER)}
+                if row.lp_bound:
+                    row.improvement = 100.0 * (row.lp_bound - row.upper) / row.lp_bound
         elif mode in IMPACT_MODES:
             rep = _floor_impact(inst, config, mode.split("-", 1)[1])
             row.status = rep["status"]
@@ -126,27 +129,6 @@ def bench_one(path, mode, config):
     return row
 
 
-def _root_bound(inst, config, families):
-    from dataclasses import replace
-
-    cfg = replace(config, families=families)
-    blocker = solver._screen(inst)
-    if blocker is not None:
-        return {"status": "infeasible"}
-    from .instance import preprocess
-
-    pre, _ = preprocess(inst)
-    phase = solver.cutting_plane_phase(pre, cfg)
-    if phase.status == "infeasible":
-        return {"status": "infeasible"}
-    return {
-        "status": "bound",
-        "upper": phase.upper_bound,
-        "lp_bound": phase.lp_bound,
-        "cuts": solver._family_counts(phase.cuts),
-    }
-
-
 def _floor_impact(inst, config, kind):
     """How much the per-arc lower-bound rows tighten one relaxation."""
     from . import lp
@@ -170,8 +152,8 @@ def _floor_impact(inst, config, kind):
     for ridx, row in enumerate(handle.model.rows):
         if ridx not in floor_rows:
             bare.add_row(row)
-    without = lp.solve(bare, backend=config.lp_backend)
-    full = lp.solve(handle.model, backend=config.lp_backend)
+    without = lp.solve(bare)
+    full = lp.solve(handle.model)
     if without.status != "optimal" or full.status != "optimal":
         return {"status": "infeasible"}
     return {

@@ -88,7 +88,6 @@ def _add_param_flags(p):
         default="connectivity,conflict,cover",
         help="comma list of cut families to separate",
     )
-    p.add_argument("--lp-backend", default="highs", choices=("highs", "dense"))
 
 
 def _config(args):
@@ -106,7 +105,6 @@ def _config(args):
             cover_violation=args.cover_violation,
         ),
         families=fams,
-        lp_backend=args.lp_backend,
         max_nodes=args.max_nodes,
     )
 
@@ -142,8 +140,6 @@ def _cmd_solve(args):
     else:
         rep = solver.solve_stop(inst, cfg)
     status = rep.status
-    if args.mode == "lp" and status == "time-limit":
-        status = "bound"
     payload = {
         "instance": inst.name,
         "mode": args.mode,

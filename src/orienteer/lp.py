@@ -1,12 +1,13 @@
-"""Sparse LP container and solver seam.
+"""Sparse LP container and the HiGHS engine behind it.
 
 Models are built column-by-column and row-by-row, support cheap copies and
-row appends (the cutting-plane loop lives on those), and are solved by one of
-two interchangeable backends:
+row appends (the cutting-plane loop lives on those), and are solved by
+scipy's bundled HiGHS in one of two ways:
 
-* ``highs``  - scipy's bundled HiGHS (default; scales to the large instances)
-* ``dense``  - the bundled bounded-variable simplex in ``orienteer.simplex``
-               (self-contained, supports warm-started dual restarts)
+* ``solve``        - stateless ``linprog`` call: optimal, infeasible or
+                     unbounded, or ``LpError`` when HiGHS cannot tell
+* ``HighsSession`` - incremental engine for warm-started re-solves after row
+                     appends and bound changes
 
 The objective sense is always maximize.
 """
@@ -22,8 +23,6 @@ LE, EQ, GE = "<=", "=", ">="
 
 FEASIBILITY_TOL = 1e-7
 OPTIMALITY_TOL = 1e-9
-
-DEFAULT_BACKEND = "highs"
 
 
 class LpError(RuntimeError):
@@ -120,7 +119,7 @@ class LpModel:
     def n_rows(self):
         return len(self.rows)
 
-    # -- assembly for the scipy backend ---------------------------------
+    # -- assembly for linprog ------------------------------------------
 
     def _assembled(self):
         """(A_ub, b_ub, A_eq, b_eq, row order map) with GE rows negated."""
@@ -160,7 +159,6 @@ class LpSolution:
     objective: float
     x: np.ndarray | None
     row_activity: np.ndarray | None
-    basis: object = None  # warm-start token (dense backend only)
 
     @property
     def optimal(self):
@@ -168,7 +166,7 @@ class LpSolution:
 
 
 def append_rows(model, cuts):
-    """Pure row append; the old optimal basis stays a dual-feasible restart."""
+    """Pure row append: a grown copy, the model itself is left as it was."""
     out = model.copy()
     for item in cuts:
         if isinstance(item, LpRow):
@@ -179,24 +177,14 @@ def append_rows(model, cuts):
     return out
 
 
-def solve(model, warm_start=None, backend=None, bounds_override=None):
-    """Solve to proven optimality (or infeasible/unbounded status).
+def solve(model, bounds_override=None):
+    """Solve to proven optimality (or infeasible/unbounded status); raises
+    ``LpError`` when HiGHS cannot classify the LP.
 
     ``bounds_override`` is an optional (n, 2) array of column bounds used in
     place of the model's own; branch-and-bound nodes rely on it to avoid
     copying the model for every bound fixing.
     """
-    backend = backend or DEFAULT_BACKEND
-    if backend == "highs":
-        return _solve_highs(model, bounds_override)
-    if backend == "dense":
-        from . import simplex
-
-        return simplex.solve_dense(model, warm_start=warm_start, bounds_override=bounds_override)
-    raise LpError(f"unknown LP backend {backend!r}")
-
-
-def _solve_highs(model, bounds_override=None):
     from scipy.optimize import linprog
 
     A_ub, b_ub, A_eq, b_eq = model._assembled()
@@ -234,10 +222,7 @@ def _solve_highs(model, bounds_override=None):
     if res.status == 3:
         return LpSolution("unbounded", math.inf, None, None)
     if res.status != 0:
-        # last resort: the bundled simplex always classifies
-        from . import simplex
-
-        return simplex.solve_dense(model, bounds_override=bounds_override)
+        raise LpError(f"HiGHS could not classify the LP: {res.message}")
     x = np.asarray(res.x)
     return LpSolution("optimal", float(np.dot(model.objective, x)), x, model.row_activities(x))
 
@@ -255,8 +240,8 @@ def incremental_available():
 class HighsSession:
     """Stateful LP session with warm-started re-solves.
 
-    Bound changes and row appends reuse the previous basis (dual simplex
-    restart inside the engine), which is what makes the search loops cheap.
+    Bound changes and row appends reuse the previous basis (a warm restart
+    inside the engine), which is what makes the search loops cheap.
     Falls back to ``None`` returns on engine hiccups; callers then use the
     stateless path.  Deterministic for a fixed call sequence.
     """

@@ -1,13 +1,12 @@
 """Bundled dense bounded-variable simplex.
 
-Self-contained engine behind the ``dense`` LP backend: primal simplex for
-fresh solves (phase 1 runs the dual simplex on a zero objective, which only
-chases primal feasibility), dual simplex for warm restarts after row appends
-or bound changes.  Dantzig pricing with a Bland fallback once degeneracy
-stalls.  Feasibility tolerance 1e-7, optimality tolerance 1e-9.
+A self-contained reference engine, independent of HiGHS, that the LP tests
+check ``lp.solve`` against; the solver itself never calls it.  Two phases:
+the dual simplex on a zero objective chases primal feasibility, then the
+primal simplex optimizes.  Dantzig pricing with a Bland fallback once
+degeneracy stalls.  Feasibility tolerance 1e-7, optimality tolerance 1e-9.
 
-Dense explicit basis inverses cap practical size at a few thousand rows;
-the ``highs`` backend covers everything larger.
+Dense explicit basis inverses cap practical size at a few thousand rows.
 """
 
 from __future__ import annotations
@@ -229,47 +228,14 @@ def _primal_simplex(t, tol=OPTIMALITY_TOL):
     raise LpError("primal simplex iteration limit hit")
 
 
-def solve_dense(model, warm_start=None, bounds_override=None):
-    """Two-phase bounded simplex; ``warm_start`` is a prior solution's basis."""
+def solve_dense(model, bounds_override=None):
+    """Two-phase bounded simplex from the all-slack basis."""
     t = _Tableau(model, bounds_override)
-    if warm_start is not None:
-        basis, status = warm_start
-        t = _install_basis(t, np.asarray(basis), np.asarray(status, dtype=np.int8))
-        verdict = _dual_simplex(t, t.c)
-        if verdict == "infeasible":
-            return LpSolution("infeasible", -math.inf, None, None)
-        outcome = _primal_simplex(t)
-    else:
-        verdict = _dual_simplex(t, np.zeros_like(t.c))  # pure feasibility phase
-        if verdict == "infeasible":
-            return LpSolution("infeasible", -math.inf, None, None)
-        outcome = _primal_simplex(t)
-    if outcome == "unbounded":
+    verdict = _dual_simplex(t, np.zeros_like(t.c))  # pure feasibility phase
+    if verdict == "infeasible":
+        return LpSolution("infeasible", -math.inf, None, None)
+    if _primal_simplex(t) == "unbounded":
         return LpSolution("unbounded", math.inf, None, None)
     x, _ = t.solution()
     xs = x[: t.n].copy()
-    return LpSolution(
-        "optimal",
-        float(np.dot(model.objective, xs)),
-        xs,
-        model.row_activities(xs),
-        basis=(t.basis.copy(), t.status.copy()),
-    )
-
-
-def _install_basis(t, basis, status):
-    """Adopt a basis from a smaller model (same structurals, fewer rows)."""
-    if basis.max(initial=-1) >= t.n + t.m or len(basis) > t.m:
-        raise LpError("warm-start basis does not fit the model")
-    old_m = len(basis)
-    # old slack j (old id n_old + i) keeps meaning only if column counts match
-    new_basis = np.concatenate([basis, np.arange(t.n + old_m, t.n + t.m)])
-    new_status = np.empty(t.n + t.m, dtype=np.int8)
-    new_status[: len(status)] = status
-    for j in range(len(status), t.n + t.m):
-        new_status[j] = t._default_status(j)
-    new_status[new_basis] = BASIC
-    t.basis = new_basis
-    t.status = new_status
-    t.refactor()
-    return t
+    return LpSolution("optimal", float(np.dot(model.objective, xs)), xs, model.row_activities(xs))

@@ -57,13 +57,12 @@ class SolveConfig:
     node_tolerance: float = 1e-3  # baseline per-node tailing-off tolerance
     params: SeparationParams = SeparationParams()
     families: frozenset = ALL_FAMILIES
-    lp_backend: str = "highs"
     max_nodes: int = 50_000_000
 
 
 @dataclass
 class SolveReport:
-    status: str  # optimal | infeasible | time-limit
+    status: str  # optimal | infeasible | time-limit | bound (lp mode: relaxation only)
     lower_bound: float
     upper_bound: float
     routes: list
@@ -110,11 +109,11 @@ def _point(handle, sol):
     return handle.point_from_solution(sol)
 
 
-def _open_session(model, config):
+def _open_session(model):
     """Warm-start session when the incremental engine exists; the stateless
     path stays the fallback for every call, so failures here only cost
     speed."""
-    if config.lp_backend != "highs" or not lp.incremental_available():
+    if not lp.incremental_available():
         return None
     try:
         return lp.HighsSession(model)
@@ -137,14 +136,14 @@ def cutting_plane_phase(inst, config=SolveConfig(), conflicts=None, handle=None,
     if conflicts is None and CONFLICT in config.families:
         conflicts = build_conflict_set(inst, handle.min_times)
     model = handle.model
-    session = _open_session(model, config)
+    session = _open_session(model)
 
     def resolve():
         if session is not None:
             out = session.solve()
             if out is not None:
                 return out
-        return lp.solve(model, backend=config.lp_backend)
+        return lp.solve(model)
 
     sol = resolve()
     if sol.status == "infeasible":
@@ -331,14 +330,14 @@ def branch_and_bound(
     stats.setdefault("pool_activated", 0)
     base_bounds = np.array([work_model.lower, work_model.upper], dtype=float).T
 
-    session = _open_session(work_model, config)
+    session = _open_session(work_model)
 
     def node_solve(node_bounds):
         if session is not None:
             out = session.solve(bounds_override=node_bounds)
             if out is not None:
                 return out
-        return lp.solve(work_model, backend=config.lp_backend, bounds_override=node_bounds)
+        return lp.solve(work_model, bounds_override=node_bounds)
 
     def add_row(row):
         nonlocal session
@@ -447,6 +446,18 @@ def _screen(inst):
     return None
 
 
+def _screen_report(inst, t0):
+    """Infeasible report when the screen finds an unroutable mandatory
+    vertex, else None."""
+    blocker = _screen(inst)
+    if blocker is None:
+        return None
+    return _infeasible_report(
+        {"total": time.monotonic() - t0},
+        f"mandatory vertex {blocker} cannot be routed within the limit",
+    )
+
+
 def _infeasible_report(timings, reason, cut_counts=None):
     return SolveReport(
         status="infeasible",
@@ -468,18 +479,43 @@ def _family_counts(cuts):
     return counts
 
 
+def _search_report(search, root_upper, timings, counts, cuts, lp_bound, root_bound=None):
+    """Report for a finished ``branch_and_bound``: exhausted with no feasible
+    point, stopped with no incumbent, or an incumbent (proven optimal, or
+    below an upper bound capped by the root's ``root_upper``)."""
+    status, best_value, upper, routes, stats = search
+    found = best_value > -math.inf
+    if status != "time-limit":
+        if not found:
+            return _infeasible_report(timings, "search exhausted without a feasible point", counts)
+        upper = best_value
+    else:
+        upper = min(upper, root_upper)
+    lower = float(best_value) if found else -math.inf
+    return SolveReport(
+        status=status,
+        lower_bound=lower,
+        upper_bound=float(upper),
+        routes=routes or [],
+        gap=compute_gap(status, lower, upper),
+        timings=timings,
+        cut_counts=counts,
+        node_count=stats["nodes"],
+        lp_bound=lp_bound,
+        root_bound=root_bound,
+        cut_pool=list(cuts),
+    )
+
+
 def solve_stop(inst, config=SolveConfig()):
     """Cutting-plane pipeline: root reinforcement then branch-and-bound with
     the flow lower bounds and all root cuts handled as a lazy pool."""
     t0 = time.monotonic()
     deadline = t0 + config.time_limit_s
-    blocker = _screen(inst)
-    if blocker is not None:
-        return _infeasible_report(
-            {"total": time.monotonic() - t0},
-            f"mandatory vertex {blocker} cannot be routed within the limit",
-        )
-    pre, report = preprocess(inst)
+    screened = _screen_report(inst, t0)
+    if screened is not None:
+        return screened
+    pre, _ = preprocess(inst)
     conflicts = build_conflict_set(inst, pre.min_times) if CONFLICT in config.families else ()
     t_pre = time.monotonic() - t0
 
@@ -499,51 +535,20 @@ def solve_stop(inst, config=SolveConfig()):
         work.add_column(lo, up, obj)
     n_structural = len(handle.model.rows) - len(phase.cuts)
     pool = []
-    for ridx, row in enumerate(handle.model.rows):
-        if ridx < n_structural and ridx not in soft:
-            work.add_row(row)
-        elif ridx in soft:
+    for ridx, row in enumerate(handle.model.rows[:n_structural]):
+        if ridx in soft:
             pool.append(row)
-    for cut in phase.cuts:
-        pool.append(cut.to_row(handle))
+        else:
+            work.add_row(row)
+    pool.extend(handle.model.rows[n_structural:])  # the root cuts' rows
 
-    status, best_value, upper, routes, stats = branch_and_bound(
-        handle, work, pool, config, deadline
-    )
-    upper = min(upper, phase.upper_bound)
+    search = branch_and_bound(handle, work, pool, config, deadline)
     t_total = time.monotonic() - t0
     timings = {"preprocess": t_pre, "root": t_root, "search": t_total - t_pre - t_root, "total": t_total}
     counts = _family_counts(phase.cuts)
-    counts["pool_activated"] = stats["pool_activated"]
-
-    if status != "time-limit" and best_value == -math.inf:
-        return _infeasible_report(timings, "search exhausted without a feasible point", counts)
-    if best_value == -math.inf:
-        return SolveReport(
-            status="time-limit",
-            lower_bound=-math.inf,
-            upper_bound=upper,
-            routes=[],
-            gap=1.0,
-            timings=timings,
-            cut_counts=counts,
-            node_count=stats["nodes"],
-            lp_bound=phase.lp_bound,
-            root_bound=phase.upper_bound,
-            cut_pool=list(phase.cuts),
-        )
-    return SolveReport(
-        status=status,
-        lower_bound=float(best_value),
-        upper_bound=float(upper if status == "time-limit" else best_value),
-        routes=routes or [],
-        gap=compute_gap(status, best_value, upper if status == "time-limit" else best_value),
-        timings=timings,
-        cut_counts=counts,
-        node_count=stats["nodes"],
-        lp_bound=phase.lp_bound,
-        root_bound=phase.upper_bound,
-        cut_pool=list(phase.cuts),
+    counts["pool_activated"] = search[4]["pool_activated"]
+    return _search_report(
+        search, phase.upper_bound, timings, counts, phase.cuts, phase.lp_bound, phase.upper_bound
     )
 
 
@@ -553,18 +558,15 @@ def solve_baseline(inst, config=SolveConfig()):
     tolerance; every violated cut found is added (no orthogonality filter)."""
     t0 = time.monotonic()
     deadline = t0 + config.time_limit_s
-    blocker = _screen(inst)
-    if blocker is not None:
-        return _infeasible_report(
-            {"total": time.monotonic() - t0},
-            f"mandatory vertex {blocker} cannot be routed within the limit",
-        )
-    pre, report = preprocess(inst)
+    screened = _screen_report(inst, t0)
+    if screened is not None:
+        return screened
+    pre, _ = preprocess(inst)
     t_pre = time.monotonic() - t0
 
     handle = build_arrival_formulation(pre, include_total_time_row=True)
     work = handle.model
-    root = lp.solve(work, backend=config.lp_backend)
+    root = lp.solve(work)
     if root.status == "infeasible":
         return _infeasible_report(
             {"preprocess": t_pre, "total": time.monotonic() - t0},
@@ -592,49 +594,27 @@ def solve_baseline(inst, config=SolveConfig()):
         prev_obj[0] = sol.objective
         return True
 
-    status, best_value, upper, routes, stats = branch_and_bound(
-        handle, work, [], config, deadline, node_cut_hook=node_hook
-    )
-    upper = min(upper, lp_bound)
+    search = branch_and_bound(handle, work, [], config, deadline, node_cut_hook=node_hook)
     t_total = time.monotonic() - t0
     timings = {"preprocess": t_pre, "search": t_total - t_pre, "total": t_total}
     counts = {CONNECTIVITY: len(added), CONFLICT: 0, COVER: 0}
-
-    if status != "time-limit" and best_value == -math.inf:
-        return _infeasible_report(timings, "search exhausted without a feasible point", counts)
-    if best_value == -math.inf:
-        return SolveReport(
-            "time-limit", -math.inf, upper, [], 1.0, timings, counts, stats["nodes"],
-            lp_bound=lp_bound, cut_pool=list(added),
-        )
-    return SolveReport(
-        status=status,
-        lower_bound=float(best_value),
-        upper_bound=float(upper if status == "time-limit" else best_value),
-        routes=routes or [],
-        gap=compute_gap(status, best_value, upper if status == "time-limit" else best_value),
-        timings=timings,
-        cut_counts=counts,
-        node_count=stats["nodes"],
-        lp_bound=lp_bound,
-        cut_pool=list(added),
-    )
+    return _search_report(search, lp_bound, timings, counts, added, lp_bound)
 
 
 def solve_lp_only(inst, config=SolveConfig()):
     """Bound from the plain relaxation (flow kind, hard flow lower bounds)."""
     t0 = time.monotonic()
-    blocker = _screen(inst)
-    if blocker is not None:
-        return _infeasible_report({"total": time.monotonic() - t0}, f"mandatory vertex {blocker} unroutable")
+    screened = _screen_report(inst, t0)
+    if screened is not None:
+        return screened
     pre, _ = preprocess(inst)
     handle = build_flow_formulation(pre, bounds_as_cuts=False)
-    sol = lp.solve(handle.model, backend=config.lp_backend)
+    sol = lp.solve(handle.model)
     t_total = time.monotonic() - t0
     if sol.status == "infeasible":
         return _infeasible_report({"total": t_total}, "linear relaxation infeasible")
     return SolveReport(
-        status="time-limit",
+        status="bound",
         lower_bound=-math.inf,
         upper_bound=sol.objective,
         routes=[],

@@ -1,12 +1,14 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from orienteer import bench
 from orienteer.cli import main, validate_solution
-from orienteer.instance import parse_instance
-from orienteer.solver import SolveConfig
+from orienteer.instance import parse_instance, preprocess
+from orienteer.separation import CONFLICT, CONNECTIVITY, COVER
+from orienteer.solver import SolveConfig, cutting_plane_phase
 
 from conftest import I, J, K, L, S, T, make_figure_instance
 
@@ -74,6 +76,7 @@ def test_cli_solve_modes_agree(five_path, capsys):
 def test_cli_solve_lp_mode(five_path, capsys):
     main(["solve", five_path, "--mode", "lp", "--json"])
     payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "bound"
     assert payload["upper_bound"] >= 22.0 - 1e-9
 
 
@@ -193,10 +196,18 @@ def test_bench_csv_footer_matches_rows(tmp_path):
 def test_bench_improvement_definition(tmp_path):
     good = tmp_path / "ok.txt"
     good.write_text(FIVE)
-    rows = bench.run_bench([str(good)], "config5", SolveConfig(time_limit_s=60))
-    row = rows[0]
-    assert row.status == "bound"
-    if row.improvement is not None and row.lp_bound:
-        want = 100.0 * (row.lp_bound - row.upper) / row.lp_bound
-        assert row.improvement == pytest.approx(want)
-        assert row.improvement >= -1e-9
+    cfg = SolveConfig(time_limit_s=60)
+    pre, _ = preprocess(parse_instance(FIVE))
+    for mode, families in bench.CONFIG_FAMILIES.items():
+        row = bench.run_bench([str(good)], mode, cfg)[0]
+        assert row.status == "bound"
+        # the bench reads the same root loop the solver runs
+        phase = cutting_plane_phase(pre, replace(cfg, families=families))
+        assert row.upper == phase.upper_bound
+        assert row.lp_bound == phase.lp_bound
+        for fam in (CONNECTIVITY, CONFLICT, COVER):
+            assert row.cuts[fam] == sum(1 for c in phase.cuts if c.family == fam)
+        if row.improvement is not None and row.lp_bound:
+            want = 100.0 * (row.lp_bound - row.upper) / row.lp_bound
+            assert row.improvement == pytest.approx(want)
+            assert row.improvement >= -1e-9
