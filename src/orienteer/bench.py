@@ -142,16 +142,8 @@ def _floor_impact(inst, config, kind):
         handle = build_flow_formulation(pre, bounds_as_cuts=True)
     else:
         handle = build_arrival_formulation(pre)
-    floor_rows = set(
-        handle.soft_rows
-        or range(*_block_range(handle.row_blocks["floor"]))
-    )
-    bare = lp.LpModel()
-    for lo, up, obj in zip(handle.model.lower, handle.model.upper, handle.model.objective):
-        bare.add_column(lo, up, obj)
-    for ridx, row in enumerate(handle.model.rows):
-        if ridx not in floor_rows:
-            bare.add_row(row)
+    start, count = handle.row_blocks["floor"]
+    bare, _ = handle.model.split_rows(range(start, start + count))
     without = lp.solve(bare)
     full = lp.solve(handle.model)
     if without.status != "optimal" or full.status != "optimal":
@@ -161,11 +153,6 @@ def _floor_impact(inst, config, kind):
         "without_floor": without.objective,
         "with_floor": full.objective,
     }
-
-
-def _block_range(block):
-    start, count = block
-    return start, start + count
 
 
 def run_bench(paths, mode, config=solver.SolveConfig(), jobs=1):

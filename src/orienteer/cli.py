@@ -153,6 +153,7 @@ def _cmd_solve(args):
         "lp_bound": rep.lp_bound,
         "timings_s": {k: round(v, 3) for k, v in rep.timings.items()},
         "reason": rep.reason,
+        "lp_fallbacks": rep.lp_fallbacks,
     }
     if args.json:
         print(json.dumps(payload, indent=2))

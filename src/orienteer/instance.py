@@ -101,14 +101,6 @@ class StopInstance:
     def reward(self, i):
         return self.rewards.get(i, 0)
 
-    def route_duration(self, route):
-        d = 0.0
-        for a, b in zip(route, route[1:]):
-            if not self.arc_mask[a, b]:
-                return INF
-            d += float(self.travel_time[a, b])
-        return d
-
 
 @dataclass(frozen=True)
 class MinTimeMatrix:

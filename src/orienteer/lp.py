@@ -7,9 +7,11 @@ scipy's bundled HiGHS in one of two ways:
 * ``solve``        - stateless ``linprog`` call: optimal, infeasible or
                      unbounded, or ``LpError`` when HiGHS cannot tell
 * ``HighsSession`` - incremental engine for warm-started re-solves after row
-                     appends and bound changes
+                     appends and bound changes; it settles an LP the engine
+                     cannot classify with ``solve`` and counts it
 
-The objective sense is always maximize.
+``row_arrays`` is the one place rows become sparse arrays.  The objective
+sense is always maximize.
 """
 
 from __future__ import annotations
@@ -46,6 +48,21 @@ class LpRow:
         if self.relation == GE:
             return a >= self.rhs - tol
         return abs(a - self.rhs) <= tol
+
+
+def row_arrays(rows):
+    """(starts, indices, values, row_lower, row_upper) of ``rows`` in CSR
+    form: row k holds ``indices/values[starts[k]:starts[k + 1]]`` and ranges
+    over [row_lower[k], row_upper[k]]."""
+    lengths = np.fromiter((len(r.indices) for r in rows), dtype=np.int32, count=len(rows))
+    starts = np.zeros(len(rows) + 1, dtype=np.int32)
+    np.cumsum(lengths, out=starts[1:])
+    nnz = int(starts[-1])
+    indices = np.fromiter((j for r in rows for j in r.indices), dtype=np.int32, count=nnz)
+    values = np.fromiter((v for r in rows for v in r.values), dtype=float, count=nnz)
+    row_lower = np.array([-math.inf if r.relation == LE else r.rhs for r in rows], dtype=float)
+    row_upper = np.array([math.inf if r.relation == GE else r.rhs for r in rows], dtype=float)
+    return starts, indices, values, row_lower, row_upper
 
 
 def make_row(coeffs, relation, rhs):
@@ -119,38 +136,39 @@ class LpModel:
     def n_rows(self):
         return len(self.rows)
 
+    def split_rows(self, picked):
+        """(copy of the model without the rows numbered in ``picked``, those
+        rows in model order)."""
+        picked = set(picked)
+        rest = self.copy()
+        rest.rows = [r for i, r in enumerate(self.rows) if i not in picked]
+        return rest, [r for i, r in enumerate(self.rows) if i in picked]
+
     # -- assembly for linprog ------------------------------------------
 
     def _assembled(self):
-        """(A_ub, b_ub, A_eq, b_eq, row order map) with GE rows negated."""
+        """(A_ub, b_ub, A_eq, b_eq) with GE rows negated into A_ub."""
         if self._cache is not None:
             return self._cache
         from scipy.sparse import csr_matrix
 
-        def build(selected, flip):
-            data, indices, indptr, rhs = [], [], [0], []
-            for r, sign in zip(selected, flip):
-                data.extend(sign * v for v in r.values)
-                indices.extend(r.indices)
-                indptr.append(len(indices))
-                rhs.append(sign * r.rhs)
-            if not rhs:
-                return None, None
-            mat = csr_matrix(
-                (np.asarray(data), np.asarray(indices, dtype=np.int32), np.asarray(indptr, dtype=np.int32)),
-                shape=(len(rhs), self.n_cols),
-            )
-            return mat, np.asarray(rhs)
+        starts, indices, values, row_lower, row_upper = row_arrays(self.rows)
+        relation = np.array([r.relation for r in self.rows], dtype=object)
+        ge = relation == GE
+        sign = np.where(ge, -1.0, 1.0)
+        mat = csr_matrix(
+            (values * np.repeat(sign, np.diff(starts)), indices, starts),
+            shape=(self.n_rows, self.n_cols),
+        )
+        rhs = np.where(ge, -row_lower, row_upper)
 
-        ub_rows = [(r, -1.0 if r.relation == GE else 1.0) for r in self.rows if r.relation != EQ]
-        eq_rows = [(r, 1.0) for r in self.rows if r.relation == EQ]
-        A_ub, b_ub = build([r for r, _ in ub_rows], [s for _, s in ub_rows])
-        A_eq, b_eq = build([r for r, _ in eq_rows], [s for _, s in eq_rows])
-        self._cache = (A_ub, b_ub, A_eq, b_eq)
+        def block(selected):
+            rows = np.flatnonzero(selected)
+            return (mat[rows], rhs[rows]) if len(rows) else (None, None)
+
+        eq = relation == EQ
+        self._cache = block(~eq) + block(eq)
         return self._cache
-
-    def row_activities(self, x):
-        return np.array([r.activity(x) for r in self.rows])
 
 
 @dataclass
@@ -158,11 +176,6 @@ class LpSolution:
     status: str  # optimal | infeasible | unbounded
     objective: float
     x: np.ndarray | None
-    row_activity: np.ndarray | None
-
-    @property
-    def optimal(self):
-        return self.status == "optimal"
 
 
 def append_rows(model, cuts):
@@ -207,24 +220,24 @@ def solve(model, bounds_override=None):
         # whether any point exists at all
         probe = attempt(np.zeros_like(c), True)
         if probe.status == 2:
-            return LpSolution("infeasible", -math.inf, None, None)
+            return LpSolution("infeasible", -math.inf, None)
         if probe.status == 0:
-            return LpSolution("unbounded", math.inf, None, None)
+            return LpSolution("unbounded", math.inf, None)
         res = attempt(c, False)
     elif res.status != 0:
         res = attempt(c, False)
         if res.status not in (0, 2, 3):
             probe = attempt(np.zeros_like(c), True)
             if probe.status == 2:
-                return LpSolution("infeasible", -math.inf, None, None)
+                return LpSolution("infeasible", -math.inf, None)
     if res.status == 2:
-        return LpSolution("infeasible", -math.inf, None, None)
+        return LpSolution("infeasible", -math.inf, None)
     if res.status == 3:
-        return LpSolution("unbounded", math.inf, None, None)
+        return LpSolution("unbounded", math.inf, None)
     if res.status != 0:
         raise LpError(f"HiGHS could not classify the LP: {res.message}")
     x = np.asarray(res.x)
-    return LpSolution("optimal", float(np.dot(model.objective, x)), x, model.row_activities(x))
+    return LpSolution("optimal", float(np.dot(model.objective, x)), x)
 
 
 try:  # incremental engine: vendored HiGHS bindings (scipy >= 1.15)
@@ -241,96 +254,86 @@ class HighsSession:
     """Stateful LP session with warm-started re-solves.
 
     Bound changes and row appends reuse the previous basis (a warm restart
-    inside the engine), which is what makes the search loops cheap.
-    Falls back to ``None`` returns on engine hiccups; callers then use the
-    stateless path.  Deterministic for a fixed call sequence.
+    inside the engine), which is what makes the search loops cheap.  Rows
+    go through ``add_rows`` only, which appends them to the session's model
+    and to the engine alike.  ``solve`` always classifies: when the engine
+    raises or ends in a status other than optimal, infeasible or unbounded,
+    the stateless ``solve`` settles the LP the engine holds and
+    ``fallbacks`` counts it.  Without the incremental engine (scipy < 1.15)
+    every solve is stateless and counts as a fallback.  Deterministic for a
+    fixed call sequence.
+
+    HiGHS with presolve may report a feasible LP with an unbounded objective
+    as infeasible, and the session trusts that verdict.  It is exact for LPs
+    whose objective is bounded above, as in every formulation here: only the
+    visit columns, bounded in [0, 1], carry reward.
     """
 
     def __init__(self, model):
-        if _hcore is None:
-            raise LpError("incremental engine unavailable")
         self._model = model
+        self._bounds = None  # the last override: the engine keeps column bounds
+        self.fallbacks = 0
+        self._h = None
+        if _hcore is None:
+            return
         self._h = _hcore._Highs()
         self._h.setOptionValue("output_flag", False)
         self._h.setOptionValue("threads", 1)
-        n, m = model.n_cols, model.n_rows
+        starts, indices, values, row_lower, row_upper = row_arrays(model.rows)
         lp_obj = _hcore.HighsLp()
-        lp_obj.num_col_ = n
-        lp_obj.num_row_ = m
+        lp_obj.num_col_ = model.n_cols
+        lp_obj.num_row_ = model.n_rows
         lp_obj.col_cost_ = -np.asarray(model.objective)  # engine minimizes
         lp_obj.col_lower_ = np.asarray(model.lower)
         lp_obj.col_upper_ = np.asarray(model.upper)
-        row_lower = np.empty(m)
-        row_upper = np.empty(m)
-        cols = [[] for _ in range(n)]
-        for i, row in enumerate(model.rows):
-            row_lower[i] = -math.inf if row.relation == LE else row.rhs
-            row_upper[i] = math.inf if row.relation == GE else row.rhs
-            for j, v in zip(row.indices, row.values):
-                cols[j].append((i, v))
-        starts = np.zeros(n + 1, dtype=np.int32)
-        idx = []
-        vals = []
-        for j in range(n):
-            for i, v in cols[j]:
-                idx.append(i)
-                vals.append(v)
-            starts[j + 1] = len(idx)
         lp_obj.row_lower_ = row_lower
         lp_obj.row_upper_ = row_upper
-        lp_obj.a_matrix_.format_ = _hcore.MatrixFormat.kColwise
+        lp_obj.a_matrix_.format_ = _hcore.MatrixFormat.kRowwise
         lp_obj.a_matrix_.start_ = starts
-        lp_obj.a_matrix_.index_ = np.asarray(idx, dtype=np.int32)
-        lp_obj.a_matrix_.value_ = np.asarray(vals)
+        lp_obj.a_matrix_.index_ = indices
+        lp_obj.a_matrix_.value_ = values
         if self._h.passModel(lp_obj) != _hcore.HighsStatus.kOk:
             raise LpError("engine rejected the model")
-        self._all_cols = np.arange(n, dtype=np.int32)
-        self.n_rows = m
+        self._all_cols = np.arange(model.n_cols, dtype=np.int32)
 
     def add_rows(self, rows):
-        lower, upper, starts, idx, vals = [], [], [0], [], []
+        if self._h is not None:
+            starts, indices, values, row_lower, row_upper = row_arrays(rows)
+            status = self._h.addRows(
+                len(rows), row_lower, row_upper, len(indices), starts[:-1], indices, values
+            )
+            if status != _hcore.HighsStatus.kOk:
+                raise LpError("engine rejected appended rows")
         for row in rows:
-            lower.append(-math.inf if row.relation == LE else row.rhs)
-            upper.append(math.inf if row.relation == GE else row.rhs)
-            idx.extend(row.indices)
-            vals.extend(row.values)
-            starts.append(len(idx))
-        status = self._h.addRows(
-            len(rows),
-            np.asarray(lower),
-            np.asarray(upper),
-            len(idx),
-            np.asarray(starts[:-1], dtype=np.int32),
-            np.asarray(idx, dtype=np.int32),
-            np.asarray(vals),
-        )
-        if status != _hcore.HighsStatus.kOk:
-            raise LpError("engine rejected appended rows")
-        self.n_rows += len(rows)
+            self._model.add_row(row)
 
     def solve(self, bounds_override=None):
-        """LpSolution with status optimal/infeasible, or None when the
-        engine cannot classify (caller re-solves statelessly)."""
-        try:
-            if bounds_override is not None:
-                self._h.changeColsBounds(
-                    len(self._all_cols),
-                    self._all_cols,
-                    np.ascontiguousarray(bounds_override[:, 0]),
-                    np.ascontiguousarray(bounds_override[:, 1]),
-                )
-            self._h.run()
-            status = self._h.getModelStatus()
-        except Exception:
-            return None
-        if status == _hcore.HighsModelStatus.kOptimal:
-            x = np.asarray(self._h.getSolution().col_value)
-            return LpSolution("optimal", float(np.dot(self._model.objective, x)), x, None)
-        if status == _hcore.HighsModelStatus.kInfeasible:
-            return LpSolution("infeasible", -math.inf, None, None)
-        if status == _hcore.HighsModelStatus.kUnbounded:
-            return LpSolution("unbounded", math.inf, None, None)
-        return None
+        """LpSolution with status optimal, infeasible or unbounded; column
+        bounds from ``bounds_override`` stay in force for later calls."""
+        if bounds_override is not None:
+            self._bounds = bounds_override
+        if self._h is not None:
+            try:
+                if bounds_override is not None:
+                    self._h.changeColsBounds(
+                        len(self._all_cols),
+                        self._all_cols,
+                        np.ascontiguousarray(bounds_override[:, 0]),
+                        np.ascontiguousarray(bounds_override[:, 1]),
+                    )
+                self._h.run()
+                status = self._h.getModelStatus()
+            except Exception:
+                status = None
+            if status == _hcore.HighsModelStatus.kOptimal:
+                x = np.asarray(self._h.getSolution().col_value)
+                return LpSolution("optimal", float(np.dot(self._model.objective, x)), x)
+            if status == _hcore.HighsModelStatus.kInfeasible:
+                return LpSolution("infeasible", -math.inf, None)
+            if status == _hcore.HighsModelStatus.kUnbounded:
+                return LpSolution("unbounded", math.inf, None)
+        self.fallbacks += 1
+        return solve(self._model, self._bounds)
 
 
 def export_lp_text(model, name="model"):

@@ -87,9 +87,6 @@ class Cut:
         """Euclidean distance from the point to the cut hyperplane."""
         return self.violation(xv, yv) / self.norm()
 
-    def signature(self):
-        return (self.family, self.relation, self.rhs, self.x_terms, self.y_terms)
-
     def to_row(self, handle):
         from .lp import make_row
 

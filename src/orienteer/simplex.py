@@ -233,9 +233,9 @@ def solve_dense(model, bounds_override=None):
     t = _Tableau(model, bounds_override)
     verdict = _dual_simplex(t, np.zeros_like(t.c))  # pure feasibility phase
     if verdict == "infeasible":
-        return LpSolution("infeasible", -math.inf, None, None)
+        return LpSolution("infeasible", -math.inf, None)
     if _primal_simplex(t) == "unbounded":
-        return LpSolution("unbounded", math.inf, None, None)
+        return LpSolution("unbounded", math.inf, None)
     x, _ = t.solution()
     xs = x[: t.n].copy()
-    return LpSolution("optimal", float(np.dot(model.objective, xs)), xs, model.row_activities(xs))
+    return LpSolution("optimal", float(np.dot(model.objective, xs)), xs)

@@ -74,10 +74,7 @@ class SolveReport:
     root_bound: float | None = None
     cut_pool: list = field(default_factory=list)
     reason: str = ""
-
-    @property
-    def optimal_value(self):
-        return self.lower_bound if self.status == "optimal" else None
+    lp_fallbacks: int = 0  # LPs the sessions settled with the stateless solve
 
 
 def compute_gap(status, lower, upper):
@@ -103,22 +100,7 @@ class PhaseResult:
     cuts: list
     iterations: int
     solution: object
-
-
-def _point(handle, sol):
-    return handle.point_from_solution(sol)
-
-
-def _open_session(model):
-    """Warm-start session when the incremental engine exists; the stateless
-    path stays the fallback for every call, so failures here only cost
-    speed."""
-    if not lp.incremental_available():
-        return None
-    try:
-        return lp.HighsSession(model)
-    except Exception:
-        return None
+    lp_fallbacks: int
 
 
 def cutting_plane_phase(inst, config=SolveConfig(), conflicts=None, handle=None, deadline=None):
@@ -135,30 +117,28 @@ def cutting_plane_phase(inst, config=SolveConfig(), conflicts=None, handle=None,
         handle = build_flow_formulation(inst, bounds_as_cuts=True)
     if conflicts is None and CONFLICT in config.families:
         conflicts = build_conflict_set(inst, handle.min_times)
-    model = handle.model
-    session = _open_session(model)
+    session = lp.HighsSession(handle.model)
+    lp_bound = -math.inf
+    cuts = []
+    iterations = 0
 
-    def resolve():
-        if session is not None:
-            out = session.solve()
-            if out is not None:
-                return out
-        return lp.solve(model)
+    def result(status, upper, sol):
+        return PhaseResult(
+            status, handle, upper, lp_bound, cuts, iterations, sol, session.fallbacks
+        )
 
-    sol = resolve()
+    sol = session.solve()
     if sol.status == "infeasible":
-        return PhaseResult("infeasible", handle, -math.inf, -math.inf, [], 0, None)
+        return result("infeasible", -math.inf, None)
     if sol.status != "optimal":
         raise lp.LpError(f"relaxation came back {sol.status}")
     lp_bound = sol.objective
     ub = lp_bound
-    cuts = []
-    iterations = 0
     params = config.params
     while True:
         if deadline is not None and time.monotonic() > deadline:
-            return PhaseResult("time-limit", handle, ub, lp_bound, cuts, iterations, sol)
-        xv, yv = _point(handle, sol)
+            return result("time-limit", ub, sol)
+        xv, yv = handle.point_from_solution(sol)
         fresh = []
         if CONNECTIVITY in config.families:
             cand = separate_connectivity(xv, yv, inst, params.connectivity)
@@ -171,61 +151,43 @@ def cutting_plane_phase(inst, config=SolveConfig(), conflicts=None, handle=None,
             if cover is not None and cover.violation(xv, yv) > params.cover_violation:
                 fresh.append(cover)
         if not fresh:
-            return PhaseResult("bound", handle, ub, lp_bound, cuts, iterations, sol)
+            return result("bound", ub, sol)
         iterations += 1
-        new_rows = [cut.to_row(handle) for cut in fresh]
-        for row in new_rows:
-            model.add_row(row)
-        if session is not None:
-            try:
-                session.add_rows(new_rows)
-            except Exception:
-                session = None
+        session.add_rows([cut.to_row(handle) for cut in fresh])
         cuts.extend(fresh)
-        sol = resolve()
+        sol = session.solve()
         if sol.status == "infeasible":
             # cuts never exclude feasible integer points, so an emptied
             # relaxation certifies the instance itself is infeasible
-            return PhaseResult("infeasible", handle, -math.inf, lp_bound, cuts, iterations, None)
+            return result("infeasible", -math.inf, None)
         if sol.status != "optimal":
             raise lp.LpError(f"reinforced relaxation came back {sol.status}")
         improvement = ub - sol.objective
         ub = min(ub, sol.objective)
         if improvement <= config.phase_tolerance:
-            return PhaseResult("bound", handle, ub, lp_bound, cuts, iterations, sol)
+            return result("bound", ub, sol)
 
 
 # -- branch and bound --------------------------------------------------------
 
 
 def _pool_matrix(pool, n_cols):
-    """(csr matrix, ge mask, rhs) for vectorized pool-violation scans."""
+    """(csr matrix, row lower, row upper) for vectorized pool-violation
+    scans."""
     if not pool:
         return None
     from scipy.sparse import csr_matrix
 
-    data, indices, indptr = [], [], [0]
-    ge = np.zeros(len(pool), dtype=bool)
-    rhs = np.zeros(len(pool))
-    for k, row in enumerate(pool):
-        data.extend(row.values)
-        indices.extend(row.indices)
-        indptr.append(len(indices))
-        ge[k] = row.relation == lp.GE
-        rhs[k] = row.rhs
-    mat = csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=np.int32), np.asarray(indptr, dtype=np.int32)),
-        shape=(len(pool), n_cols),
-    )
-    return mat, ge, rhs
+    starts, indices, values, row_lower, row_upper = lp.row_arrays(pool)
+    return csr_matrix((values, indices, starts), shape=(len(pool), n_cols)), row_lower, row_upper
 
 
 def _violated_pool_rows(pool_matrix, pool_active, x):
     if pool_matrix is None:
         return []
-    mat, ge, rhs = pool_matrix
+    mat, row_lower, row_upper = pool_matrix
     act = mat @ x
-    bad = np.where(ge, act < rhs - POOL_TOL, act > rhs + POOL_TOL)
+    bad = (act < row_lower - POOL_TOL) | (act > row_upper + POOL_TOL)
     return [int(k) for k in np.nonzero(bad)[0] if not pool_active[k]]
 
 
@@ -249,10 +211,6 @@ class _Tree:
 
     def __len__(self):
         return len(self.heap)
-
-
-def _fractional(value):
-    return abs(value - round(value))
 
 
 def _branch_order(handle):
@@ -329,24 +287,10 @@ def branch_and_bound(
     stats.setdefault("nodes", 0)
     stats.setdefault("pool_activated", 0)
     base_bounds = np.array([work_model.lower, work_model.upper], dtype=float).T
-
-    session = _open_session(work_model)
-
-    def node_solve(node_bounds):
-        if session is not None:
-            out = session.solve(bounds_override=node_bounds)
-            if out is not None:
-                return out
-        return lp.solve(work_model, bounds_override=node_bounds)
+    session = lp.HighsSession(work_model)
 
     def add_row(row):
-        nonlocal session
-        work_model.add_row(row)
-        if session is not None:
-            try:
-                session.add_rows([row])
-            except Exception:
-                session = None  # stateless solves keep the run correct
+        session.add_rows([row])
 
     pool_active = [False] * len(pool)
     pool_matrix = _pool_matrix(pool, work_model.n_cols)
@@ -380,7 +324,7 @@ def branch_and_bound(
             bounds[col, 0] = lo
             bounds[col, 1] = up
 
-        sol = node_solve(bounds)
+        sol = session.solve(bounds)
         feasible = sol.status == "optimal"
         round_idx = 0
         while feasible:
@@ -395,7 +339,7 @@ def branch_and_bound(
                 add_row(pool[k])
                 pool_active[k] = True
                 stats["pool_activated"] += 1
-            sol = node_solve(bounds)
+            sol = session.solve(bounds)
             feasible = sol.status == "optimal"
         if not feasible:
             continue
@@ -430,6 +374,7 @@ def branch_and_bound(
             upper = math.inf
     else:
         upper = best_value if best_value > -math.inf else -math.inf
+    stats["lp_fallbacks"] = session.fallbacks
     return status, best_value, upper, best_routes, stats
 
 
@@ -458,7 +403,7 @@ def _screen_report(inst, t0):
     )
 
 
-def _infeasible_report(timings, reason, cut_counts=None):
+def _infeasible_report(timings, reason, cut_counts=None, lp_fallbacks=0):
     return SolveReport(
         status="infeasible",
         lower_bound=-math.inf,
@@ -469,6 +414,7 @@ def _infeasible_report(timings, reason, cut_counts=None):
         cut_counts=cut_counts or {},
         node_count=0,
         reason=reason,
+        lp_fallbacks=lp_fallbacks,
     )
 
 
@@ -479,15 +425,20 @@ def _family_counts(cuts):
     return counts
 
 
-def _search_report(search, root_upper, timings, counts, cuts, lp_bound, root_bound=None):
+def _search_report(
+    search, root_upper, timings, counts, cuts, lp_bound, root_bound=None, root_fallbacks=0
+):
     """Report for a finished ``branch_and_bound``: exhausted with no feasible
     point, stopped with no incumbent, or an incumbent (proven optimal, or
     below an upper bound capped by the root's ``root_upper``)."""
     status, best_value, upper, routes, stats = search
+    fallbacks = root_fallbacks + stats["lp_fallbacks"]
     found = best_value > -math.inf
     if status != "time-limit":
         if not found:
-            return _infeasible_report(timings, "search exhausted without a feasible point", counts)
+            return _infeasible_report(
+                timings, "search exhausted without a feasible point", counts, fallbacks
+            )
         upper = best_value
     else:
         upper = min(upper, root_upper)
@@ -504,6 +455,7 @@ def _search_report(search, root_upper, timings, counts, cuts, lp_bound, root_bou
         lp_bound=lp_bound,
         root_bound=root_bound,
         cut_pool=list(cuts),
+        lp_fallbacks=fallbacks,
     )
 
 
@@ -525,22 +477,16 @@ def solve_stop(inst, config=SolveConfig()):
         return _infeasible_report(
             {"preprocess": t_pre, "root": t_root, "total": time.monotonic() - t0},
             "linear relaxation infeasible",
+            lp_fallbacks=phase.lp_fallbacks,
         )
     handle = phase.handle
 
-    # rebuild the model with hard rows only; pooled rows join on demand
-    soft = set(handle.soft_rows)
-    work = lp.LpModel()
-    for lo, up, obj in zip(handle.model.lower, handle.model.upper, handle.model.objective):
-        work.add_column(lo, up, obj)
-    n_structural = len(handle.model.rows) - len(phase.cuts)
-    pool = []
-    for ridx, row in enumerate(handle.model.rows[:n_structural]):
-        if ridx in soft:
-            pool.append(row)
-        else:
-            work.add_row(row)
-    pool.extend(handle.model.rows[n_structural:])  # the root cuts' rows
+    # the search starts from the hard rows; the flow lower bounds and the
+    # root cuts' rows wait in the pool and join on demand
+    n_structural = handle.model.n_rows - len(phase.cuts)
+    work, pool = handle.model.split_rows(
+        [*handle.soft_rows, *range(n_structural, handle.model.n_rows)]
+    )
 
     search = branch_and_bound(handle, work, pool, config, deadline)
     t_total = time.monotonic() - t0
@@ -548,7 +494,8 @@ def solve_stop(inst, config=SolveConfig()):
     counts = _family_counts(phase.cuts)
     counts["pool_activated"] = search[4]["pool_activated"]
     return _search_report(
-        search, phase.upper_bound, timings, counts, phase.cuts, phase.lp_bound, phase.upper_bound
+        search, phase.upper_bound, timings, counts, phase.cuts, phase.lp_bound,
+        phase.upper_bound, phase.lp_fallbacks,
     )
 
 
@@ -584,7 +531,7 @@ def solve_baseline(inst, config=SolveConfig()):
             prev_obj[0] = None
         if prev_obj[0] is not None and prev_obj[0] - sol.objective <= config.node_tolerance:
             return False
-        xv, yv = _point(handle, sol)
+        xv, yv = handle.point_from_solution(sol)
         cand = separate_connectivity(xv, yv, pre, config.params.connectivity)
         if not cand:
             return False

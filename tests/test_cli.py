@@ -63,6 +63,7 @@ def test_cli_solve_json(five_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["status"] == "optimal"
     assert payload["lower_bound"] == 22.0
+    assert payload["lp_fallbacks"] == 0
 
 
 def test_cli_solve_modes_agree(five_path, capsys):

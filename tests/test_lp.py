@@ -124,6 +124,57 @@ def test_appending_rows_never_raises_objective(seed):
         assert after.objective <= base.objective + 1e-9
 
 
+def _bounded_model(rng, n_max=7, m_max=8):
+    model = lp.LpModel()
+    for _ in range(rng.randint(1, n_max)):
+        lo = rng.uniform(-5, 2)
+        model.add_column(lo, lo + rng.uniform(0, 6), rng.uniform(-3, 3))
+    for _ in range(rng.randint(0, m_max)):
+        model.add_row(_random_inequality(rng, model.n_cols))
+    return model
+
+
+def _random_inequality(rng, n):
+    coeffs = [(j, rng.uniform(-4, 4)) for j in range(n) if rng.random() < 0.7]
+    return lp.make_row(coeffs or [(rng.randrange(n), 1.0)], rng.choice(["<=", ">="]), rng.uniform(-6, 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_session_agrees_with_stateless_solve(seed):
+    # every column is bounded, so no LP here is unbounded; each call brings
+    # its own column bounds, and rows join the session between calls
+    rng = random.Random(seed)
+    model = _bounded_model(rng)
+    rows = model.n_rows
+    session = lp.HighsSession(model)
+    for _ in range(4):
+        bounds = np.empty((model.n_cols, 2))
+        for j, (lo, up) in enumerate(zip(model.lower, model.upper)):
+            bounds[j, 0] = rng.uniform(lo, up)
+            bounds[j, 1] = rng.uniform(bounds[j, 0], up)
+        got = session.solve(bounds)
+        want = lp.solve(model, bounds)
+        assert got.status == want.status
+        if want.status == "optimal":
+            assert got.objective == pytest.approx(want.objective, abs=1e-6, rel=1e-6)
+        extra = [_random_inequality(rng, model.n_cols) for _ in range(rng.randint(1, 2))]
+        session.add_rows(extra)
+        rows += len(extra)
+        assert model.n_rows == rows  # the session's model gains what the engine gains
+
+
+def test_session_fallback_solves_the_engine_bounds():
+    # the engine keeps the last override, so a stateless fallback on a call
+    # without one must use it too
+    session = lp.HighsSession(_single_bound_model())
+    assert session.solve(np.array([[0.0, 2.0]])).objective == pytest.approx(2.0)
+    before = session.fallbacks
+    session._h = None  # no engine: the next solve is settled statelessly
+    assert session.solve().objective == pytest.approx(2.0)
+    assert session.fallbacks == before + 1
+
+
 @SOLVERS
 def test_resolve_reproducible(solve):
     model = _random_model(4242)
@@ -135,15 +186,14 @@ def test_resolve_reproducible(solve):
 
 
 @SOLVERS
-def test_row_activity_recomputation(solve):
-    # activities reported by the solution must match a from-scratch dot product
+def test_optimum_satisfies_rows(solve):
+    # every row holds at the reported optimum, by a from-scratch dot product
     model = _random_model(99)
     sol = solve(model)
     if sol.status != "optimal":
         pytest.skip("seed produced a degenerate model")
-    for row, reported in zip(model.rows, sol.row_activity):
+    for row in model.rows:
         manual = sum(v * sol.x[j] for j, v in zip(row.indices, row.values))
-        assert reported == pytest.approx(manual, abs=1e-9)
         if row.relation == "<=":
             assert manual <= row.rhs + 1e-7
         elif row.relation == ">=":

@@ -182,6 +182,80 @@ def test_reported_bounds_are_ordered(rng):
         assert rep.root_bound >= rep.lower_bound - 1e-9
 
 
+def _stub_engine(monkeypatch, **methods):
+    """Sessions opened from here on hold an engine with ``methods``
+    replaced; every other call goes to the real engine (the stateless
+    ``lp.solve`` keeps its own)."""
+
+    class Stubbed:
+        def __init__(self, engine):
+            self._engine = engine
+
+        def __getattr__(self, name):
+            return getattr(self._engine, name)
+
+    for name, fn in methods.items():
+        setattr(Stubbed, name, fn)
+    opened = lp.HighsSession.__init__
+
+    def init(self, model):
+        opened(self, model)
+        self._h = Stubbed(self._h)
+
+    monkeypatch.setattr(lp.HighsSession, "__init__", init)
+
+
+needs_engine = pytest.mark.skipif(
+    not lp.incremental_available(), reason="incremental HiGHS engine unavailable"
+)
+
+
+@needs_engine
+def test_unclassified_engine_status_falls_back_and_counts(rng, monkeypatch):
+    instances = [make_random_instance(rng, mandatory_share=0.0) for _ in range(4)]
+    want = [(solve_stop(i, FAST), solve_baseline(i, FAST)) for i in instances]
+    assert all(r.lp_fallbacks == 0 for pair in want for r in pair)
+    unknown = lp._hcore.HighsModelStatus.kUnknown
+    _stub_engine(monkeypatch, getModelStatus=lambda self: unknown)
+    for inst, pair in zip(instances, want):
+        for solve, ref in zip((solve_stop, solve_baseline), pair):
+            got = solve(inst, FAST)
+            assert got.lp_fallbacks >= 1
+            assert got.status == ref.status == "optimal"
+            assert got.lower_bound == ref.lower_bound
+            assert got.upper_bound == ref.upper_bound
+
+
+@needs_engine
+def test_rejected_row_append_raises(rng, monkeypatch):
+    # a row append the engine rejects ends the solve; it must not quietly
+    # switch the rest of the run to stateless solves
+    inst = next(
+        i
+        for i in (make_random_instance(rng, tightness=(0.9, 1.4)) for _ in range(50))
+        if sum(solve_stop(i, FAST).cut_counts.values()) > 0  # root cuts or pool rows
+    )
+    rejected = lp._hcore.HighsStatus.kError
+    _stub_engine(monkeypatch, addRows=lambda self, *args: rejected)
+    with pytest.raises(lp.LpError, match="rejected appended rows"):
+        solve_stop(inst, FAST)
+
+
+def test_stateless_sessions_reach_the_oracle_optima(rng, monkeypatch):
+    # without the incremental engine every session solve is stateless and
+    # counted, and the pipeline stays exact
+    monkeypatch.setattr(lp, "_hcore", None)
+    for _ in range(6):
+        inst = make_random_instance(rng)
+        want = enumerate_optimal(inst)
+        got = solve_stop(inst, FAST)
+        if want is None:
+            assert got.status == "infeasible"
+        else:
+            assert got.status == "optimal" and got.lower_bound == want.total_reward
+            assert got.lp_fallbacks >= 1
+
+
 def test_lp_only_bound(figure_instance):
     rep = solve_lp_only(figure_instance)
     assert rep.status == "bound"
