@@ -18,7 +18,6 @@ from .separation import (
     ConflictSet,
     Cut,
     FilterParams,
-    SeparationParams,
     build_conflict_set,
     filter_cuts,
     knapsack_max,

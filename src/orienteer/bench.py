@@ -42,7 +42,7 @@ CONFIG_FAMILIES = {
 # / UB_without
 IMPACT_MODES = ("impact-flow", "impact-arrival")
 
-MODES = ("lp", "cpa", "baseline") + tuple(CONFIG_FAMILIES) + IMPACT_MODES
+MODES = tuple(solver.PIPELINES) + tuple(CONFIG_FAMILIES) + IMPACT_MODES
 
 
 @dataclass
@@ -84,13 +84,7 @@ def bench_one(path, mode, config):
     try:
         with open(path) as fh:
             inst = parse_instance(fh.read(), name=name)
-        if mode == "lp":
-            rep = solver.solve_lp_only(inst, config)
-            row.status = rep.status
-            row.upper = None if rep.status == "infeasible" else rep.upper_bound
-            row.lp_bound = rep.lp_bound
-            row.gap = rep.gap
-        elif mode in CONFIG_FAMILIES:
+        if mode in CONFIG_FAMILIES:
             # a zero-node search stops right after the root cutting loop
             rep = solver.solve_stop(inst, replace(config, families=CONFIG_FAMILIES[mode], max_nodes=0))
             if rep.status == "infeasible":
@@ -104,7 +98,7 @@ def bench_one(path, mode, config):
                 if row.lp_bound:
                     row.improvement = 100.0 * (row.lp_bound - row.upper) / row.lp_bound
         elif mode in IMPACT_MODES:
-            rep = _floor_impact(inst, config, mode.split("-", 1)[1])
+            rep = _floor_impact(inst, mode.split("-", 1)[1])
             row.status = rep["status"]
             row.upper = rep.get("with_floor")
             row.lp_bound = rep.get("without_floor")
@@ -113,8 +107,7 @@ def bench_one(path, mode, config):
             elif row.status == "infeasible":
                 row.improvement = 0.0
         else:
-            solve = solver.solve_stop if mode == "cpa" else solver.solve_baseline
-            rep = solve(inst, config)
+            rep = solver.PIPELINES[mode](inst, config)
             row.status = rep.status
             row.lower = None if rep.lower_bound == -math.inf else rep.lower_bound
             row.upper = None if rep.upper_bound in (-math.inf, math.inf) else rep.upper_bound
@@ -129,7 +122,7 @@ def bench_one(path, mode, config):
     return row
 
 
-def _floor_impact(inst, config, kind):
+def _floor_impact(inst, kind):
     """How much the per-arc lower-bound rows tighten one relaxation."""
     from . import lp
     from .formulation import build_arrival_formulation, build_flow_formulation
@@ -139,7 +132,7 @@ def _floor_impact(inst, config, kind):
         return {"status": "infeasible"}
     pre, _ = preprocess(inst)
     if kind == "flow":
-        handle = build_flow_formulation(pre, bounds_as_cuts=True)
+        handle = build_flow_formulation(pre)
     else:
         handle = build_arrival_formulation(pre)
     start, count = handle.row_blocks["floor"]

@@ -13,7 +13,6 @@ from . import solver
 from .formulation import build_flow_formulation as build_flow
 from .instance import generate_stop, parse_instance, serialize_instance
 from .oracle import OracleBudgetExceeded, enumerate_optimal
-from .separation import CONFLICT, CONNECTIVITY, COVER, FilterParams, SeparationParams
 
 
 @dataclass
@@ -69,20 +68,15 @@ def validate_solution(inst, routes):
 
 
 def _add_param_flags(p):
-    p.add_argument("--time-limit", type=float, default=7200.0, help="seconds per solve")
+    p.add_argument(
+        "--time-limit", type=float, default=solver.SolveConfig.time_limit_s, help="seconds per solve"
+    )
     p.add_argument(
         "--max-nodes",
         type=int,
-        default=50_000_000,
+        default=solver.SolveConfig.max_nodes,
         help="search-node budget; unlike wall-clock limits it truncates deterministically",
     )
-    p.add_argument("--phase-tol", type=float, default=1e-3, help="root loop stopping tolerance")
-    p.add_argument("--node-tol", type=float, default=1e-3, help="baseline per-node tolerance")
-    p.add_argument("--connectivity-violation", type=float, default=0.05)
-    p.add_argument("--connectivity-max-inner", type=float, default=0.03)
-    p.add_argument("--conflict-violation", type=float, default=0.3)
-    p.add_argument("--conflict-max-inner", type=float, default=0.03)
-    p.add_argument("--cover-violation", type=float, default=1e-5)
     p.add_argument(
         "--families",
         default="connectivity,conflict,cover",
@@ -92,21 +86,10 @@ def _add_param_flags(p):
 
 def _config(args):
     fams = frozenset(f.strip() for f in args.families.split(",") if f.strip())
-    bad = fams - {CONNECTIVITY, CONFLICT, COVER}
+    bad = fams - solver.ALL_FAMILIES
     if bad:
         raise SystemExit(f"unknown cut families: {sorted(bad)}")
-    return solver.SolveConfig(
-        time_limit_s=args.time_limit,
-        phase_tolerance=args.phase_tol,
-        node_tolerance=args.node_tol,
-        params=SeparationParams(
-            connectivity=FilterParams(args.connectivity_violation, args.connectivity_max_inner),
-            conflict=FilterParams(args.conflict_violation, args.conflict_max_inner),
-            cover_violation=args.cover_violation,
-        ),
-        families=fams,
-        max_nodes=args.max_nodes,
-    )
+    return solver.SolveConfig(time_limit_s=args.time_limit, families=fams, max_nodes=args.max_nodes)
 
 
 def _read_instance(path, mandatory=None):
@@ -122,7 +105,7 @@ def _cmd_solve(args):
     mandatory = [int(t) for t in args.mandatory.split()] if args.mandatory else None
     inst = _read_instance(args.instance, mandatory)
     cfg = _config(args)
-    if args.mode.startswith("config"):
+    if args.mode in bench_mod.CONFIG_FAMILIES:
         # full pipeline restricted to the mode's cut families
         cfg = replace(cfg, families=bench_mod.CONFIG_FAMILIES[args.mode])
     if args.dump_lp:
@@ -133,12 +116,7 @@ def _cmd_solve(args):
         handle = build_flow(pre)
         with open(args.dump_lp, "w") as fh:
             fh.write(lp_mod.export_lp_text(handle.model, name=inst.name or "model"))
-    if args.mode == "lp":
-        rep = solver.solve_lp_only(inst, cfg)
-    elif args.mode == "baseline":
-        rep = solver.solve_baseline(inst, cfg)
-    else:
-        rep = solver.solve_stop(inst, cfg)
+    rep = solver.PIPELINES.get(args.mode, solver.solve_stop)(inst, cfg)
     status = rep.status
     payload = {
         "instance": inst.name,
@@ -257,7 +235,7 @@ def main(argv=None):
     p.add_argument(
         "--mode",
         default="cpa",
-        choices=("cpa", "baseline", "lp") + tuple(bench_mod.CONFIG_FAMILIES),
+        choices=tuple(solver.PIPELINES) + tuple(bench_mod.CONFIG_FAMILIES),
         help="config1..5 run the full pipeline restricted to a cut-family subset",
     )
     p.add_argument("--mandatory", default="", help="override mandatory ids, e.g. '3 7 9'")

@@ -40,14 +40,9 @@ class FormulationHandle:
     y_index: dict
     flow_index: dict
     slack_index: int
-    soft_rows: tuple
     row_blocks: dict
     instance: object
     min_times: np.ndarray
-
-    @property
-    def n_cols(self):
-        return self.model.n_cols
 
     def point_from_solution(self, sol):
         """(x values by arc, y values by vertex) of an LP solution."""
@@ -121,12 +116,12 @@ def _base_rows(inst, model, arcs, x_index, y_index, slack_index, blocks):
     return out_arcs, in_arcs
 
 
-def build_flow_formulation(inst, bounds_as_cuts=False):
+def build_flow_formulation(inst):
     """Remaining-time commodity model.
 
-    With ``bounds_as_cuts`` the per-arc flow lower bounds (f_ij >= R_jt x_ij,
-    valid inequalities rather than defining constraints) are still built but
-    listed in ``soft_rows`` so the search phase can pool them as cuts.
+    The per-arc flow lower bounds (f_ij >= R_jt x_ij) form the ``floor``
+    block; they are valid inequalities rather than defining constraints, so
+    the search phase may pool them as cuts.
     """
     R = _prepare(inst)
     d = inst.travel_time
@@ -163,11 +158,9 @@ def build_flow_formulation(inst, bounds_as_cuts=False):
     blocks["cap"] = (start, model.n_rows - start)
 
     start = model.n_rows
-    soft = []
     for a in arcs:
         j = a[1]
-        rid = model.add_row([(flow_index[a], 1.0), (x_index[a], -R[j, t])], GE, 0.0)
-        soft.append(rid)
+        model.add_row([(flow_index[a], 1.0), (x_index[a], -R[j, t])], GE, 0.0)
     blocks["floor"] = (start, model.n_rows - start)
 
     return FormulationHandle(
@@ -177,7 +170,6 @@ def build_flow_formulation(inst, bounds_as_cuts=False):
         y_index=y_index,
         flow_index=flow_index,
         slack_index=slack_index,
-        soft_rows=tuple(soft) if bounds_as_cuts else (),
         row_blocks=blocks,
         instance=inst,
         min_times=R,
@@ -240,14 +232,13 @@ def build_arrival_formulation(inst, include_total_time_row=False):
         y_index=y_index,
         flow_index=flow_index,
         slack_index=slack_index,
-        soft_rows=(),
         row_blocks=blocks,
         instance=inst,
         min_times=R,
     )
 
 
-def expected_row_counts(inst, kind, bounds_as_cuts=False, include_total_time_row=False):
+def expected_row_counts(inst, kind, include_total_time_row=False):
     """Closed-form constraint counts implied by the vertex/arc sets."""
     arcs = inst.arcs()
     n_inner = len(inst.inner)

@@ -98,9 +98,6 @@ class StopInstance:
         tails, heads = np.nonzero(self.arc_mask)
         return list(zip(tails.tolist(), heads.tolist()))
 
-    def reward(self, i):
-        return self.rewards.get(i, 0)
-
 
 @dataclass(frozen=True)
 class MinTimeMatrix:
@@ -118,7 +115,6 @@ class MinTimeMatrix:
 @dataclass(frozen=True)
 class PreprocessReport:
     removed_vertices: frozenset
-    removed_arcs: frozenset
     infeasible_mandatory: frozenset
 
 
@@ -135,14 +131,21 @@ class PreprocessReport:
 # Travel times are full-precision Euclidean distances; the graph is complete.
 
 
-def _header_value(line, key, lineno):
+def _header_value(line, key, lineno, integer=False):
     parts = line.replace(";", " ").split()
     if len(parts) < 2 or parts[0].lower() != key:
         raise InstanceError(f"line {lineno}: expected '{key} <value>', got {line!r}")
     try:
-        return float(parts[1])
+        value = float(parts[1])
     except ValueError as exc:
         raise InstanceError(f"line {lineno}: non-numeric {key} value {parts[1]!r}") from exc
+    if not math.isfinite(value):
+        raise InstanceError(f"line {lineno}: non-finite {key} value {parts[1]!r}")
+    if integer:
+        if value != int(value):
+            raise InstanceError(f"line {lineno}: non-integer {key} value {parts[1]!r}")
+        return int(value)
+    return value
 
 
 def parse_instance(text, mandatory_spec=None, name=""):
@@ -152,8 +155,8 @@ def parse_instance(text, mandatory_spec=None, name=""):
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(lines) < 3:
         raise InstanceError("truncated file: missing n/m/tmax header")
-    n = int(_header_value(lines[0], "n", 1))
-    m = int(_header_value(lines[1], "m", 2))
+    n = _header_value(lines[0], "n", 1, integer=True)
+    m = _header_value(lines[1], "m", 2, integer=True)
     tmax = _header_value(lines[2], "tmax", 3)
     if n < 2:
         raise InstanceError("need at least origin and destination")
@@ -177,6 +180,8 @@ def parse_instance(text, mandatory_spec=None, name=""):
             scores[i] = float(parts[2])
         except ValueError as exc:
             raise InstanceError(f"vertex line {i}: non-numeric field in {ln!r}") from exc
+        if not (np.all(np.isfinite(coords[i])) and math.isfinite(scores[i])):
+            raise InstanceError(f"vertex line {i}: non-finite field in {ln!r}")
 
     if mandatory_spec is not None:
         mandatory = frozenset(int(i) for i in mandatory_spec)
@@ -314,12 +319,6 @@ def preprocess(inst):
     keep[~alive, :] = False
     keep[:, ~alive] = False
 
-    arc_losses = frozenset(
-        (int(i), int(j))
-        for i, j in zip(*np.nonzero(inst.arc_mask & ~keep))
-        if alive[i] and alive[j]
-    )
-
     out = replace(
         inst,
         mandatory=inst.mandatory - newly_removed,
@@ -331,7 +330,6 @@ def preprocess(inst):
     )
     report = PreprocessReport(
         removed_vertices=newly_removed,
-        removed_arcs=arc_losses,
         infeasible_mandatory=frozenset(inst.mandatory & newly_removed),
     )
     return out, report

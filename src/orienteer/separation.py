@@ -35,11 +35,11 @@ class FilterParams:
     max_inner_product: float
 
 
-@dataclass(frozen=True)
-class SeparationParams:
-    connectivity: FilterParams = FilterParams(0.05, 0.03)
-    conflict: FilterParams = FilterParams(0.3, 0.03)
-    cover_violation: float = 1e-5
+# per-family filter thresholds of the root loop, and the violation a lifted
+# cover needs to be kept
+CONNECTIVITY_FILTER = FilterParams(0.05, 0.03)
+CONFLICT_FILTER = FilterParams(0.3, 0.03)
+COVER_VIOLATION = 1e-5
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ def _in_cut_arcs(inst, inside):
 # -- connectivity cuts -------------------------------------------------------
 
 
-def separate_connectivity(xv, yv, inst, params=FilterParams(0.05, 0.03)):
+def separate_connectivity(xv, yv, inst, params=CONNECTIVITY_FILTER):
     """Max-flow scan: one candidate cut per flow source vertex.
 
     For every v (except the destination) the max flow from v to the
@@ -196,7 +196,7 @@ def separate_connectivity(xv, yv, inst, params=FilterParams(0.05, 0.03)):
 # -- conflict cuts -----------------------------------------------------------
 
 
-def separate_conflict(xv, yv, inst, conflicts, params=FilterParams(0.3, 0.03)):
+def separate_conflict(xv, yv, inst, conflicts, params=CONFLICT_FILTER):
     """Auxiliary-graph separation, one enter-side and one leave-side attempt
     per conflicting pair.
 
@@ -207,9 +207,15 @@ def separate_conflict(xv, yv, inst, conflicts, params=FilterParams(0.3, 0.03)):
     reversed support graph yields the leave-side cuts.
     """
     n = inst.vertex_count
-    s, t = inst.origin, inst.destination
     big = float(inst.fleet_size)
     support = _support(xv)
+    tails = [a[0] for a, _ in support]
+    heads = [a[1] for a, _ in support]
+    caps = [c for _, c in support]
+    sides = (
+        ("enter", inst.origin, tails, heads, _in_cut_arcs),
+        ("leave", inst.destination, heads, tails, _out_cut_arcs),
+    )
     cuts = []
     seen = set()
     for (i, j) in conflicts:
@@ -218,42 +224,25 @@ def separate_conflict(xv, yv, inst, conflicts, params=FilterParams(0.3, 0.03)):
         need = yv.get(i, 0.0) + yv.get(j, 0.0)
         if need <= params.abs_violation:
             continue
-
-        forward = FlowNetwork(n + 1, s, n, [a[0] for a, _ in support], [a[1] for a, _ in support], [c for _, c in support])
-        forward.add_arc(i, n, big)
-        forward.add_arc(j, n, big)
-        res = max_flow_min_cut(forward)
-        if res.flow_value < need - params.abs_violation:
+        for side, source, side_tails, side_heads, crossing_arcs in sides:
+            # copies: add_arc appends the two sink arcs to the lists
+            net = FlowNetwork(n + 1, source, n, list(side_tails), list(side_heads), list(caps))
+            net.add_arc(i, n, big)
+            net.add_arc(j, n, big)
+            res = max_flow_min_cut(net)
+            if res.flow_value >= need - params.abs_violation:
+                continue
             V = frozenset(range(n)) - res.source_side
-            if {i, j} <= V and ("enter", V) not in seen:
-                seen.add(("enter", V))
+            if {i, j} <= V and (side, V) not in seen:
+                seen.add((side, V))
                 cuts.append(
                     Cut(
                         family=CONFLICT,
-                        x_terms=tuple((a, 1.0) for a in _in_cut_arcs(inst, V)),
+                        x_terms=tuple((a, 1.0) for a in crossing_arcs(inst, V)),
                         y_terms=((i, -1.0), (j, -1.0)),
                         relation=">=",
                         rhs=0.0,
-                        origin=(V, (i, j), "enter"),
-                    )
-                )
-
-        backward = FlowNetwork(n + 1, t, n, [a[1] for a, _ in support], [a[0] for a, _ in support], [c for _, c in support])
-        backward.add_arc(i, n, big)
-        backward.add_arc(j, n, big)
-        res = max_flow_min_cut(backward)
-        if res.flow_value < need - params.abs_violation:
-            V = frozenset(range(n)) - res.source_side
-            if {i, j} <= V and ("leave", V) not in seen:
-                seen.add(("leave", V))
-                cuts.append(
-                    Cut(
-                        family=CONFLICT,
-                        x_terms=tuple((a, 1.0) for a in _out_cut_arcs(inst, V)),
-                        y_terms=((i, -1.0), (j, -1.0)),
-                        relation=">=",
-                        rhs=0.0,
-                        origin=(V, (i, j), "leave"),
+                        origin=(V, (i, j), side),
                     )
                 )
     return cuts

@@ -33,9 +33,11 @@ from .formulation import build_arrival_formulation, build_flow_formulation
 from .instance import min_time_matrix, preprocess
 from .separation import (
     CONFLICT,
+    CONFLICT_FILTER,
     CONNECTIVITY,
+    CONNECTIVITY_FILTER,
     COVER,
-    SeparationParams,
+    COVER_VIOLATION,
     build_conflict_set,
     filter_cuts,
     floor_bound,
@@ -48,14 +50,13 @@ ALL_FAMILIES = frozenset({CONNECTIVITY, CONFLICT, COVER})
 
 INTEGER_TOL = 1e-6
 POOL_TOL = 1e-6
+PHASE_TOL = 1e-3  # root cutting loop stops once a round gains at most this
+NODE_TOL = 1e-3  # baseline per-node rounds stop once a round gains at most this
 
 
 @dataclass(frozen=True)
 class SolveConfig:
     time_limit_s: float = 7200.0
-    phase_tolerance: float = 1e-3  # root cutting loop stopping tolerance
-    node_tolerance: float = 1e-3  # baseline per-node tailing-off tolerance
-    params: SeparationParams = SeparationParams()
     families: frozenset = ALL_FAMILIES
     max_nodes: int = 50_000_000
 
@@ -65,16 +66,19 @@ class SolveReport:
     status: str  # optimal | infeasible | time-limit | bound (lp mode: relaxation only)
     lower_bound: float
     upper_bound: float
-    routes: list
-    gap: float
     timings: dict
-    cut_counts: dict
-    node_count: int
+    routes: list = field(default_factory=list)
+    cut_counts: dict = field(default_factory=dict)
+    node_count: int = 0
     lp_bound: float | None = None
     root_bound: float | None = None
     cut_pool: list = field(default_factory=list)
     reason: str = ""
     lp_fallbacks: int = 0  # LPs the sessions settled with the stateless solve
+
+    @property
+    def gap(self):
+        return compute_gap(self.status, self.lower_bound, self.upper_bound)
 
 
 def compute_gap(status, lower, upper):
@@ -103,18 +107,17 @@ class PhaseResult:
     lp_fallbacks: int
 
 
-def cutting_plane_phase(inst, config=SolveConfig(), conflicts=None, handle=None, deadline=None):
+def cutting_plane_phase(inst, config=SolveConfig(), conflicts=None, deadline=None):
     """Root reinforcement loop.
 
     Starting from the full linear relaxation, each round separates the
     enabled cut families against the current optimum, keeps the most violated
     plus sufficiently orthogonal ones (connectivity and conflict families
     filtered separately, at most one cover cut), appends and re-solves.
-    Stops when a round finds nothing or the bound improves by at most the
-    phase tolerance.  The instance must already be preprocessed.
+    Stops when a round finds nothing or the bound improves by at most
+    ``PHASE_TOL``.  The instance must already be preprocessed.
     """
-    if handle is None:
-        handle = build_flow_formulation(inst, bounds_as_cuts=True)
+    handle = build_flow_formulation(inst)
     if conflicts is None and CONFLICT in config.families:
         conflicts = build_conflict_set(inst, handle.min_times)
     session = lp.HighsSession(handle.model)
@@ -134,21 +137,20 @@ def cutting_plane_phase(inst, config=SolveConfig(), conflicts=None, handle=None,
         raise lp.LpError(f"relaxation came back {sol.status}")
     lp_bound = sol.objective
     ub = lp_bound
-    params = config.params
     while True:
         if deadline is not None and time.monotonic() > deadline:
             return result("time-limit", ub, sol)
         xv, yv = handle.point_from_solution(sol)
         fresh = []
         if CONNECTIVITY in config.families:
-            cand = separate_connectivity(xv, yv, inst, params.connectivity)
-            fresh += filter_cuts(cand, params.connectivity, xv, yv)
+            cand = separate_connectivity(xv, yv, inst)
+            fresh += filter_cuts(cand, CONNECTIVITY_FILTER, xv, yv)
         if CONFLICT in config.families:
-            cand = separate_conflict(xv, yv, inst, conflicts, params.conflict)
-            fresh += filter_cuts(cand, params.conflict, xv, yv)
+            cand = separate_conflict(xv, yv, inst, conflicts)
+            fresh += filter_cuts(cand, CONFLICT_FILTER, xv, yv)
         if COVER in config.families:
             cover = separate_lifted_cover(yv, inst, dual_bound=sol.objective)
-            if cover is not None and cover.violation(xv, yv) > params.cover_violation:
+            if cover is not None and cover.violation(xv, yv) > COVER_VIOLATION:
                 fresh.append(cover)
         if not fresh:
             return result("bound", ub, sol)
@@ -164,7 +166,7 @@ def cutting_plane_phase(inst, config=SolveConfig(), conflicts=None, handle=None,
             raise lp.LpError(f"reinforced relaxation came back {sol.status}")
         improvement = ub - sol.objective
         ub = min(ub, sol.objective)
-        if improvement <= config.phase_tolerance:
+        if improvement <= PHASE_TOL:
             return result("bound", ub, sol)
 
 
@@ -267,15 +269,7 @@ def _incumbent_value(handle, x):
     )
 
 
-def branch_and_bound(
-    handle,
-    work_model,
-    pool,
-    config,
-    deadline,
-    node_cut_hook=None,
-    stats=None,
-):
+def branch_and_bound(handle, work_model, pool, config, deadline, node_cut_hook=None):
     """LP branch-and-bound over ``work_model`` with a lazy inequality pool.
 
     ``pool`` holds LpRow objects valid for every feasible solution; a node's
@@ -283,9 +277,7 @@ def branch_and_bound(
     incumbent.  ``node_cut_hook(sol, round_idx, add_row)`` may append extra
     valid rows at each node (the baseline's per-node connectivity loop).
     """
-    stats = stats if stats is not None else {}
-    stats.setdefault("nodes", 0)
-    stats.setdefault("pool_activated", 0)
+    stats = {"nodes": 0, "pool_activated": 0}
     base_bounds = np.array([work_model.lower, work_model.upper], dtype=float).T
     session = lp.HighsSession(work_model)
 
@@ -408,11 +400,8 @@ def _infeasible_report(timings, reason, cut_counts=None, lp_fallbacks=0):
         status="infeasible",
         lower_bound=-math.inf,
         upper_bound=-math.inf,
-        routes=[],
-        gap=0.0,
         timings=timings,
         cut_counts=cut_counts or {},
-        node_count=0,
         reason=reason,
         lp_fallbacks=lp_fallbacks,
     )
@@ -448,7 +437,6 @@ def _search_report(
         lower_bound=lower,
         upper_bound=float(upper),
         routes=routes or [],
-        gap=compute_gap(status, lower, upper),
         timings=timings,
         cut_counts=counts,
         node_count=stats["nodes"],
@@ -468,10 +456,9 @@ def solve_stop(inst, config=SolveConfig()):
     if screened is not None:
         return screened
     pre, _ = preprocess(inst)
-    conflicts = build_conflict_set(inst, pre.min_times) if CONFLICT in config.families else ()
     t_pre = time.monotonic() - t0
 
-    phase = cutting_plane_phase(pre, config, conflicts=conflicts, deadline=deadline)
+    phase = cutting_plane_phase(pre, config, deadline=deadline)
     t_root = time.monotonic() - t0 - t_pre
     if phase.status == "infeasible":
         return _infeasible_report(
@@ -483,9 +470,10 @@ def solve_stop(inst, config=SolveConfig()):
 
     # the search starts from the hard rows; the flow lower bounds and the
     # root cuts' rows wait in the pool and join on demand
+    start, count = handle.row_blocks["floor"]
     n_structural = handle.model.n_rows - len(phase.cuts)
     work, pool = handle.model.split_rows(
-        [*handle.soft_rows, *range(n_structural, handle.model.n_rows)]
+        [*range(start, start + count), *range(n_structural, handle.model.n_rows)]
     )
 
     search = branch_and_bound(handle, work, pool, config, deadline)
@@ -501,8 +489,8 @@ def solve_stop(inst, config=SolveConfig()):
 
 def solve_baseline(inst, config=SolveConfig()):
     """Branch-and-cut on the arrival-time formulation: connectivity cuts
-    separated at every node until the gain per round drops to the node
-    tolerance; every violated cut found is added (no orthogonality filter)."""
+    separated at every node until the gain per round drops to ``NODE_TOL``;
+    every violated cut found is added (no orthogonality filter)."""
     t0 = time.monotonic()
     deadline = t0 + config.time_limit_s
     screened = _screen_report(inst, t0)
@@ -529,10 +517,10 @@ def solve_baseline(inst, config=SolveConfig()):
         # and rounds at a node stop once the gain falls to the tolerance
         if round_idx == 0:
             prev_obj[0] = None
-        if prev_obj[0] is not None and prev_obj[0] - sol.objective <= config.node_tolerance:
+        if prev_obj[0] is not None and prev_obj[0] - sol.objective <= NODE_TOL:
             return False
         xv, yv = handle.point_from_solution(sol)
-        cand = separate_connectivity(xv, yv, pre, config.params.connectivity)
+        cand = separate_connectivity(xv, yv, pre)
         if not cand:
             return False
         for cut in cand:
@@ -555,7 +543,7 @@ def solve_lp_only(inst, config=SolveConfig()):
     if screened is not None:
         return screened
     pre, _ = preprocess(inst)
-    handle = build_flow_formulation(pre, bounds_as_cuts=False)
+    handle = build_flow_formulation(pre)
     sol = lp.solve(handle.model)
     t_total = time.monotonic() - t0
     if sol.status == "infeasible":
@@ -564,10 +552,10 @@ def solve_lp_only(inst, config=SolveConfig()):
         status="bound",
         lower_bound=-math.inf,
         upper_bound=sol.objective,
-        routes=[],
-        gap=1.0,
         timings={"total": t_total},
-        cut_counts={},
-        node_count=0,
         lp_bound=sol.objective,
     )
+
+
+# the pipelines ``solve --mode`` and ``bench --mode`` run by name
+PIPELINES = {"lp": solve_lp_only, "cpa": solve_stop, "baseline": solve_baseline}

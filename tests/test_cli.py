@@ -157,6 +157,19 @@ def test_bench_error_rows_do_not_abort(tmp_path):
     assert by_name["ok"].status == "bound"
 
 
+def test_bench_lp_rows(tmp_path):
+    good = tmp_path / "five.txt"
+    good.write_text(FIVE)
+    # mandatory vertex 2 lies 30 from the origin on a budget of 20: screened
+    far = tmp_path / "far.txt"
+    far.write_text(FIVE.replace("6.0 0.0 5", "30.0 0.0 5") + "M: 2\n")
+    rows = bench.run_bench([str(good), str(far)], "lp", SolveConfig(time_limit_s=30))
+    assert bench.to_csv(rows).splitlines()[1:3] == [
+        "far,,lp,infeasible,,,0.0000,0,0,0,0,,,",
+        "five,,lp,bound,,22.000000,100.0000,0,0,0,0,22.000000,,",
+    ]
+
+
 def test_bench_aggregate_recomputation(tmp_path):
     good = tmp_path / "ok.txt"
     good.write_text(FIVE)

@@ -66,6 +66,21 @@ def test_parse_rejects_malformed(text):
         parse_instance(text)
 
 
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("n 3.5\nm 1\ntmax 9\n0 0 0\n1 1 5\n2 0 0\n", "^line 1:"),
+        ("n 3\nm 2.5\ntmax 9\n0 0 0\n1 1 5\n2 0 0\n", "^line 2:"),
+        ("n 3\nm 1\ntmax inf\n0 0 0\n1 1 5\n2 0 0\n", "^line 3:"),
+        ("n 3\nm 1\ntmax 9\n0 nan 0\n1 1 5\n2 0 0\n", "^vertex line 0:"),
+        ("n 3\nm 1\ntmax 9\n0 0 0\n1 1 inf\n2 0 0\n", "^vertex line 1:"),
+    ],
+)
+def test_parse_rejects_fractional_counts_and_non_finite_values(text, where):
+    with pytest.raises(InstanceError, match=where):
+        parse_instance(text)
+
+
 @pytest.mark.parametrize("bad", [{0}, {2}, {7}])
 def test_parse_rejects_bad_mandatory(bad):
     with pytest.raises(InstanceError):

@@ -180,11 +180,12 @@ def test_conflict_silent_on_integral_points(figure_instance):
 def test_conflict_cut_closes_the_halves_point(figure_instance):
     # pin the fractional point into the user-cut relaxation: feasible before
     # the cut, infeasible after
-    handle = build_flow_formulation(figure_instance, bounds_as_cuts=True)
+    handle = build_flow_formulation(figure_instance)
     model = lp.LpModel()
     for lo, up, obj in zip(handle.model.lower, handle.model.upper, handle.model.objective):
         model.add_column(lo, up, obj)
-    soft = set(handle.soft_rows)
+    start, count = handle.row_blocks["floor"]
+    soft = set(range(start, start + count))
     for ridx, row in enumerate(handle.model.rows):
         if ridx not in soft:
             model.add_row(row)

@@ -20,7 +20,6 @@ from orienteer.separation import (
     CONFLICT,
     CONNECTIVITY,
     COVER,
-    SeparationParams,
     FilterParams,
 )
 
@@ -112,7 +111,7 @@ def test_incumbent_satisfies_every_pool_row(rng):
         if rep.status != "optimal" or not rep.routes:
             continue
         pre, _ = preprocess(inst)
-        handle = build_flow_formulation(pre, bounds_as_cuts=True)
+        handle = build_flow_formulation(pre)
         from conftest import point_of_routes
 
         xv, yv = point_of_routes(pre, rep.routes)
