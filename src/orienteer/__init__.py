@@ -12,7 +12,7 @@ from .instance import (
     serialize_instance,
 )
 from .lp import LpError, LpModel, LpSolution, append_rows, solve
-from .maxflow import KERNEL_COMPILED, FlowNetwork, MinCutResult, max_flow_min_cut
+from .maxflow import FlowNetwork, MinCutResult, max_flow_min_cut
 from .oracle import OracleBudgetExceeded, RouteSet, enumerate_feasible, enumerate_optimal
 from .separation import (
     ConflictSet,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 from . import bench as bench_mod
 from . import solver
 from .formulation import build_flow_formulation as build_flow
-from .instance import generate_stop, parse_instance, serialize_instance
+from .instance import InstanceError, generate_stop, parse_instance, serialize_instance
 from .oracle import OracleBudgetExceeded, enumerate_optimal
 
 
@@ -102,8 +102,7 @@ def _read_instance(path, mandatory=None):
 
 
 def _cmd_solve(args):
-    mandatory = [int(t) for t in args.mandatory.split()] if args.mandatory else None
-    inst = _read_instance(args.instance, mandatory)
+    inst = _read_instance(args.instance, args.mandatory.split() or None)
     cfg = _config(args)
     if args.mode in bench_mod.CONFIG_FAMILIES:
         # full pipeline restricted to the mode's cut families
@@ -197,8 +196,7 @@ def _parse_routes(text):
 
 
 def _cmd_validate(args):
-    mandatory = [int(t) for t in args.mandatory.split()] if args.mandatory else None
-    inst = _read_instance(args.instance, mandatory)
+    inst = _read_instance(args.instance, args.mandatory.split() or None)
     if args.oracle:
         try:
             best = enumerate_optimal(inst, hard_cap=args.oracle_budget)
@@ -270,7 +268,12 @@ def main(argv=None):
     p.set_defaults(func=_cmd_validate)
 
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (InstanceError, OSError) as exc:
+        # bad input gets one line, not a traceback
+        print(f"orienteer {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -183,15 +183,13 @@ def parse_instance(text, mandatory_spec=None, name=""):
         if not (np.all(np.isfinite(coords[i])) and math.isfinite(scores[i])):
             raise InstanceError(f"vertex line {i}: non-finite field in {ln!r}")
 
-    if mandatory_spec is not None:
-        mandatory = frozenset(int(i) for i in mandatory_spec)
-    elif mandatory_line is not None:
-        try:
-            mandatory = frozenset(int(tok) for tok in mandatory_line.split())
-        except ValueError as exc:
-            raise InstanceError(f"bad mandatory line {mandatory_line!r}") from exc
-    else:
-        mandatory = frozenset()
+    if mandatory_spec is None and mandatory_line is not None:
+        mandatory_spec = mandatory_line.split()
+    try:
+        mandatory = frozenset(int(i) for i in mandatory_spec or ())
+    except ValueError as exc:
+        ids = " ".join(map(str, mandatory_spec))
+        raise InstanceError(f"non-integer mandatory id in {ids!r}") from exc
     for i in mandatory:
         if i in (0, n - 1) or not 0 <= i < n:
             raise InstanceError(f"mandatory index {i} out of range or origin/destination")

@@ -1,30 +1,33 @@
 """Exact max-flow / min-cut on small capacitated digraphs.
 
-The kernel is a preflow push-relabel; a compiled extension is used when it
-built, with a pure-Python twin as fallback.  Selection happens at import and
-can be forced to the fallback by setting ORIENTEER_PURE_PYTHON=1 before the
-first import.  ``benchmarks/maxflow_backends.py`` compares the two.
+The kernel is Edmonds & Karp's shortest augmenting path method ("Theoretical
+improvements in algorithmic efficiency for network flow problems", JACM
+1972): a breadth-first search from the source over arcs with residual
+capacity above ``RESIDUAL_EPS`` finds a fewest-arc path to the sink, the path
+is saturated by its bottleneck, and this repeats until the sink is out of
+reach.  That last search is the min cut: the vertices it reached form the
+returned source side.
 
-The min cut returned is the source side of the final residual graph's
-reachability from the source; it is one minimum cut among possibly many, and
-it is deterministic given the arc insertion order.
+The source side does not depend on which augmenting paths were taken.  For
+any maximum flow, the vertices reachable from the source in the residual
+graph form the smallest source side among all minimum cuts: every minimum
+cut's forward arcs are saturated and its backward arcs empty, so no residual
+arc leaves a minimum cut's source side and the reachable set lies inside it,
+while the reachable set is itself the source side of a minimum cut.  Every
+maximum flow therefore yields the same set, up to the ``RESIDUAL_EPS``
+tolerance that both the augmenting searches and the final one apply.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
-if os.environ.get("ORIENTEER_PURE_PYTHON"):
-    from . import _pushrelabel_py as _kernel
-else:
-    try:
-        from . import _pushrelabel as _kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _pushrelabel_py as _kernel
+# kept for the benchmark's environment report; there is no compiled kernel
+KERNEL_COMPILED = False
 
-KERNEL_COMPILED = bool(_kernel.COMPILED)
+# an arc with residual capacity at or below this counts as saturated
+RESIDUAL_EPS = 1e-12
 
 
 @dataclass
@@ -57,17 +60,50 @@ class FlowNetwork:
 
 @dataclass(frozen=True)
 class MinCutResult:
-    """Max-flow value and the source-side vertex set of one minimum cut."""
+    """Max-flow value and the source-side vertex set of the smallest minimum cut."""
 
     flow_value: float
     source_side: frozenset
 
 
 def max_flow_min_cut(net: FlowNetwork) -> MinCutResult:
-    value, side = _kernel.max_flow(
-        net.node_count, net.tails, net.heads, net.capacities, net.source, net.sink
-    )
-    return MinCutResult(
-        flow_value=float(value),
-        source_side=frozenset(v for v in range(net.node_count) if side[v]),
-    )
+    """Maximum source-sink flow value and the smallest minimum cut."""
+    n, source, sink = net.node_count, net.source, net.sink
+    # arc e < m is the network's arc e; arc e + m is its reverse
+    m = len(net.tails)
+    head = net.heads + net.tails
+    tail = net.tails + net.heads
+    res = net.capacities + [0.0] * m
+    out = [[] for _ in range(n)]
+    for e, u in enumerate(tail):
+        out[u].append(e)
+
+    flow = 0.0
+    while True:
+        # breadth-first search; into[v] is the arc that first reached v
+        into = [-1] * n
+        into[source] = -2
+        reached = [source]
+        for u in reached:
+            for e in out[u]:
+                v = head[e]
+                if into[v] == -1 and res[e] > RESIDUAL_EPS:
+                    into[v] = e
+                    reached.append(v)
+            if into[sink] != -1:
+                break
+        else:
+            # the sink is out of reach: the search reached exactly the min cut
+            return MinCutResult(flow_value=flow, source_side=frozenset(reached))
+        path = []
+        delta = math.inf
+        v = sink
+        while v != source:
+            e = into[v]
+            path.append(e)
+            delta = min(delta, res[e])
+            v = tail[e]
+        for e in path:
+            res[e] -= delta
+            res[e + m if e < m else e - m] += delta
+        flow += delta

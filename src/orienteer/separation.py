@@ -104,14 +104,14 @@ def build_conflict_set(inst, M):
     A pair (i, j) conflicts when the cheapest route through i then j and the
     cheapest through j then i both exceed the limit; sums of shortest-path
     times underestimate elementary routes, so this is a safe subset of the
-    true conflict relation.  Computed once per instance on its original
-    graph.
+    true conflict relation.  Only routable vertices (``inst.inner``) are
+    paired, so vertices preprocessing removed never appear.
     """
     vals = M.values if hasattr(M, "values") else M
     T = inst.time_limit
     s, t = inst.origin, inst.destination
     pairs = []
-    inner = sorted(set(range(inst.vertex_count)) - {s, t})
+    inner = sorted(inst.inner)
     for a_pos, i in enumerate(inner):
         for j in inner[a_pos + 1 :]:
             if (
@@ -219,8 +219,6 @@ def separate_conflict(xv, yv, inst, conflicts, params=CONFLICT_FILTER):
     cuts = []
     seen = set()
     for (i, j) in conflicts:
-        if i in inst.removed or j in inst.removed:
-            continue
         need = yv.get(i, 0.0) + yv.get(j, 0.0)
         if need <= params.abs_violation:
             continue

@@ -103,6 +103,27 @@ def test_cli_validate_routes(five_path, capsys):
     assert main(["validate", five_path, "--routes", "0 1 1 4"]) == 1
 
 
+BAD_INPUT = {
+    "fractional-mandatory": (FIVE, ["--mandatory", "2.5"]),
+    "mandatory-out-of-range": (FIVE, ["--mandatory", "9"]),
+    "malformed-file": ("n 5\nm 2\ntmax 20\n0.0 0.0 0\n", []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_cli_bad_input_prints_one_line(command, case, tmp_path, capsys):
+    text, flags = BAD_INPUT[case]
+    path = tmp_path / "inst.txt"
+    path.write_text(text)
+    routes = ["--routes", "0 1 4"] if command == "validate" else []
+    assert main([command, str(path), *flags, *routes]) != 0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"orienteer {command}: error: ")
+
+
 def test_cli_bench_text_and_csv(five_path, tmp_path, capsys):
     csv_path = tmp_path / "rows.csv"
     assert (

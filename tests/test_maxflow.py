@@ -1,15 +1,10 @@
+import itertools
 import random
 from collections import deque
 
 import pytest
 
-from orienteer import _pushrelabel_py
 from orienteer.maxflow import FlowNetwork, max_flow_min_cut
-
-try:
-    from orienteer import _pushrelabel as compiled
-except ImportError:
-    compiled = None
 
 from conftest import I, J, K, L, S, T
 
@@ -99,30 +94,77 @@ def test_validation():
         net.add_arc(0, 5, 1.0)
 
 
-def _random_net(rng, n_max=12):
+def _random_net(rng, n_max=12, capacity=lambda rng: round(rng.uniform(0, 3), 3)):
+    """Random digraph with the awkward cases mixed in: parallel and
+    antiparallel arcs, zero capacities, arcs into the source and out of the
+    sink, self-loops, and (one time in eight) no arc into the sink at all."""
     n = rng.randint(2, n_max)
     s, t = rng.sample(range(n), 2)
-    arcs = [
-        (*rng.sample(range(n), 2), round(rng.uniform(0, 3), 3))
-        for _ in range(rng.randint(0, 2 * n))
-    ]
+    arcs = [(*rng.sample(range(n), 2), capacity(rng)) for _ in range(rng.randint(0, 2 * n))]
+    extras = []
+    for u, v, _ in arcs:
+        roll = rng.random()
+        if roll < 0.1:
+            extras.append((u, v, capacity(rng)))  # parallel
+        elif roll < 0.2:
+            extras.append((v, u, capacity(rng)))  # antiparallel
+        elif roll < 0.3:
+            extras.append((u, v, 0.0))
+    arcs += extras
+    for _ in range(rng.randint(0, 2)):
+        arcs.append((rng.randrange(n), s, capacity(rng)))
+        arcs.append((t, rng.randrange(n), capacity(rng)))
+    if rng.random() < 0.3:
+        w = rng.randrange(n)
+        arcs.append((w, w, capacity(rng)))
+    if rng.random() < 0.125:
+        arcs = [(u, v, c) for (u, v, c) in arcs if v != t]
+    rng.shuffle(arcs)
     return n, s, t, arcs
+
+
+def _solve(n, s, t, arcs):
+    net = FlowNetwork(n, s, t)
+    for u, v, c in arcs:
+        net.add_arc(u, v, c)
+    return max_flow_min_cut(net)
 
 
 def test_matches_reference_on_random_networks():
     rng = random.Random(1318)
     for _ in range(400):
         n, s, t, arcs = _random_net(rng)
-        net = FlowNetwork(n, s, t)
-        for u, v, c in arcs:
-            net.add_arc(u, v, c)
-        res = max_flow_min_cut(net)
+        res = _solve(n, s, t, arcs)
         want = reference_max_flow(n, arcs, s, t)
         assert res.flow_value == pytest.approx(want, abs=1e-7)
         # the reported side is a genuine cut: capacity across equals the flow
         across = sum(c for (u, v, c) in arcs if u in res.source_side and v not in res.source_side)
         assert across == pytest.approx(want, abs=1e-7)
         assert s in res.source_side and t not in res.source_side
+
+
+def test_smallest_minimum_cut_by_enumeration():
+    # capacities are multiples of 1/4, so cut capacities and flows are exact
+    # in floating point and ties between minimum cuts are exact too
+    def quarter(rng):
+        return rng.randint(0, 8) / 4
+
+    rng = random.Random(2024)
+    for _ in range(300):
+        n, s, t, arcs = _random_net(rng, n_max=9, capacity=quarter)
+        others = [v for v in range(n) if v not in (s, t)]
+        cuts = {}
+        for r in range(len(others) + 1):
+            for chosen in itertools.combinations(others, r):
+                side = frozenset(chosen) | {s}
+                cuts[side] = sum(c for (u, v, c) in arcs if u in side and v not in side)
+        least = min(cuts.values())
+        minimum = [side for side, cap in cuts.items() if cap == least]
+        smallest = frozenset.intersection(*minimum)
+        assert smallest in minimum  # minimum cuts are closed under intersection
+        res = _solve(n, s, t, arcs)
+        assert res.flow_value == least
+        assert res.source_side == smallest
 
 
 def test_flow_conservation_detail():
@@ -134,17 +176,3 @@ def test_flow_conservation_detail():
         net.add_arc(u, v, c)
     res = max_flow_min_cut(net)
     assert res.flow_value == pytest.approx(2.5)
-
-
-@pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-def test_backends_identical():
-    rng = random.Random(775577)
-    for _ in range(300):
-        n, s, t, arcs = _random_net(rng, n_max=10)
-        tails = [a[0] for a in arcs]
-        heads = [a[1] for a in arcs]
-        caps = [a[2] for a in arcs]
-        fc, sc = compiled.max_flow(n, tails, heads, caps, s, t)
-        fp, sp = _pushrelabel_py.max_flow(n, tails, heads, caps, s, t)
-        assert fc == pytest.approx(fp, abs=1e-12)
-        assert list(sc) == list(sp)
