@@ -11,7 +11,7 @@ from .instance import (
     preprocess,
     serialize_instance,
 )
-from .lp import LpError, LpModel, LpSolution, append_rows, solve
+from .lp import LpError, LpModel, LpSolution, solve
 from .maxflow import FlowNetwork, MinCutResult, max_flow_min_cut
 from .oracle import OracleBudgetExceeded, RouteSet, enumerate_feasible, enumerate_optimal
 from .separation import (

@@ -111,10 +111,20 @@ def _cmd_solve(args):
         from . import lp as lp_mod
         from .instance import preprocess
 
-        pre, _ = preprocess(inst)
-        handle = build_flow(pre)
-        with open(args.dump_lp, "w") as fh:
-            fh.write(lp_mod.export_lp_text(handle.model, name=inst.name or "model"))
+        pre, report = preprocess(inst)
+        if report.infeasible_mandatory:
+            # preprocessing dropped the vertex, so the relaxation left over
+            # would describe a different, possibly feasible, model
+            blocker = min(report.infeasible_mandatory)
+            print(
+                f"orienteer solve: no LP written to {args.dump_lp}: "
+                f"mandatory vertex {blocker} cannot be routed within the limit",
+                file=sys.stderr,
+            )
+        else:
+            handle = build_flow(pre)
+            with open(args.dump_lp, "w") as fh:
+                fh.write(lp_mod.export_lp_text(handle.model, name=inst.name or "model"))
     rep = solver.PIPELINES.get(args.mode, solver.solve_stop)(inst, cfg)
     status = rep.status
     payload = {
@@ -186,12 +196,19 @@ def _cmd_bench(args):
     return 0
 
 
+def _vertex_id(token):
+    try:
+        return int(token)
+    except ValueError:
+        raise InstanceError(f"route token {token!r} is not a vertex id") from None
+
+
 def _parse_routes(text):
     routes = []
     for chunk in text.replace("\n", ";").split(";"):
         chunk = chunk.strip()
         if chunk:
-            routes.append([int(t) for t in chunk.replace("->", " ").split()])
+            routes.append([_vertex_id(t) for t in chunk.replace("->", " ").split()])
     return routes
 
 

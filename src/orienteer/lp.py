@@ -1,17 +1,18 @@
 """Sparse LP container and the HiGHS engine behind it.
 
 Models are built column-by-column and row-by-row, support cheap copies and
-row appends (the cutting-plane loop lives on those), and are solved by
-scipy's bundled HiGHS in one of two ways:
+row appends (the cutting-plane loop lives on those), and are solved by the
+HiGHS engine bundled with scipy (>= 1.15), used in one of two ways:
 
-* ``solve``        - stateless ``linprog`` call: optimal, infeasible or
+* ``solve``        - one-shot solve on a fresh engine: optimal, infeasible or
                      unbounded, or ``LpError`` when HiGHS cannot tell
-* ``HighsSession`` - incremental engine for warm-started re-solves after row
-                     appends and bound changes; it settles an LP the engine
+* ``HighsSession`` - one engine kept for warm-started re-solves after row
+                     appends and bound changes; it settles an LP its engine
                      cannot classify with ``solve`` and counts it
 
-``row_arrays`` is the one place rows become sparse arrays.  The objective
-sense is always maximize.
+``_engine`` is the one place a model becomes an engine, and ``row_arrays``
+the one place rows become sparse arrays.  The objective sense is always
+maximize.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize._highspy import _core as _hcore
 
 LE, EQ, GE = "<=", "=", ">="
 
@@ -89,7 +91,6 @@ class LpModel:
         self.upper = []
         self.objective = []
         self.rows = []
-        self._cache = None
 
     # -- construction --------------------------------------------------
 
@@ -101,7 +102,6 @@ class LpModel:
         self.lower.append(float(lower))
         self.upper.append(float(upper))
         self.objective.append(float(objective))
-        self._cache = None
         return len(self.lower) - 1
 
     def add_row(self, coeffs, relation=None, rhs=None):
@@ -109,7 +109,6 @@ class LpModel:
         if row.indices and row.indices[-1] >= len(self.lower):
             raise LpError("row references unknown column")
         self.rows.append(row)
-        self._cache = None
         return len(self.rows) - 1
 
     def set_objective(self, coeffs):
@@ -117,7 +116,6 @@ class LpModel:
         for j, v in coeffs:
             obj[j] = float(v)
         self.objective = obj
-        self._cache = None
 
     def copy(self):
         out = LpModel.__new__(LpModel)
@@ -125,7 +123,6 @@ class LpModel:
         out.upper = list(self.upper)
         out.objective = list(self.objective)
         out.rows = list(self.rows)
-        out._cache = None
         return out
 
     @property
@@ -144,32 +141,6 @@ class LpModel:
         rest.rows = [r for i, r in enumerate(self.rows) if i not in picked]
         return rest, [r for i, r in enumerate(self.rows) if i in picked]
 
-    # -- assembly for linprog ------------------------------------------
-
-    def _assembled(self):
-        """(A_ub, b_ub, A_eq, b_eq) with GE rows negated into A_ub."""
-        if self._cache is not None:
-            return self._cache
-        from scipy.sparse import csr_matrix
-
-        starts, indices, values, row_lower, row_upper = row_arrays(self.rows)
-        relation = np.array([r.relation for r in self.rows], dtype=object)
-        ge = relation == GE
-        sign = np.where(ge, -1.0, 1.0)
-        mat = csr_matrix(
-            (values * np.repeat(sign, np.diff(starts)), indices, starts),
-            shape=(self.n_rows, self.n_cols),
-        )
-        rhs = np.where(ge, -row_lower, row_upper)
-
-        def block(selected):
-            rows = np.flatnonzero(selected)
-            return (mat[rows], rhs[rows]) if len(rows) else (None, None)
-
-        eq = relation == EQ
-        self._cache = block(~eq) + block(eq)
-        return self._cache
-
 
 @dataclass
 class LpSolution:
@@ -178,76 +149,89 @@ class LpSolution:
     x: np.ndarray | None
 
 
-def append_rows(model, cuts):
-    """Pure row append: a grown copy, the model itself is left as it was."""
-    out = model.copy()
-    for item in cuts:
-        if isinstance(item, LpRow):
-            out.add_row(item)
-        else:
-            coeffs, relation, rhs = item
-            out.add_row(coeffs, relation, rhs)
-    return out
+def _engine(model, bounds=None, cost=None):
+    """A fresh HiGHS engine holding ``model`` (rows in model order, as CSR),
+    quiet and on one thread.  ``bounds`` is an optional (n, 2) array of column
+    bounds in place of the model's own; ``cost`` replaces the engine's
+    objective, which is minimized (the model's negated by default)."""
+    h = _hcore._Highs()
+    h.setOptionValue("output_flag", False)
+    h.setOptionValue("threads", 1)
+    starts, indices, values, row_lower, row_upper = row_arrays(model.rows)
+    lp_obj = _hcore.HighsLp()
+    lp_obj.num_col_ = model.n_cols
+    lp_obj.num_row_ = model.n_rows
+    lp_obj.col_cost_ = -np.asarray(model.objective) if cost is None else cost
+    if bounds is None:
+        lp_obj.col_lower_ = np.asarray(model.lower)
+        lp_obj.col_upper_ = np.asarray(model.upper)
+    else:
+        lp_obj.col_lower_ = np.ascontiguousarray(bounds[:, 0])
+        lp_obj.col_upper_ = np.ascontiguousarray(bounds[:, 1])
+    lp_obj.row_lower_ = row_lower
+    lp_obj.row_upper_ = row_upper
+    lp_obj.a_matrix_.format_ = _hcore.MatrixFormat.kRowwise
+    lp_obj.a_matrix_.start_ = starts
+    lp_obj.a_matrix_.index_ = indices
+    lp_obj.a_matrix_.value_ = values
+    if h.passModel(lp_obj) != _hcore.HighsStatus.kOk:
+        raise LpError("engine rejected the model")
+    return h
+
+
+def _verdict(engine, status, objective):
+    """LpSolution for a classified engine status, else None."""
+    if status == _hcore.HighsModelStatus.kOptimal:
+        x = np.asarray(engine.getSolution().col_value)
+        return LpSolution("optimal", float(np.dot(objective, x)), x)
+    if status == _hcore.HighsModelStatus.kInfeasible:
+        return LpSolution("infeasible", -math.inf, None)
+    if status == _hcore.HighsModelStatus.kUnbounded:
+        return LpSolution("unbounded", math.inf, None)
+    return None
 
 
 def solve(model, bounds_override=None):
-    """Solve to proven optimality (or infeasible/unbounded status); raises
-    ``LpError`` when HiGHS cannot classify the LP.
+    """Solve to proven optimality (or infeasible/unbounded status) on fresh
+    engines; raises ``LpError`` when HiGHS cannot classify the LP.
 
     ``bounds_override`` is an optional (n, 2) array of column bounds used in
     place of the model's own; branch-and-bound nodes rely on it to avoid
     copying the model for every bound fixing.
     """
-    from scipy.optimize import linprog
+    status_of = _hcore.HighsModelStatus
 
-    A_ub, b_ub, A_eq, b_eq = model._assembled()
-    c = -np.asarray(model.objective)
-    pairs = bounds_override if bounds_override is not None else zip(model.lower, model.upper)
-    bounds = [
-        (None if math.isinf(lo) else lo, None if math.isinf(up) else up)
-        for lo, up in pairs
-    ]
-    def attempt(cost, presolve):
-        return linprog(
-            cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-            method="highs", options={"presolve": presolve},
-        )
+    def attempt(cost=None, presolve=True):
+        h = _engine(model, bounds_override, cost)
+        if not presolve:
+            h.setOptionValue("presolve", "off")
+        h.run()
+        return h, h.getModelStatus()
 
-    res = attempt(c, True)
-    if res.status in (2, 3):
+    h, status = attempt()
+    if status in (status_of.kInfeasible, status_of.kUnbounded, status_of.kUnboundedOrInfeasible):
         # presolve can conflate primal and dual infeasibility; a zero-cost
         # probe cannot (the dual is trivially feasible), so it settles
         # whether any point exists at all
-        probe = attempt(np.zeros_like(c), True)
-        if probe.status == 2:
+        _, probe = attempt(cost=np.zeros(model.n_cols))
+        if probe == status_of.kInfeasible:
             return LpSolution("infeasible", -math.inf, None)
-        if probe.status == 0:
+        if probe == status_of.kOptimal:
             return LpSolution("unbounded", math.inf, None)
-        res = attempt(c, False)
-    elif res.status != 0:
-        res = attempt(c, False)
-        if res.status not in (0, 2, 3):
-            probe = attempt(np.zeros_like(c), True)
-            if probe.status == 2:
-                return LpSolution("infeasible", -math.inf, None)
-    if res.status == 2:
-        return LpSolution("infeasible", -math.inf, None)
-    if res.status == 3:
-        return LpSolution("unbounded", math.inf, None)
-    if res.status != 0:
-        raise LpError(f"HiGHS could not classify the LP: {res.message}")
-    x = np.asarray(res.x)
-    return LpSolution("optimal", float(np.dot(model.objective, x)), x)
-
-
-try:  # incremental engine: vendored HiGHS bindings (scipy >= 1.15)
-    from scipy.optimize._highspy import _core as _hcore
-except ImportError:  # pragma: no cover - depends on scipy build
-    _hcore = None
+    if status != status_of.kOptimal:
+        h, status = attempt(presolve=False)
+    sol = _verdict(h, status, model.objective)
+    if sol is None:
+        raise LpError(
+            f"HiGHS could not classify the LP: model status {h.modelStatusToString(status)}"
+        )
+    return sol
 
 
 def incremental_available():
-    return _hcore is not None
+    """Always true: the incremental engine is part of scipy >= 1.15.  Kept
+    for the benchmark's environment record."""
+    return True
 
 
 class HighsSession:
@@ -258,10 +242,9 @@ class HighsSession:
     go through ``add_rows`` only, which appends them to the session's model
     and to the engine alike.  ``solve`` always classifies: when the engine
     raises or ends in a status other than optimal, infeasible or unbounded,
-    the stateless ``solve`` settles the LP the engine holds and
-    ``fallbacks`` counts it.  Without the incremental engine (scipy < 1.15)
-    every solve is stateless and counts as a fallback.  Deterministic for a
-    fixed call sequence.
+    ``solve`` settles the LP the engine holds on fresh engines, leaving the
+    session's own engine as it was, and ``fallbacks`` counts it.
+    Deterministic for a fixed call sequence, however many calls fall back.
 
     HiGHS with presolve may report a feasible LP with an unbounded objective
     as infeasible, and the session trusts that verdict.  It is exact for LPs
@@ -273,37 +256,16 @@ class HighsSession:
         self._model = model
         self._bounds = None  # the last override: the engine keeps column bounds
         self.fallbacks = 0
-        self._h = None
-        if _hcore is None:
-            return
-        self._h = _hcore._Highs()
-        self._h.setOptionValue("output_flag", False)
-        self._h.setOptionValue("threads", 1)
-        starts, indices, values, row_lower, row_upper = row_arrays(model.rows)
-        lp_obj = _hcore.HighsLp()
-        lp_obj.num_col_ = model.n_cols
-        lp_obj.num_row_ = model.n_rows
-        lp_obj.col_cost_ = -np.asarray(model.objective)  # engine minimizes
-        lp_obj.col_lower_ = np.asarray(model.lower)
-        lp_obj.col_upper_ = np.asarray(model.upper)
-        lp_obj.row_lower_ = row_lower
-        lp_obj.row_upper_ = row_upper
-        lp_obj.a_matrix_.format_ = _hcore.MatrixFormat.kRowwise
-        lp_obj.a_matrix_.start_ = starts
-        lp_obj.a_matrix_.index_ = indices
-        lp_obj.a_matrix_.value_ = values
-        if self._h.passModel(lp_obj) != _hcore.HighsStatus.kOk:
-            raise LpError("engine rejected the model")
+        self._h = _engine(model)
         self._all_cols = np.arange(model.n_cols, dtype=np.int32)
 
     def add_rows(self, rows):
-        if self._h is not None:
-            starts, indices, values, row_lower, row_upper = row_arrays(rows)
-            status = self._h.addRows(
-                len(rows), row_lower, row_upper, len(indices), starts[:-1], indices, values
-            )
-            if status != _hcore.HighsStatus.kOk:
-                raise LpError("engine rejected appended rows")
+        starts, indices, values, row_lower, row_upper = row_arrays(rows)
+        status = self._h.addRows(
+            len(rows), row_lower, row_upper, len(indices), starts[:-1], indices, values
+        )
+        if status != _hcore.HighsStatus.kOk:
+            raise LpError("engine rejected appended rows")
         for row in rows:
             self._model.add_row(row)
 
@@ -312,26 +274,21 @@ class HighsSession:
         bounds from ``bounds_override`` stay in force for later calls."""
         if bounds_override is not None:
             self._bounds = bounds_override
-        if self._h is not None:
-            try:
-                if bounds_override is not None:
-                    self._h.changeColsBounds(
-                        len(self._all_cols),
-                        self._all_cols,
-                        np.ascontiguousarray(bounds_override[:, 0]),
-                        np.ascontiguousarray(bounds_override[:, 1]),
-                    )
-                self._h.run()
-                status = self._h.getModelStatus()
-            except Exception:
-                status = None
-            if status == _hcore.HighsModelStatus.kOptimal:
-                x = np.asarray(self._h.getSolution().col_value)
-                return LpSolution("optimal", float(np.dot(self._model.objective, x)), x)
-            if status == _hcore.HighsModelStatus.kInfeasible:
-                return LpSolution("infeasible", -math.inf, None)
-            if status == _hcore.HighsModelStatus.kUnbounded:
-                return LpSolution("unbounded", math.inf, None)
+        try:
+            if bounds_override is not None:
+                self._h.changeColsBounds(
+                    len(self._all_cols),
+                    self._all_cols,
+                    np.ascontiguousarray(bounds_override[:, 0]),
+                    np.ascontiguousarray(bounds_override[:, 1]),
+                )
+            self._h.run()
+            status = self._h.getModelStatus()
+        except Exception:
+            status = None
+        sol = _verdict(self._h, status, self._model.objective)
+        if sol is not None:
+            return sol
         self.fallbacks += 1
         return solve(self._model, self._bounds)
 

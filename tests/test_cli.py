@@ -108,20 +108,48 @@ BAD_INPUT = {
     "mandatory-out-of-range": (FIVE, ["--mandatory", "9"]),
     "malformed-file": ("n 5\nm 2\ntmax 20\n0.0 0.0 0\n", []),
 }
+# route sets are read by validate only; "{dir}" is the test's directory
+BAD_ROUTES = {
+    "non-integer-route": ["--routes", "0 x 4"],
+    "non-integer-route-file": ["--routes-file", "{dir}/routes.txt"],
+}
+BAD_CASES = [(command, case) for command in ("solve", "validate") for case in sorted(BAD_INPUT)]
+BAD_CASES += [("validate", case) for case in sorted(BAD_ROUTES)]
 
 
-@pytest.mark.parametrize("case", sorted(BAD_INPUT))
-@pytest.mark.parametrize("command", ["solve", "validate"])
+@pytest.mark.parametrize(("command", "case"), BAD_CASES, ids=[f"{c}-{k}" for c, k in BAD_CASES])
 def test_cli_bad_input_prints_one_line(command, case, tmp_path, capsys):
-    text, flags = BAD_INPUT[case]
+    text, flags = BAD_INPUT.get(case, (FIVE, []))
     path = tmp_path / "inst.txt"
     path.write_text(text)
+    (tmp_path / "routes.txt").write_text("0 1 4\n0 x 4\n")
     routes = ["--routes", "0 1 4"] if command == "validate" else []
+    routes = [f.format(dir=tmp_path) for f in BAD_ROUTES.get(case, routes)]
     assert main([command, str(path), *flags, *routes]) != 0
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"orienteer {command}: error: ")
+    if case in BAD_ROUTES:
+        assert "'x'" in err
+
+
+def test_cli_dump_lp_only_for_a_screened_instance(five_path, tmp_path, capsys):
+    # with a budget of 12, vertex 1 cannot be routed (13.06 via it) while
+    # vertex 2 can; preprocessing drops vertex 1, so the relaxation left
+    # over describes a feasible model and must not be written
+    tight = tmp_path / "tight.txt"
+    tight.write_text(FIVE.replace("tmax 20", "tmax 12"))
+    dump = tmp_path / "relaxation.lp"
+    assert main(["solve", str(tight), "--mandatory", "1 2", "--dump-lp", str(dump), "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["status"] == "infeasible"
+    assert not dump.exists()
+    assert len(err.splitlines()) == 1 and "mandatory vertex 1 " in err
+    assert main(["solve", str(tight), "--mandatory", "2", "--dump-lp", str(dump), "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["status"] == "optimal" and err == ""
+    assert dump.read_text().startswith("\\ tight\nMaximize\n")
 
 
 def test_cli_bench_text_and_csv(five_path, tmp_path, capsys):

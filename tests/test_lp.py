@@ -44,8 +44,10 @@ def test_unbounded(solve):
 
 
 def test_append_rows_is_pure():
+    # rows appended to a copy leave the original as it was
     m = _single_bound_model()
-    bigger = lp.append_rows(m, [([(0, 1.0)], "<=", 1.0)])
+    bigger = m.copy()
+    bigger.add_row([(0, 1.0)], "<=", 1.0)
     assert m.n_rows == 1 and bigger.n_rows == 2
     assert lp.solve(m).objective == pytest.approx(3.0)
     assert lp.solve(bigger).objective == pytest.approx(1.0)
@@ -53,7 +55,7 @@ def test_append_rows_is_pure():
 
 def test_append_zero_rows_identity():
     m = _single_bound_model()
-    same = lp.append_rows(m, [])
+    same = m.copy()
     assert same.n_rows == m.n_rows
     assert lp.solve(same).objective == lp.solve(m).objective
 
@@ -114,11 +116,10 @@ def test_appending_rows_never_raises_objective(seed):
     if base.status != "optimal":
         return
     rng = random.Random(seed ^ 0xABCDEF)
-    extra = []
+    grown = model.copy()
     for _ in range(rng.randint(1, 3)):
         coeffs = [(j, rng.uniform(-2, 3)) for j in range(model.n_cols) if rng.random() < 0.8]
-        extra.append((coeffs or [(0, 1.0)], "<=", rng.uniform(-0.5, 6)))
-    grown = lp.append_rows(model, extra)
+        grown.add_row(coeffs or [(0, 1.0)], "<=", rng.uniform(-0.5, 6))
     after = lp.solve(grown)
     if after.status == "optimal":
         assert after.objective <= base.objective + 1e-9
@@ -164,15 +165,55 @@ def test_session_agrees_with_stateless_solve(seed):
         assert model.n_rows == rows  # the session's model gains what the engine gains
 
 
+UNKNOWN = lp._hcore.HighsModelStatus.kUnknown
+
+
+class UnknownStatus:
+    """An engine that reports every run as unclassified and records the
+    methods called on it; everything else goes to the real engine."""
+
+    def __init__(self, engine):
+        self._engine = engine
+        self.calls = []
+
+    def getModelStatus(self):
+        self.calls.append("getModelStatus")
+        return UNKNOWN
+
+    def __getattr__(self, name):
+        self.calls.append(name)
+        return getattr(self._engine, name)
+
+
 def test_session_fallback_solves_the_engine_bounds():
-    # the engine keeps the last override, so a stateless fallback on a call
-    # without one must use it too
+    # the engine keeps the last override, so a fallback on a call without
+    # one must use it too
     session = lp.HighsSession(_single_bound_model())
     assert session.solve(np.array([[0.0, 2.0]])).objective == pytest.approx(2.0)
     before = session.fallbacks
-    session._h = None  # no engine: the next solve is settled statelessly
+    session._h = UnknownStatus(session._h)
     assert session.solve().objective == pytest.approx(2.0)
     assert session.fallbacks == before + 1
+
+
+def test_session_fallback_leaves_its_engine_alone():
+    # a fallback settles on fresh engines and makes no call on the session's
+    # own, so what the session solves next cannot depend on when it fell back
+    model = _bounded_model(random.Random(111))  # optimal with and without the halving
+    twin = lp.HighsSession(model.copy())
+    session = lp.HighsSession(model)
+    engine = session._h
+    session._h = stub = UnknownStatus(engine)
+    assert session.solve().status == lp.solve(model).status
+    assert session.fallbacks == 1
+    assert stub.calls[-1] == "getModelStatus"
+    session._h = engine
+    twin.solve()
+    halved = np.array([[lo, 0.5 * (lo + up)] for lo, up in zip(model.lower, model.upper)])
+    for bounds in (halved, None):
+        got, want = session.solve(bounds), twin.solve(bounds)
+        assert got.status == want.status and got.objective == want.objective
+        assert session._h.getInfo().simplex_iteration_count == twin._h.getInfo().simplex_iteration_count
 
 
 @SOLVERS
@@ -214,14 +255,16 @@ def test_bounds_override():
 
 
 def test_unclassified_lp_raises(monkeypatch):
-    # when HiGHS reports a numerical failure on every attempt, lp.solve must
-    # say so instead of handing back another engine's answer
-    import scipy.optimize
-    from scipy.optimize import OptimizeResult
+    # when every fresh engine leaves the status unclassified, lp.solve must
+    # name it instead of handing back another engine's answer
+    fresh = []
+    build = lp._engine
 
-    def failing_linprog(*args, **kwargs):
-        return OptimizeResult(status=4, message="numerical difficulties", x=None)
+    def engine(*args, **kwargs):
+        fresh.append(UnknownStatus(build(*args, **kwargs)))
+        return fresh[-1]
 
-    monkeypatch.setattr(scipy.optimize, "linprog", failing_linprog)
-    with pytest.raises(lp.LpError, match="numerical difficulties"):
+    monkeypatch.setattr(lp, "_engine", engine)
+    with pytest.raises(lp.LpError, match="model status Unknown"):
         lp.solve(_single_bound_model())
+    assert len(fresh) == 2  # the first attempt and the retry without presolve

@@ -203,7 +203,8 @@ def test_conflict_cut_closes_the_halves_point(figure_instance):
         relation=">=",
         rhs=0.0,
     )
-    pinned = lp.append_rows(model, [cut.to_row(handle)])
+    pinned = model.copy()
+    pinned.add_row(cut.to_row(handle))
     assert lp.solve(pinned).status == "infeasible"
 
 
