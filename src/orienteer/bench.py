@@ -20,6 +20,7 @@ import concurrent.futures
 import io
 import json
 import math
+import multiprocessing
 import re
 import statistics
 import time
@@ -153,7 +154,10 @@ def run_bench(paths, mode, config=solver.SolveConfig(), jobs=1):
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; pick from {MODES}")
     if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        # spawned workers start clean instead of forking a process that has
+        # HiGHS loaded
+        spawn = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
             rows = list(pool.map(bench_one, paths, [mode] * len(paths), [config] * len(paths)))
     else:
         rows = [bench_one(p, mode, config) for p in paths]

@@ -6,65 +6,21 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import bench as bench_mod
 from . import solver
 from .formulation import build_flow_formulation as build_flow
-from .instance import InstanceError, generate_stop, parse_instance, serialize_instance
+# Verdict is re-exported: both validator names stay importable from here
+from .instance import (
+    InstanceError,
+    Verdict,
+    generate_stop,
+    parse_instance,
+    serialize_instance,
+    validate_solution,
+)
 from .oracle import OracleBudgetExceeded, enumerate_optimal
-
-
-@dataclass
-class Verdict:
-    ok: bool
-    violations: list
-    reward: int
-    durations: list
-
-
-def validate_solution(inst, routes):
-    """Independent route-set check: every rule violation is listed.
-
-    Rules: each route runs origin to destination over present arcs within the
-    time limit; no inner vertex is visited twice across routes; every
-    mandatory vertex is covered; the fleet size bounds the route count.
-    """
-    violations = []
-    durations = []
-    seen = {}
-    if len(routes) > inst.fleet_size:
-        violations.append(f"{len(routes)} routes exceed fleet size {inst.fleet_size}")
-    for ridx, route in enumerate(routes):
-        label = f"route {ridx}"
-        if len(route) < 2 or route[0] != inst.origin or route[-1] != inst.destination:
-            violations.append(f"{label} must run from the origin to the destination")
-            durations.append(math.inf)
-            continue
-        dur = 0.0
-        broken = False
-        for a, b in zip(route, route[1:]):
-            if not (0 <= a < inst.vertex_count and 0 <= b < inst.vertex_count) or not inst.arc_mask[a, b]:
-                violations.append(f"{label} uses missing arc ({a}, {b})")
-                broken = True
-                break
-            dur += float(inst.travel_time[a, b])
-        durations.append(math.inf if broken else dur)
-        if not broken and dur > inst.time_limit + 1e-9:
-            violations.append(f"{label} duration {dur:.6f} exceeds limit {inst.time_limit}")
-        for v in route[1:-1]:
-            if v in (inst.origin, inst.destination):
-                violations.append(f"{label} revisits an endpoint")
-            if v in seen:
-                violations.append(f"vertex {v} visited by {seen[v]} and {label}")
-            seen[v] = label
-            if v not in inst.inner:
-                violations.append(f"{label} visits vertex {v} which is not routable")
-    missing = sorted(inst.mandatory - set(seen))
-    if missing:
-        violations.append(f"mandatory vertices not covered: {missing}")
-    reward = sum(inst.rewards.get(v, 0) for v in seen)
-    return Verdict(not violations, violations, reward, durations)
 
 
 def _add_param_flags(p):
@@ -84,11 +40,20 @@ def _add_param_flags(p):
     )
 
 
+class UsageError(ValueError):
+    """A flag value the solver cannot run with."""
+
+
 def _config(args):
     fams = frozenset(f.strip() for f in args.families.split(",") if f.strip())
     bad = fams - solver.ALL_FAMILIES
     if bad:
-        raise SystemExit(f"unknown cut families: {sorted(bad)}")
+        raise UsageError(f"unknown cut families: {sorted(bad)}")
+    # NaN compares false with every deadline, so it would mean no limit
+    if not args.time_limit >= 0:
+        raise UsageError(f"--time-limit must be a nonnegative number, got {args.time_limit}")
+    if args.max_nodes < 0:
+        raise UsageError(f"--max-nodes must be nonnegative, got {args.max_nodes}")
     return solver.SolveConfig(time_limit_s=args.time_limit, families=fams, max_nodes=args.max_nodes)
 
 
@@ -287,7 +252,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, OSError) as exc:
+    except (InstanceError, UsageError, OSError) as exc:
         # bad input gets one line, not a traceback
         print(f"orienteer {args.command}: error: {exc}", file=sys.stderr)
         return 2

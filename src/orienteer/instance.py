@@ -118,6 +118,61 @@ class PreprocessReport:
     infeasible_mandatory: frozenset
 
 
+# -- route validation ---------------------------------------------------------
+
+
+@dataclass
+class Verdict:
+    ok: bool
+    violations: list
+    reward: int
+    durations: list
+
+
+def validate_solution(inst, routes):
+    """Independent route-set check: every rule violation is listed.
+
+    Rules: each route runs origin to destination over present arcs within the
+    time limit; no inner vertex is visited twice across routes; every
+    mandatory vertex is covered; the fleet size bounds the route count.
+    """
+    violations = []
+    durations = []
+    seen = {}
+    if len(routes) > inst.fleet_size:
+        violations.append(f"{len(routes)} routes exceed fleet size {inst.fleet_size}")
+    for ridx, route in enumerate(routes):
+        label = f"route {ridx}"
+        if len(route) < 2 or route[0] != inst.origin or route[-1] != inst.destination:
+            violations.append(f"{label} must run from the origin to the destination")
+            durations.append(math.inf)
+            continue
+        dur = 0.0
+        broken = False
+        for a, b in zip(route, route[1:]):
+            if not (0 <= a < inst.vertex_count and 0 <= b < inst.vertex_count) or not inst.arc_mask[a, b]:
+                violations.append(f"{label} uses missing arc ({a}, {b})")
+                broken = True
+                break
+            dur += float(inst.travel_time[a, b])
+        durations.append(math.inf if broken else dur)
+        if not broken and dur > inst.time_limit + 1e-9:
+            violations.append(f"{label} duration {dur:.6f} exceeds limit {inst.time_limit}")
+        for v in route[1:-1]:
+            if v in (inst.origin, inst.destination):
+                violations.append(f"{label} revisits an endpoint")
+            if v in seen:
+                violations.append(f"vertex {v} visited by {seen[v]} and {label}")
+            seen[v] = label
+            if v not in inst.inner:
+                violations.append(f"{label} visits vertex {v} which is not routable")
+    missing = sorted(inst.mandatory - set(seen))
+    if missing:
+        violations.append(f"mandatory vertices not covered: {missing}")
+    reward = sum(inst.rewards.get(v, 0) for v in seen)
+    return Verdict(not violations, violations, reward, durations)
+
+
 # -- parsing / serialization -----------------------------------------------
 #
 # File format (the common team-orienteering benchmark layout):

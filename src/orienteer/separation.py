@@ -287,10 +287,19 @@ def knapsack_max(profits, weights, capacity, fixed_zero=frozenset(), fixed_one=f
 # -- lifted cover inequalities ------------------------------------------------
 
 
-def floor_bound(bound):
-    """Integer capacity below a dual bound; the 1e-9 cushion keeps a bound
-    sitting numerically just under an integer from flooring one too low."""
-    return int(math.floor(bound + 1e-9))
+def floor_bound(bound, step=1):
+    """Largest multiple of ``step`` at or below a dual bound: the best
+    objective value any solution under the bound can reach when every
+    objective value lies on the ``step`` grid (``step=1``: integral
+    rewards).  The 1e-9 cushion keeps a bound sitting numerically just under
+    a multiple from flooring one step too low."""
+    return step * int(math.floor((bound + 1e-9) / step))
+
+
+def reward_step(rewards):
+    """Grid every objective value lies on: the gcd of the reward values,
+    or 1 when there are none or all are zero."""
+    return math.gcd(*(int(p) for p in rewards.values())) or 1
 
 
 def separate_lifted_cover(yv, inst, dual_bound, lift=True):

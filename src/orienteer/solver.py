@@ -13,6 +13,12 @@ Two modes share one branch-and-bound engine:
   kept, connectivity cuts separated at every tree node until the bound gain
   drops below a tolerance, no cut filtering and no pool.
 
+Both searches prune on the reward grid: every objective value is a multiple
+of g = gcd(rewards), so a node is dropped once its bound, rounded down to a
+multiple of g (``separation.floor_bound``), cannot beat the incumbent.  With
+g = 1 that is the plain integer rounding.  Reported bounds stay raw LP values.
+Every reported incumbent passes the independent route validator first.
+
 Everything is deterministic for a fixed configuration: node selection is
 best-bound with deeper-first then insertion-order tie-breaks, branching picks
 the most fractional arc variable (then visit variable), ties on the lowest
@@ -30,7 +36,7 @@ import numpy as np
 
 from . import lp
 from .formulation import build_arrival_formulation, build_flow_formulation
-from .instance import min_time_matrix, preprocess
+from .instance import min_time_matrix, preprocess, validate_solution
 from .separation import (
     CONFLICT,
     CONFLICT_FILTER,
@@ -41,6 +47,7 @@ from .separation import (
     build_conflict_set,
     filter_cuts,
     floor_bound,
+    reward_step,
     separate_conflict,
     separate_connectivity,
     separate_lifted_cover,
@@ -59,6 +66,10 @@ class SolveConfig:
     time_limit_s: float = 7200.0
     families: frozenset = ALL_FAMILIES
     max_nodes: int = 50_000_000
+
+
+class UncertifiedSolution(RuntimeError):
+    """A reported incumbent failed the independent route check."""
 
 
 @dataclass
@@ -287,6 +298,7 @@ def branch_and_bound(handle, work_model, pool, config, deadline, node_cut_hook=N
     pool_active = [False] * len(pool)
     pool_matrix = _pool_matrix(pool, work_model.n_cols)
     order = _branch_order(handle)
+    step = reward_step(handle.instance.rewards)
     tree = _Tree()
     tree.push(math.inf, 0, ())
     best_value = -math.inf
@@ -306,7 +318,7 @@ def branch_and_bound(handle, work_model, pool, config, deadline, node_cut_hook=N
         if (
             best_value > -math.inf
             and parent_bound < math.inf
-            and floor_bound(parent_bound + INTEGER_TOL) <= best_value
+            and floor_bound(parent_bound + INTEGER_TOL, step) <= best_value
         ):
             continue
         stats["nodes"] += 1
@@ -335,8 +347,8 @@ def branch_and_bound(handle, work_model, pool, config, deadline, node_cut_hook=N
             feasible = sol.status == "optimal"
         if not feasible:
             continue
-        if floor_bound(sol.objective + INTEGER_TOL) <= best_value:
-            continue  # integral rewards: nothing better in this subtree
+        if floor_bound(sol.objective + INTEGER_TOL, step) <= best_value:
+            continue  # objective on the reward grid: nothing better here
 
         col = _pick_branch_column(order, sol.x)
         if col is None:
@@ -414,12 +426,24 @@ def _family_counts(cuts):
     return counts
 
 
+def _certify(inst, routes, value):
+    """Raise unless ``routes`` pass the route validator on the instance as
+    given and collect exactly ``value``."""
+    verdict = validate_solution(inst, routes)
+    problems = list(verdict.violations)
+    if verdict.reward != value:
+        problems.append(f"routes collect {verdict.reward}, reported {value}")
+    if problems:
+        raise UncertifiedSolution(f"{inst.name or 'instance'}: " + "; ".join(problems))
+
+
 def _search_report(
-    search, root_upper, timings, counts, cuts, lp_bound, root_bound=None, root_fallbacks=0
+    inst, search, root_upper, timings, counts, cuts, lp_bound, root_bound=None, root_fallbacks=0
 ):
     """Report for a finished ``branch_and_bound``: exhausted with no feasible
     point, stopped with no incumbent, or an incumbent (proven optimal, or
-    below an upper bound capped by the root's ``root_upper``)."""
+    below an upper bound capped by the root's ``root_upper``) that first
+    passes ``_certify`` against ``inst``."""
     status, best_value, upper, routes, stats = search
     fallbacks = root_fallbacks + stats["lp_fallbacks"]
     found = best_value > -math.inf
@@ -431,7 +455,10 @@ def _search_report(
         upper = best_value
     else:
         upper = min(upper, root_upper)
-    lower = float(best_value) if found else -math.inf
+    lower = -math.inf
+    if found:
+        _certify(inst, routes, best_value)
+        lower = float(best_value)
     return SolveReport(
         status=status,
         lower_bound=lower,
@@ -482,7 +509,7 @@ def solve_stop(inst, config=SolveConfig()):
     counts = _family_counts(phase.cuts)
     counts["pool_activated"] = search[4]["pool_activated"]
     return _search_report(
-        search, phase.upper_bound, timings, counts, phase.cuts, phase.lp_bound,
+        inst, search, phase.upper_bound, timings, counts, phase.cuts, phase.lp_bound,
         phase.upper_bound, phase.lp_fallbacks,
     )
 
@@ -533,7 +560,7 @@ def solve_baseline(inst, config=SolveConfig()):
     t_total = time.monotonic() - t0
     timings = {"preprocess": t_pre, "search": t_total - t_pre, "total": t_total}
     counts = {CONNECTIVITY: len(added), CONFLICT: 0, COVER: 0}
-    return _search_report(search, lp_bound, timings, counts, added, lp_bound)
+    return _search_report(inst, search, lp_bound, timings, counts, added, lp_bound)
 
 
 def solve_lp_only(inst, config=SolveConfig()):

@@ -113,19 +113,27 @@ BAD_ROUTES = {
     "non-integer-route": ["--routes", "0 x 4"],
     "non-integer-route-file": ["--routes-file", "{dir}/routes.txt"],
 }
+# search limits are read by solve and bench
+BAD_FLAGS = {
+    "nan-time-limit": ["--time-limit", "nan"],
+    "negative-time-limit": ["--time-limit", "-1"],
+    "negative-max-nodes": ["--max-nodes", "-1"],
+    "unknown-family": ["--families", "connectivity,bogus"],
+}
 BAD_CASES = [(command, case) for command in ("solve", "validate") for case in sorted(BAD_INPUT)]
 BAD_CASES += [("validate", case) for case in sorted(BAD_ROUTES)]
+BAD_CASES += [(command, case) for command in ("solve", "bench") for case in sorted(BAD_FLAGS)]
 
 
 @pytest.mark.parametrize(("command", "case"), BAD_CASES, ids=[f"{c}-{k}" for c, k in BAD_CASES])
 def test_cli_bad_input_prints_one_line(command, case, tmp_path, capsys):
-    text, flags = BAD_INPUT.get(case, (FIVE, []))
+    text, flags = BAD_INPUT.get(case, (FIVE, BAD_FLAGS.get(case, [])))
     path = tmp_path / "inst.txt"
     path.write_text(text)
     (tmp_path / "routes.txt").write_text("0 1 4\n0 x 4\n")
     routes = ["--routes", "0 1 4"] if command == "validate" else []
     routes = [f.format(dir=tmp_path) for f in BAD_ROUTES.get(case, routes)]
-    assert main([command, str(path), *flags, *routes]) != 0
+    assert main([command, str(path), *flags, *routes]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1

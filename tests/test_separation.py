@@ -19,6 +19,7 @@ from orienteer.separation import (
     floor_bound,
     inner_product,
     knapsack_max,
+    reward_step,
     separate_conflict,
     separate_connectivity,
     separate_lifted_cover,
@@ -292,6 +293,39 @@ def test_cover_floor_guard():
     assert floor_bound(5.0 - 1e-3) == 4
     assert floor_bound(5.0 - 1e-12) == 5  # numeric fuzz must not cut valid points
     assert floor_bound(5.0) == 5
+
+
+def test_floor_bound_on_reward_grid():
+    assert floor_bound(14.9, 5) == 10
+    assert floor_bound(15.0, 5) == 15
+    assert floor_bound(4.99, 5) == 0
+    assert floor_bound(306.8, 5) == 305
+    assert floor_bound(30.0, 3) == 30 and floor_bound(29.99, 3) == 27
+    # the cushion: a bound numerically just under a multiple keeps it, a
+    # real shortfall does not
+    assert floor_bound(15.0 - 1e-12, 5) == 15
+    assert floor_bound(15.0 - 1e-3, 5) == 10
+    for value in (-7.5, -1.0, 0.0, 3.0, 12.5, 99.999):
+        assert floor_bound(value, 5) % 5 == 0
+        assert value - 5 < floor_bound(value, 5) <= value + 1e-9
+
+
+def test_floor_bound_unit_step_matches_integer_floor():
+    rng = random.Random(5)
+    values = [rng.uniform(-50, 500) for _ in range(500)]
+    values += [k + d for k in range(-3, 40) for d in (-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 0.5)]
+    for value in values:
+        assert floor_bound(value, 1) == floor_bound(value) == int(math.floor(value + 1e-9))
+
+
+def test_reward_step_is_the_reward_gcd():
+    assert reward_step({}) == 1
+    assert reward_step({1: 0, 2: 0}) == 1
+    assert reward_step({1: 10, 2: 15, 3: 40}) == 5
+    assert reward_step({1: 6, 2: 9}) == 3
+    assert reward_step({1: 7}) == 7
+    assert reward_step({1: 0, 2: 6, 3: 9, 4: 15}) == 3
+    assert reward_step({1: 4, 2: 7}) == 1
 
 
 def test_unlifted_cover_is_minimal(rng):

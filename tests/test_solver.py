@@ -4,12 +4,13 @@ from dataclasses import replace
 
 import pytest
 
-from orienteer import lp
+from orienteer import lp, solver
 from orienteer.formulation import build_flow_formulation
 from orienteer.instance import min_time_matrix, preprocess
 from orienteer.oracle import enumerate_optimal
 from orienteer.solver import (
     SolveConfig,
+    UncertifiedSolution,
     compute_gap,
     cutting_plane_phase,
     solve_baseline,
@@ -102,6 +103,73 @@ def test_incumbents_pass_independent_validation(rng):
             inst.rewards.get(v, 0) for route in rep.routes for v in route[1:-1]
         )
         assert reward == rep.lower_bound
+
+
+# reward schemes whose values all lie on a grid coarser than 1
+GRID_REWARDS = {
+    "times-5": lambda rng, p: 5 * p,
+    "times-10": lambda rng, p: 10 * p,
+    "from-0-6-9-15": lambda rng, p: rng.choice((0, 6, 9, 15)),
+}
+
+
+def _mandatory_heavy(rng, inst):
+    """Move most inner vertices into the mandatory set."""
+    inner = sorted(inst.inner)
+    mand = frozenset(rng.sample(inner, max(1, (2 * len(inner)) // 3)))
+    return replace(
+        inst,
+        mandatory=mand,
+        profitable=frozenset(inner) - mand,
+        rewards={i: p for i, p in inst.rewards.items() if i not in mand},
+    )
+
+
+@pytest.mark.parametrize("scheme", sorted(GRID_REWARDS))
+def test_oracle_agreement_on_reward_grid(scheme):
+    rng = random.Random(f"grid-{scheme}")
+    draw = GRID_REWARDS[scheme]
+    infeasible = heavy = 0
+    for k in range(80):
+        inst = make_random_instance(rng, tightness=(0.9, 2.2), mandatory_share=0.0)
+        inst = replace(inst, rewards={i: draw(rng, p) for i, p in inst.rewards.items()})
+        if k % 2:
+            inst = _mandatory_heavy(rng, inst)
+            heavy += 1
+        want = enumerate_optimal(inst)
+        infeasible += want is None
+        for solve in (solve_stop, solve_baseline):
+            got = solve(inst, FAST)
+            if want is None:
+                assert got.status == "infeasible", (scheme, k, solve.__name__)
+            else:
+                assert got.status == "optimal", (scheme, k, solve.__name__)
+                assert got.lower_bound == want.total_reward, (scheme, k, solve.__name__)
+    assert heavy and infeasible  # the draw reaches both kinds of instance
+
+
+def test_uncertified_incumbent_raises(rng, monkeypatch):
+    inst = next(
+        i
+        for i in (make_random_instance(rng, mandatory_share=0.0) for _ in range(50))
+        if solve_stop(i, FAST).lower_bound > 0
+    )
+    real = solver.extract_routes
+
+    def truncated(handle, x):
+        # every route stops short of the destination
+        return [route[:-1] for route in real(handle, x)]
+
+    monkeypatch.setattr(solver, "extract_routes", truncated)
+    for solve in (solve_stop, solve_baseline):
+        with pytest.raises(UncertifiedSolution, match="from the origin to the destination"):
+            solve(inst, FAST)
+
+    # valid routes that collect less than the reported value
+    monkeypatch.setattr(solver, "extract_routes", lambda handle, x: [])
+    for solve in (solve_stop, solve_baseline):
+        with pytest.raises(UncertifiedSolution, match="routes collect 0, reported"):
+            solve(inst, FAST)
 
 
 def test_incumbent_satisfies_every_pool_row(rng):
