@@ -106,6 +106,8 @@ def _cmd_solve(args):
         "timings_s": {k: round(v, 3) for k, v in rep.timings.items()},
         "reason": rep.reason,
         "lp_fallbacks": rep.lp_fallbacks,
+        "heuristic_incumbents": rep.heuristic_incumbents,
+        "heuristic_discarded": rep.heuristic_discarded,
     }
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -149,6 +151,8 @@ def _collect_paths(args):
 
 def _cmd_bench(args):
     cfg = _config(args)
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
     paths = _collect_paths(args)
     rows = bench_mod.run_bench(paths, args.mode, cfg, jobs=args.jobs)
     if args.csv:
@@ -198,7 +202,7 @@ def _cmd_validate(args):
     elif args.routes:
         routes = _parse_routes(args.routes)
     else:
-        raise SystemExit("validate needs --routes, --routes-file or --oracle")
+        raise UsageError("validate needs --routes, --routes-file or --oracle")
     verdict = validate_solution(inst, routes)
     print(f"valid: {verdict.ok}; reward {verdict.reward}")
     for v in verdict.violations:

@@ -7,8 +7,9 @@ HiGHS engine bundled with scipy (>= 1.15), used in one of two ways:
 * ``solve``        - one-shot solve on a fresh engine: optimal, infeasible or
                      unbounded, or ``LpError`` when HiGHS cannot tell
 * ``HighsSession`` - one engine kept for warm-started re-solves after row
-                     appends and bound changes; it settles an LP its engine
-                     cannot classify with ``solve`` and counts it
+                     appends, bound changes and basis restarts; it settles
+                     an LP its engine cannot classify with ``solve`` and
+                     counts it
 
 ``_engine`` is the one place a model becomes an engine, and ``row_arrays``
 the one place rows become sparse arrays.  The objective sense is always
@@ -246,6 +247,12 @@ class HighsSession:
     session's own engine as it was, and ``fallbacks`` counts it.
     Deterministic for a fixed call sequence, however many calls fall back.
 
+    ``basis`` copies the engine's current basis (a HiGHS object, about a
+    microsecond to take) with the row count it covers, and ``set_basis``
+    restarts the engine from such a copy, padding the rows appended since
+    as basic; the search uses the pair to start a node taken off its heap
+    from its parent's basis instead of the last node's.
+
     HiGHS with presolve may report a feasible LP with an unbounded objective
     as infeasible, and the session trusts that verdict.  It is exact for LPs
     whose objective is bounded above, as in every formulation here: only the
@@ -268,6 +275,21 @@ class HighsSession:
             raise LpError("engine rejected appended rows")
         for row in rows:
             self._model.add_row(row)
+
+    def basis(self):
+        """(the engine's basis as HiGHS holds it, the row count then): a copy
+        to hand back to ``set_basis``; its statuses stay HiGHS objects."""
+        return self._h.getBasis(), self._model.n_rows
+
+    def set_basis(self, saved):
+        """Start the next solve from what ``basis`` returned; rows appended
+        since then enter basic.  Raises ``LpError`` when HiGHS rejects it."""
+        basis, n_rows = saved
+        extra = self._model.n_rows - n_rows
+        if extra:
+            basis.row_status = basis.row_status[:n_rows] + [_hcore.HighsBasisStatus.kBasic] * extra
+        if self._h.setBasis(basis) != _hcore.HighsStatus.kOk:
+            raise LpError("engine rejected the basis")
 
     def solve(self, bounds_override=None):
         """LpSolution with status optimal, infeasible or unbounded; column

@@ -17,12 +17,27 @@ Both searches prune on the reward grid: every objective value is a multiple
 of g = gcd(rewards), so a node is dropped once its bound, rounded down to a
 multiple of g (``separation.floor_bound``), cannot beat the incumbent.  With
 g = 1 that is the plain integer rounding.  Reported bounds stay raw LP values.
-Every reported incumbent passes the independent route validator first.
+
+Incumbents come from two places.  A node whose LP optimum is integral gives
+its routes (``extract_routes``).  And at the first node, once its pool/cut
+loop settles, and then at every ``HEURISTIC_EVERY``-th node, the LP-guided
+heuristic (``lp_guided_routes``) builds routes by cheapest insertion in order
+of the node's visit values and polishes them with 2-opt; a candidate is used
+only after it passes the route validator on the search's instance with the
+reward it claims.  With an optimal incumbent at the root, an instance whose
+root bound already meets the optimum closes without branching.  Every
+reported incumbent passes the independent route validator again on the
+instance as given.
+
+The node taken next off the heap does not start from the basis the previous
+node left: its parent stored its final basis with it at branching
+(``HighsSession.basis``), and the node's LP restarts from that
+(``HighsSession.set_basis``).  The dive child goes on from the live basis.
 
 Everything is deterministic for a fixed configuration: node selection is
 best-bound with deeper-first then insertion-order tie-breaks, branching picks
 the most fractional arc variable (then visit variable), ties on the lowest
-column index.
+column index, and the heuristic breaks every tie on vertex ids.
 """
 
 from __future__ import annotations
@@ -59,6 +74,10 @@ INTEGER_TOL = 1e-6
 POOL_TOL = 1e-6
 PHASE_TOL = 1e-3  # root cutting loop stops once a round gains at most this
 NODE_TOL = 1e-3  # baseline per-node rounds stop once a round gains at most this
+HEURISTIC_EVERY = 10  # the LP-guided heuristic runs at the first node and every 10th
+Y_SUPPORT = 1e-6  # visit values above this count as chosen by the LP
+POLISH_PASSES = 2  # 2-opt then reinsertion rounds after the construction
+TWO_OPT_GAIN = 1e-9  # a 2-opt move must shorten its route by more than this
 
 
 @dataclass(frozen=True)
@@ -86,6 +105,8 @@ class SolveReport:
     cut_pool: list = field(default_factory=list)
     reason: str = ""
     lp_fallbacks: int = 0  # LPs the sessions settled with the stateless solve
+    heuristic_incumbents: int = 0  # incumbents the LP-guided heuristic supplied
+    heuristic_discarded: int = 0  # its candidates the route validator turned down
 
     @property
     def gap(self):
@@ -205,19 +226,20 @@ def _violated_pool_rows(pool_matrix, pool_active, x):
 
 
 class _Tree:
-    """Best-bound search with deeper-first, then FIFO tie-breaks."""
+    """Best-bound search with deeper-first, then FIFO tie-breaks; each node
+    carries the basis its LP restarts from (None: the engine's current one)."""
 
     def __init__(self):
         self.heap = []
         self.seq = 0
 
-    def push(self, bound, depth, fixings):
-        heapq.heappush(self.heap, (-bound, -depth, self.seq, fixings))
+    def push(self, bound, depth, fixings, basis=None):
+        heapq.heappush(self.heap, (-bound, -depth, self.seq, fixings, basis))
         self.seq += 1
 
     def pop(self):
-        nb, nd, _, fixings = heapq.heappop(self.heap)
-        return -nb, -nd, fixings
+        nb, nd, _, fixings, basis = heapq.heappop(self.heap)
+        return -nb, -nd, fixings, basis
 
     def best_open_bound(self):
         return -self.heap[0][0] if self.heap else -math.inf
@@ -280,6 +302,109 @@ def _incumbent_value(handle, x):
     )
 
 
+# -- LP-guided incumbent -----------------------------------------------------
+
+
+def _duration(d, route):
+    dur = 0.0
+    for a, b in zip(route, route[1:]):
+        dur += d[a][b]
+    return dur
+
+
+def _reversal(d, route):
+    """``route`` with the first inner segment (scanned from the front) whose
+    reversal shortens it reversed, or None; arcs need not be symmetric."""
+    for i in range(1, len(route) - 2):
+        a, head = route[i - 1], route[i]
+        fwd = rev = 0.0  # the segment route[i..j] forwards and backwards
+        for j in range(i + 1, len(route) - 1):
+            fwd += d[route[j - 1]][route[j]]
+            rev += d[route[j]][route[j - 1]]
+            tail, b = route[j], route[j + 1]
+            if d[a][tail] + rev + d[head][b] < d[a][head] + fwd + d[tail][b] - TWO_OPT_GAIN:
+                return route[:i] + route[i : j + 1][::-1] + route[j + 1 :]
+    return None
+
+
+def _two_opt(d, route):
+    while (shorter := _reversal(d, route)) is not None:
+        route = shorter
+    return route
+
+
+def lp_guided_routes(inst, y):
+    """(reward, routes) built from the visit values ``y`` (vertex -> value)
+    of an LP optimum, or None when some mandatory vertex fits nowhere.
+
+    The ``fleet_size`` routes start as [s, t].  The mandatory vertices go in
+    first (decreasing ``y``, then id), then the profitable ones the LP
+    visits (decreasing ``y``, reward, id), each at the position that adds the
+    least travel time within the limit, over present arcs only.  Two polish
+    passes follow, each a 2-opt of every route and then the insertion of the
+    unused rewarded vertices (decreasing reward, then id).  Routes left
+    empty are dropped.
+    """
+    s, t, limit = inst.origin, inst.destination, inst.time_limit
+    d = np.where(inst.arc_mask, inst.travel_time, math.inf).tolist()
+    # an empty route [s, t] is charged the direct trip, when there is one
+    direct = d[s][t] if math.isfinite(d[s][t]) else 0.0
+    routes = [[s, t] for _ in range(inst.fleet_size)]
+    durations = [direct] * inst.fleet_size
+    used = set()
+
+    def insert(v):
+        best = None  # (added time, route, position)
+        for r, route in enumerate(routes):
+            for p in range(1, len(route)):
+                a, b = route[p - 1], route[p]
+                added = d[a][v] + d[v][b] - (d[a][b] if len(route) > 2 else direct)
+                if durations[r] + added <= limit and (best is None or added < best[0]):
+                    best = (added, r, p)
+        if best is None:
+            return False
+        _, r, p = best
+        routes[r].insert(p, v)
+        durations[r] = _duration(d, routes[r])
+        used.add(v)
+        return True
+
+    for v in sorted(inst.mandatory, key=lambda i: (-y[i], i)):
+        if not insert(v):
+            return None
+    chosen = [i for i in inst.profitable if y[i] > Y_SUPPORT]
+    for v in sorted(chosen, key=lambda i: (-y[i], -inst.rewards[i], i)):
+        insert(v)
+    rewarded = sorted(
+        (i for i in inst.profitable if inst.rewards[i] > 0), key=lambda i: (-inst.rewards[i], i)
+    )
+    for _ in range(POLISH_PASSES):
+        for r, route in enumerate(routes):
+            if len(route) > 2:
+                routes[r] = _two_opt(d, route)
+                durations[r] = _duration(d, routes[r])
+        for v in rewarded:
+            if v not in used:
+                insert(v)
+    kept = [route for route in routes if len(route) > 2]
+    return sum(inst.rewards.get(v, 0) for route in kept for v in route[1:-1]), kept
+
+
+def _lp_guided_incumbent(handle, x, stats):
+    """``lp_guided_routes`` on the node optimum ``x`` when its routes pass
+    the route validator on the search's instance and collect the reward it
+    claims; any other candidate is dropped and counted."""
+    inst = handle.instance
+    cand = lp_guided_routes(inst, {i: x[c] for i, c in handle.y_index.items()})
+    if cand is None:
+        return None
+    verdict = validate_solution(inst, cand[1])
+    if not verdict.ok or verdict.reward != cand[0]:
+        stats["heuristic_discarded"] += 1
+        return None
+    return cand
+
+
 def branch_and_bound(handle, work_model, pool, config, deadline, node_cut_hook=None):
     """LP branch-and-bound over ``work_model`` with a lazy inequality pool.
 
@@ -287,8 +412,17 @@ def branch_and_bound(handle, work_model, pool, config, deadline, node_cut_hook=N
     LP must satisfy all of them before it may branch or improve the
     incumbent.  ``node_cut_hook(sol, round_idx, add_row)`` may append extra
     valid rows at each node (the baseline's per-node connectivity loop).
+    Returns (status, incumbent value, upper bound, incumbent routes, stats);
+    stats counts nodes, activated pool rows, LP fallbacks and the heuristic's
+    seconds, incumbents and discarded candidates.
     """
-    stats = {"nodes": 0, "pool_activated": 0}
+    stats = {
+        "nodes": 0,
+        "pool_activated": 0,
+        "heuristic_s": 0.0,
+        "heuristic_incumbents": 0,
+        "heuristic_discarded": 0,
+    }
     base_bounds = np.array([work_model.lower, work_model.upper], dtype=float).T
     session = lp.HighsSession(work_model)
 
@@ -312,9 +446,10 @@ def branch_and_bound(handle, work_model, pool, config, deadline, node_cut_hook=N
             break
         if dive is not None:
             parent_bound, depth, fixings = dive
+            basis = None  # the dive child goes on from its parent's live basis
             dive = None
         else:
-            parent_bound, depth, fixings = tree.pop()
+            parent_bound, depth, fixings, basis = tree.pop()
         if (
             best_value > -math.inf
             and parent_bound < math.inf
@@ -328,6 +463,8 @@ def branch_and_bound(handle, work_model, pool, config, deadline, node_cut_hook=N
             bounds[col, 0] = lo
             bounds[col, 1] = up
 
+        if basis is not None:
+            session.set_basis(basis)
         sol = session.solve(bounds)
         feasible = sol.status == "optimal"
         round_idx = 0
@@ -347,6 +484,13 @@ def branch_and_bound(handle, work_model, pool, config, deadline, node_cut_hook=N
             feasible = sol.status == "optimal"
         if not feasible:
             continue
+        if stats["nodes"] == 1 or stats["nodes"] % HEURISTIC_EVERY == 0:
+            started = time.monotonic()
+            cand = _lp_guided_incumbent(handle, sol.x, stats)
+            stats["heuristic_s"] += time.monotonic() - started
+            if cand is not None and cand[0] > best_value:
+                best_value, best_routes = cand
+                stats["heuristic_incumbents"] += 1
         if floor_bound(sol.objective + INTEGER_TOL, step) <= best_value:
             continue  # objective on the reward grid: nothing better here
 
@@ -361,13 +505,12 @@ def branch_and_bound(handle, work_model, pool, config, deadline, node_cut_hook=N
         down = fixings + ((col, lo, math.floor(sol.x[col])),)
         upn = fixings + ((col, math.ceil(sol.x[col]), up),)
         # dive into the child agreeing with the fractional value's rounding;
-        # the sibling waits on the best-bound heap
+        # the sibling waits on the best-bound heap with this node's basis
         if sol.x[col] - math.floor(sol.x[col]) >= 0.5:
-            dive = (sol.objective, depth + 1, upn)
-            tree.push(sol.objective, depth + 1, down)
+            dive, waits = (sol.objective, depth + 1, upn), down
         else:
-            dive = (sol.objective, depth + 1, down)
-            tree.push(sol.objective, depth + 1, upn)
+            dive, waits = (sol.objective, depth + 1, down), upn
+        tree.push(sol.objective, depth + 1, waits, session.basis())
 
     open_bound = tree.best_open_bound()
     if dive is not None:
@@ -446,6 +589,7 @@ def _search_report(
     passes ``_certify`` against ``inst``."""
     status, best_value, upper, routes, stats = search
     fallbacks = root_fallbacks + stats["lp_fallbacks"]
+    timings = {**timings, "heuristic": stats["heuristic_s"]}
     found = best_value > -math.inf
     if status != "time-limit":
         if not found:
@@ -471,6 +615,8 @@ def _search_report(
         root_bound=root_bound,
         cut_pool=list(cuts),
         lp_fallbacks=fallbacks,
+        heuristic_incumbents=stats["heuristic_incumbents"],
+        heuristic_discarded=stats["heuristic_discarded"],
     )
 
 

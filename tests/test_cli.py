@@ -64,6 +64,9 @@ def test_cli_solve_json(five_path, capsys):
     assert payload["status"] == "optimal"
     assert payload["lower_bound"] == 22.0
     assert payload["lp_fallbacks"] == 0
+    # the LP-guided heuristic is reported as its own layer
+    assert payload["heuristic_incumbents"] >= 0 and payload["heuristic_discarded"] == 0
+    assert "heuristic" in payload["timings_s"]
 
 
 def test_cli_solve_modes_agree(five_path, capsys):
@@ -112,6 +115,7 @@ BAD_INPUT = {
 BAD_ROUTES = {
     "non-integer-route": ["--routes", "0 x 4"],
     "non-integer-route-file": ["--routes-file", "{dir}/routes.txt"],
+    "no-route-source": [],
 }
 # search limits are read by solve and bench
 BAD_FLAGS = {
@@ -120,14 +124,20 @@ BAD_FLAGS = {
     "negative-max-nodes": ["--max-nodes", "-1"],
     "unknown-family": ["--families", "connectivity,bogus"],
 }
+# worker counts are read by bench only
+BAD_JOBS = {
+    "zero-jobs": ["--jobs", "0"],
+    "negative-jobs": ["--jobs", "-3"],
+}
 BAD_CASES = [(command, case) for command in ("solve", "validate") for case in sorted(BAD_INPUT)]
 BAD_CASES += [("validate", case) for case in sorted(BAD_ROUTES)]
 BAD_CASES += [(command, case) for command in ("solve", "bench") for case in sorted(BAD_FLAGS)]
+BAD_CASES += [("bench", case) for case in sorted(BAD_JOBS)]
 
 
 @pytest.mark.parametrize(("command", "case"), BAD_CASES, ids=[f"{c}-{k}" for c, k in BAD_CASES])
 def test_cli_bad_input_prints_one_line(command, case, tmp_path, capsys):
-    text, flags = BAD_INPUT.get(case, (FIVE, BAD_FLAGS.get(case, [])))
+    text, flags = BAD_INPUT.get(case, (FIVE, BAD_FLAGS.get(case, BAD_JOBS.get(case, []))))
     path = tmp_path / "inst.txt"
     path.write_text(text)
     (tmp_path / "routes.txt").write_text("0 1 4\n0 x 4\n")
@@ -138,7 +148,7 @@ def test_cli_bad_input_prints_one_line(command, case, tmp_path, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"orienteer {command}: error: ")
-    if case in BAD_ROUTES:
+    if case.startswith("non-integer-route"):
         assert "'x'" in err
 
 

@@ -165,6 +165,49 @@ def test_session_agrees_with_stateless_solve(seed):
         assert model.n_rows == rows  # the session's model gains what the engine gains
 
 
+def _random_box(rng, model):
+    bounds = np.empty((model.n_cols, 2))
+    for j, (lo, up) in enumerate(zip(model.lower, model.upper)):
+        bounds[j, 0] = rng.uniform(lo, up)
+        bounds[j, 1] = rng.uniform(bounds[j, 0], up)
+    return bounds
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_session_restarts_from_a_saved_basis(seed):
+    # a basis saved before rows were appended and other bounds were solved
+    # still restarts the engine to the right optimum
+    rng = random.Random(seed)
+    model = _bounded_model(rng)
+    session = lp.HighsSession(model)
+    saved = []
+    for _ in range(4):
+        session.solve(_random_box(rng, model))
+        saved.append(session.basis())
+        session.add_rows([_random_inequality(rng, model.n_cols) for _ in range(rng.randint(1, 2))])
+    for basis in saved:
+        bounds = _random_box(rng, model)
+        session.set_basis(basis)
+        got = session.solve(bounds)
+        want = lp.solve(model, bounds)
+        assert got.status == want.status
+        if want.status == "optimal":
+            assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
+
+
+def test_rejected_basis_raises():
+    # a basis of another model does not fit this engine's columns
+    session = lp.HighsSession(_single_bound_model())
+    session.solve()
+    wider = _single_bound_model()
+    wider.add_column(0.0, 1.0, 1.0)
+    other = lp.HighsSession(wider)
+    other.solve()
+    with pytest.raises(lp.LpError, match="rejected the basis"):
+        session.set_basis(other.basis())
+
+
 UNKNOWN = lp._hcore.HighsModelStatus.kUnknown
 
 

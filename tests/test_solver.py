@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -6,7 +7,7 @@ import pytest
 
 from orienteer import lp, solver
 from orienteer.formulation import build_flow_formulation
-from orienteer.instance import min_time_matrix, preprocess
+from orienteer.instance import min_time_matrix, preprocess, validate_solution
 from orienteer.oracle import enumerate_optimal
 from orienteer.solver import (
     SolveConfig,
@@ -152,8 +153,26 @@ def test_uncertified_incumbent_raises(rng, monkeypatch):
     inst = next(
         i
         for i in (make_random_instance(rng, mandatory_share=0.0) for _ in range(50))
-        if solve_stop(i, FAST).lower_bound > 0
+        if solve_stop(i, FAST).lower_bound > 0 and _overlong_routes(preprocess(i)[0])
     )
+    want = solve_stop(inst, FAST)
+
+    # a heuristic candidate that runs past the time limit is dropped, and
+    # the search still finds and certifies the optimum
+    def overlong(pre, y):
+        routes = _overlong_routes(pre)
+        return validate_solution(pre, routes).reward, routes
+
+    monkeypatch.setattr(solver, "lp_guided_routes", overlong)
+    for solve in (solve_stop, solve_baseline):
+        got = solve(inst, FAST)
+        assert got.status == "optimal" and got.lower_bound == want.lower_bound
+        assert independent_route_check(inst, got.routes) == []
+        assert got.heuristic_discarded >= 1 and got.heuristic_incumbents == 0
+
+    # with no heuristic incumbent, every reported route comes from
+    # extract_routes, whose output the stubs below break
+    monkeypatch.setattr(solver, "lp_guided_routes", lambda pre, y: None)
     real = solver.extract_routes
 
     def truncated(handle, x):
@@ -170,6 +189,79 @@ def test_uncertified_incumbent_raises(rng, monkeypatch):
     for solve in (solve_stop, solve_baseline):
         with pytest.raises(UncertifiedSolution, match="routes collect 0, reported"):
             solve(inst, FAST)
+
+
+def _overlong_routes(inst):
+    """One route over present arcs whose only fault is its duration, or
+    None when there is none of 3 or 4 inner vertices."""
+    s, t = inst.origin, inst.destination
+    for size in (3, 4):
+        for inner in itertools.permutations(sorted(inst.inner), size):
+            routes = [[s, *inner, t]]
+            violations = validate_solution(inst, routes).violations
+            if violations and all("exceeds limit" in v for v in violations):
+                return routes
+    return None
+
+
+def _draw_y(rng, inst):
+    """Visit values in [0, 1], some exactly 0 or 1, as an LP optimum has."""
+    return {v: rng.choice((0.0, 1.0, rng.random())) for v in range(inst.vertex_count)}
+
+
+def test_lp_guided_routes_are_valid():
+    rng = random.Random("lp-guided")
+    built = refused = 0
+    for k in range(240):
+        inst = make_random_instance(rng, tightness=(0.9, 2.2), mandatory_share=0.0)
+        if k % 2:
+            inst = _mandatory_heavy(rng, inst)
+        for target in (inst, preprocess(inst)[0]):
+            want = enumerate_optimal(target)
+            got = solver.lp_guided_routes(target, _draw_y(rng, target))
+            if got is None:
+                refused += 1
+                continue
+            value, routes = got
+            verdict = validate_solution(target, routes)
+            assert verdict.violations == [], (k, routes)
+            assert verdict.reward == value, k
+            assert want is not None and value <= want.total_reward, k
+            built += 1
+    assert built and refused
+
+
+def test_lp_guided_routes_refuse_an_unplaceable_mandatory_vertex():
+    # vertex 1 lies only on a route of 5 time units, over the limit of 4
+    inst = make_figure_instance(fleet=2, mandatory=(I,))
+    assert solver.lp_guided_routes(inst, {v: 1.0 for v in range(6)}) is None
+    reachable = make_figure_instance(fleet=2, mandatory=(L,))
+    value, routes = solver.lp_guided_routes(reachable, {v: 1.0 for v in range(6)})
+    assert validate_solution(reachable, routes).ok and value == 1  # L then J
+
+
+def test_discarded_heuristic_candidate_never_reported(rng, monkeypatch):
+    # candidates whose claimed reward the routes do not collect are dropped
+    instances = [make_random_instance(rng, tightness=(0.9, 1.6)) for _ in range(8)]
+    want = [(solve_stop(i, FAST), solve_baseline(i, FAST)) for i in instances]
+    real = solver.lp_guided_routes
+
+    def overclaimed(pre, y):
+        got = real(pre, y)
+        return None if got is None else (got[0] + 1000, got[1])
+
+    monkeypatch.setattr(solver, "lp_guided_routes", overclaimed)
+    discarded = 0
+    for inst, pair in zip(instances, want):
+        for solve, ref in zip((solve_stop, solve_baseline), pair):
+            got = solve(inst, FAST)
+            assert got.status == ref.status
+            assert got.heuristic_incumbents == 0
+            if got.status == "optimal":
+                assert got.lower_bound == ref.lower_bound < 1000
+                assert independent_route_check(inst, got.routes) == []
+            discarded += got.heuristic_discarded
+    assert discarded  # the stub's candidates reached the validator
 
 
 def test_incumbent_satisfies_every_pool_row(rng):
