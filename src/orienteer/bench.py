@@ -27,7 +27,7 @@ import time
 from dataclasses import dataclass, field, replace
 
 from . import solver
-from .instance import parse_instance
+from .instance import instance_name, read_instance
 from .separation import CONFLICT, CONNECTIVITY, COVER
 
 CONFIG_FAMILIES = {
@@ -76,15 +76,11 @@ def _num(v):
 
 def bench_one(path, mode, config):
     """Solve one instance file in the given mode; failures land in the row."""
-    name = path.rsplit("/", 1)[-1]
-    for suffix in (".txt", ".top", ".stop"):
-        if name.endswith(suffix):
-            name = name[: -len(suffix)]
+    name = instance_name(path)
     row = BenchRow(name, _set_id(name), mode, "error", None, None, 1.0, 0.0)
     t0 = time.monotonic()
     try:
-        with open(path) as fh:
-            inst = parse_instance(fh.read(), name=name)
+        inst = read_instance(path)
         if mode in CONFIG_FAMILIES:
             # a zero-node search stops right after the root cutting loop
             rep = solver.solve_stop(inst, replace(config, families=CONFIG_FAMILIES[mode], max_nodes=0))
@@ -127,11 +123,10 @@ def _floor_impact(inst, kind):
     """How much the per-arc lower-bound rows tighten one relaxation."""
     from . import lp
     from .formulation import build_arrival_formulation, build_flow_formulation
-    from .instance import preprocess
 
-    if solver._screen(inst) is not None:
+    pre, blocker = solver._screen(inst)
+    if blocker is not None:
         return {"status": "infeasible"}
-    pre, _ = preprocess(inst)
     if kind == "flow":
         handle = build_flow_formulation(pre)
     else:

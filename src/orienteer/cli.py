@@ -16,7 +16,7 @@ from .instance import (
     InstanceError,
     Verdict,
     generate_stop,
-    parse_instance,
+    read_instance,
     serialize_instance,
     validate_solution,
 )
@@ -57,30 +57,19 @@ def _config(args):
     return solver.SolveConfig(time_limit_s=args.time_limit, families=fams, max_nodes=args.max_nodes)
 
 
-def _read_instance(path, mandatory=None):
-    with open(path) as fh:
-        return parse_instance(
-            fh.read(),
-            mandatory_spec=mandatory,
-            name=path.rsplit("/", 1)[-1].rsplit(".", 1)[0],
-        )
-
-
 def _cmd_solve(args):
-    inst = _read_instance(args.instance, args.mandatory.split() or None)
+    inst = read_instance(args.instance, args.mandatory.split() or None)
     cfg = _config(args)
     if args.mode in bench_mod.CONFIG_FAMILIES:
         # full pipeline restricted to the mode's cut families
         cfg = replace(cfg, families=bench_mod.CONFIG_FAMILIES[args.mode])
     if args.dump_lp:
         from . import lp as lp_mod
-        from .instance import preprocess
 
-        pre, report = preprocess(inst)
-        if report.infeasible_mandatory:
+        pre, blocker = solver._screen(inst)
+        if blocker is not None:
             # preprocessing dropped the vertex, so the relaxation left over
             # would describe a different, possibly feasible, model
-            blocker = min(report.infeasible_mandatory)
             print(
                 f"orienteer solve: no LP written to {args.dump_lp}: "
                 f"mandatory vertex {blocker} cannot be routed within the limit",
@@ -127,7 +116,7 @@ def _cmd_solve(args):
 
 
 def _cmd_generate(args):
-    inst = _read_instance(args.instance)
+    inst = read_instance(args.instance)
     out = generate_stop(inst, args.fraction, args.seed)
     text = serialize_instance(out)
     if args.output:
@@ -182,7 +171,7 @@ def _parse_routes(text):
 
 
 def _cmd_validate(args):
-    inst = _read_instance(args.instance, args.mandatory.split() or None)
+    inst = read_instance(args.instance, args.mandatory.split() or None)
     if args.oracle:
         try:
             best = enumerate_optimal(inst, hard_cap=args.oracle_budget)

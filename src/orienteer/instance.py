@@ -275,6 +275,22 @@ def parse_instance(text, mandatory_spec=None, name=""):
     )
 
 
+def instance_name(path):
+    """The file name of ``path`` with its ``.txt``, ``.top`` and ``.stop``
+    suffixes stripped in that order; any other dot stays (``p1.2.a``)."""
+    name = path.rsplit("/", 1)[-1]
+    for suffix in (".txt", ".top", ".stop"):
+        if name.endswith(suffix):
+            name = name[: -len(suffix)]
+    return name
+
+
+def read_instance(path, mandatory_spec=None):
+    """``parse_instance`` on the file at ``path``, named by ``instance_name``."""
+    with open(path) as fh:
+        return parse_instance(fh.read(), mandatory_spec=mandatory_spec, name=instance_name(path))
+
+
 def serialize_instance(inst):
     """Inverse of parse_instance (coordinates required, full float precision)."""
     if inst.coordinates is None:

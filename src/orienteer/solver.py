@@ -1,17 +1,21 @@
 """Exact solution pipelines.
 
-Two modes share one branch-and-bound engine:
+Every pipeline starts with one screening pass (``_screen``), preprocessing,
+which also names an unroutable mandatory vertex that ends the solve as
+infeasible.  Every LP is then tightened by one round loop (``_cut_rounds``):
+separate rows against the optimum, append them at once and re-solve, until a
+round finds nothing, the LP empties or the bound gains at most a tolerance.
+Two modes share it and one branch-and-bound engine:
 
-* main pipeline: preprocess, screen for obviously unroutable mandatory
-  vertices, build the flow formulation with the per-arc flow lower bounds
-  marked poolable, run the root cutting loop (connectivity, conflict and
-  lifted-cover separation against successive LP optima), then close the
-  integrality gap by LP-based branch-and-bound where pooled inequalities are
-  appended lazily whenever a node optimum violates them.
+* main pipeline: the flow formulation, its per-arc flow lower bounds
+  poolable.  Root rounds separate filtered connectivity, conflict and
+  lifted-cover cuts until a round gains at most ``PHASE_TOL``; node rounds
+  append the violated pooled rows (flow lower bounds and root cuts) until
+  none is left.
 
 * baseline: the arrival-time formulation with the aggregate travel-time row
-  kept, connectivity cuts separated at every tree node until the bound gain
-  drops below a tolerance, no cut filtering and no pool.
+  kept; node rounds append every violated connectivity cut (no filter, no
+  pool) until a round gains at most ``NODE_TOL``.
 
 Both searches prune on the reward grid: every objective value is a multiple
 of g = gcd(rewards), so a node is dropped once its bound, rounded down to a
@@ -19,8 +23,8 @@ multiple of g (``separation.floor_bound``), cannot beat the incumbent.  With
 g = 1 that is the plain integer rounding.  Reported bounds stay raw LP values.
 
 Incumbents come from two places.  A node whose LP optimum is integral gives
-its routes (``extract_routes``).  And at the first node, once its pool/cut
-loop settles, and then at every ``HEURISTIC_EVERY``-th node, the LP-guided
+its routes (``extract_routes``).  And at the first node, once its cut rounds
+settle, and then at every ``HEURISTIC_EVERY``-th node, the LP-guided
 heuristic (``lp_guided_routes``) builds routes by cheapest insertion in order
 of the node's visit values and polishes them with 2-opt; a candidate is used
 only after it passes the route validator on the search's instance with the
@@ -51,7 +55,8 @@ import numpy as np
 
 from . import lp
 from .formulation import build_arrival_formulation, build_flow_formulation
-from .instance import min_time_matrix, preprocess, validate_solution
+# min_time_matrix is unused here, but perfbench/spans.py wraps solver.min_time_matrix
+from .instance import min_time_matrix, preprocess, validate_solution  # noqa: F401
 from .separation import (
     CONFLICT,
     CONFLICT_FILTER,
@@ -139,39 +144,56 @@ class PhaseResult:
     lp_fallbacks: int
 
 
+def _checked(sol):
+    """``sol`` unless it is unbounded: every formulation here bounds its
+    objective, so an unbounded LP is an engine fault and raises ``LpError``."""
+    if sol.status not in ("optimal", "infeasible"):
+        raise lp.LpError(f"relaxation came back {sol.status}")
+    return sol
+
+
+def _cut_rounds(session, sol, separate, tol, bounds=None, deadline=None):
+    """Rounds from the optimum ``sol`` of the LP in ``session``: check
+    ``deadline``, append the rows ``separate(sol)`` returns in one call and
+    re-solve under ``bounds`` (None: those in force), until ``separate``
+    returns nothing, the LP is infeasible or a round gains at most ``tol``
+    (None: never on the gain).  Returns (status, last solution, least
+    objective seen, rounds); status is bound, infeasible or time-limit."""
+    best = sol.objective
+    rounds = 0
+    while deadline is None or time.monotonic() <= deadline:
+        rows = separate(sol)
+        if not rows:
+            return "bound", sol, best, rounds
+        rounds += 1
+        session.add_rows(rows)
+        sol = _checked(session.solve(bounds))
+        if sol.status == "infeasible":
+            return "infeasible", sol, best, rounds
+        gain = best - sol.objective
+        best = min(best, sol.objective)
+        if tol is not None and gain <= tol:
+            return "bound", sol, best, rounds
+    return "time-limit", sol, best, rounds
+
+
 def cutting_plane_phase(inst, config=SolveConfig(), conflicts=None, deadline=None):
     """Root reinforcement loop.
 
-    Starting from the full linear relaxation, each round separates the
-    enabled cut families against the current optimum, keeps the most violated
-    plus sufficiently orthogonal ones (connectivity and conflict families
-    filtered separately, at most one cover cut), appends and re-solves.
-    Stops when a round finds nothing or the bound improves by at most
-    ``PHASE_TOL``.  The instance must already be preprocessed.
+    Starting from the full linear relaxation, cut rounds separate the
+    enabled cut families against the current optimum and keep the most
+    violated plus sufficiently orthogonal ones (connectivity and conflict
+    families filtered separately, at most one cover cut), until a round
+    finds nothing or improves the bound by at most ``PHASE_TOL``.  The
+    instance must already be preprocessed.
     """
     handle = build_flow_formulation(inst)
     if conflicts is None and CONFLICT in config.families:
         conflicts = build_conflict_set(inst, handle.min_times)
     session = lp.HighsSession(handle.model)
-    lp_bound = -math.inf
     cuts = []
-    iterations = 0
 
-    def result(status, upper, sol):
-        return PhaseResult(
-            status, handle, upper, lp_bound, cuts, iterations, sol, session.fallbacks
-        )
-
-    sol = session.solve()
-    if sol.status == "infeasible":
-        return result("infeasible", -math.inf, None)
-    if sol.status != "optimal":
-        raise lp.LpError(f"relaxation came back {sol.status}")
-    lp_bound = sol.objective
-    ub = lp_bound
-    while True:
-        if deadline is not None and time.monotonic() > deadline:
-            return result("time-limit", ub, sol)
+    def separate(sol):
         xv, yv = handle.point_from_solution(sol)
         fresh = []
         if CONNECTIVITY in config.families:
@@ -184,22 +206,19 @@ def cutting_plane_phase(inst, config=SolveConfig(), conflicts=None, deadline=Non
             cover = separate_lifted_cover(yv, inst, dual_bound=sol.objective)
             if cover is not None and cover.violation(xv, yv) > COVER_VIOLATION:
                 fresh.append(cover)
-        if not fresh:
-            return result("bound", ub, sol)
-        iterations += 1
-        session.add_rows([cut.to_row(handle) for cut in fresh])
         cuts.extend(fresh)
-        sol = session.solve()
-        if sol.status == "infeasible":
-            # cuts never exclude feasible integer points, so an emptied
-            # relaxation certifies the instance itself is infeasible
-            return result("infeasible", -math.inf, None)
-        if sol.status != "optimal":
-            raise lp.LpError(f"reinforced relaxation came back {sol.status}")
-        improvement = ub - sol.objective
-        ub = min(ub, sol.objective)
-        if improvement <= PHASE_TOL:
-            return result("bound", ub, sol)
+        return [cut.to_row(handle) for cut in fresh]
+
+    sol = _checked(session.solve())
+    lp_bound = sol.objective
+    status, ub, rounds = "infeasible", lp_bound, 0
+    if sol.status == "optimal":
+        status, sol, ub, rounds = _cut_rounds(session, sol, separate, PHASE_TOL, deadline=deadline)
+    if status == "infeasible":
+        # cuts never exclude feasible integer points, so an emptied
+        # relaxation certifies the instance itself is infeasible
+        ub, sol = -math.inf, None
+    return PhaseResult(status, handle, ub, lp_bound, cuts, rounds, sol, session.fallbacks)
 
 
 # -- branch and bound --------------------------------------------------------
@@ -405,13 +424,16 @@ def _lp_guided_incumbent(handle, x, stats):
     return cand
 
 
-def branch_and_bound(handle, work_model, pool, config, deadline, node_cut_hook=None):
-    """LP branch-and-bound over ``work_model`` with a lazy inequality pool.
+def branch_and_bound(handle, work_model, pool, config, deadline, separate=None):
+    """LP branch-and-bound over ``work_model``.
 
-    ``pool`` holds LpRow objects valid for every feasible solution; a node's
-    LP must satisfy all of them before it may branch or improve the
-    incumbent.  ``node_cut_hook(sol, round_idx, add_row)`` may append extra
-    valid rows at each node (the baseline's per-node connectivity loop).
+    Each node's LP runs cut rounds (``_cut_rounds``) before it may branch or
+    improve the incumbent.  By default a round appends the rows of ``pool``
+    (LpRow objects valid for every feasible solution) that the node optimum
+    violates, until none is left.  ``separate(sol)``, when given, supplies
+    the rows instead, until a round gains at most ``NODE_TOL`` (the
+    baseline's per-node connectivity cuts).  An unbounded node LP raises
+    ``LpError``.
     Returns (status, incumbent value, upper bound, incumbent routes, stats);
     stats counts nodes, activated pool rows, LP fallbacks and the heuristic's
     seconds, incumbents and discarded candidates.
@@ -425,12 +447,20 @@ def branch_and_bound(handle, work_model, pool, config, deadline, node_cut_hook=N
     }
     base_bounds = np.array([work_model.lower, work_model.upper], dtype=float).T
     session = lp.HighsSession(work_model)
-
-    def add_row(row):
-        session.add_rows([row])
-
     pool_active = [False] * len(pool)
     pool_matrix = _pool_matrix(pool, work_model.n_cols)
+
+    def pool_rows(sol):
+        violated = _violated_pool_rows(pool_matrix, pool_active, sol.x)
+        for k in violated:
+            pool_active[k] = True
+        stats["pool_activated"] += len(violated)
+        return [pool[k] for k in violated]
+
+    tol = NODE_TOL
+    if separate is None:
+        separate, tol = pool_rows, None
+
     order = _branch_order(handle)
     step = reward_step(handle.instance.rewards)
     tree = _Tree()
@@ -465,24 +495,10 @@ def branch_and_bound(handle, work_model, pool, config, deadline, node_cut_hook=N
 
         if basis is not None:
             session.set_basis(basis)
-        sol = session.solve(bounds)
-        feasible = sol.status == "optimal"
-        round_idx = 0
-        while feasible:
-            violated = _violated_pool_rows(pool_matrix, pool_active, sol.x)
-            hooked = False
-            if node_cut_hook is not None and not violated:
-                hooked = node_cut_hook(sol, round_idx, add_row)
-            if not violated and not hooked:
-                break
-            round_idx += 1
-            for k in violated:
-                add_row(pool[k])
-                pool_active[k] = True
-                stats["pool_activated"] += 1
-            sol = session.solve(bounds)
-            feasible = sol.status == "optimal"
-        if not feasible:
+        sol = _checked(session.solve(bounds))
+        if sol.status == "optimal":
+            sol = _cut_rounds(session, sol, separate, tol, bounds)[1]
+        if sol.status == "infeasible":
             continue
         if stats["nodes"] == 1 or stats["nodes"] % HEURISTIC_EVERY == 0:
             started = time.monotonic()
@@ -529,21 +545,14 @@ def branch_and_bound(handle, work_model, pool, config, deadline, node_cut_hook=N
 
 
 def _screen(inst):
-    """Cheap certificate: a mandatory vertex that cannot reach both ends."""
-    R = min_time_matrix(inst).values
-    s, t = inst.origin, inst.destination
-    for i in sorted(inst.mandatory):
-        if R[s, i] + R[i, t] > inst.time_limit:
-            return i
-    return None
+    """The one screening pass: (the preprocessed instance, the lowest
+    mandatory vertex that cannot reach both ends within the limit, or
+    None)."""
+    pre, report = preprocess(inst)
+    return pre, min(report.infeasible_mandatory, default=None)
 
 
-def _screen_report(inst, t0):
-    """Infeasible report when the screen finds an unroutable mandatory
-    vertex, else None."""
-    blocker = _screen(inst)
-    if blocker is None:
-        return None
+def _unroutable_report(blocker, t0):
     return _infeasible_report(
         {"total": time.monotonic() - t0},
         f"mandatory vertex {blocker} cannot be routed within the limit",
@@ -625,10 +634,9 @@ def solve_stop(inst, config=SolveConfig()):
     the flow lower bounds and all root cuts handled as a lazy pool."""
     t0 = time.monotonic()
     deadline = t0 + config.time_limit_s
-    screened = _screen_report(inst, t0)
-    if screened is not None:
-        return screened
-    pre, _ = preprocess(inst)
+    pre, blocker = _screen(inst)
+    if blocker is not None:
+        return _unroutable_report(blocker, t0)
     t_pre = time.monotonic() - t0
 
     phase = cutting_plane_phase(pre, config, deadline=deadline)
@@ -666,15 +674,13 @@ def solve_baseline(inst, config=SolveConfig()):
     every violated cut found is added (no orthogonality filter)."""
     t0 = time.monotonic()
     deadline = t0 + config.time_limit_s
-    screened = _screen_report(inst, t0)
-    if screened is not None:
-        return screened
-    pre, _ = preprocess(inst)
+    pre, blocker = _screen(inst)
+    if blocker is not None:
+        return _unroutable_report(blocker, t0)
     t_pre = time.monotonic() - t0
 
     handle = build_arrival_formulation(pre, include_total_time_row=True)
-    work = handle.model
-    root = lp.solve(work)
+    root = _checked(lp.solve(handle.model))
     if root.status == "infeasible":
         return _infeasible_report(
             {"preprocess": t_pre, "total": time.monotonic() - t0},
@@ -683,26 +689,14 @@ def solve_baseline(inst, config=SolveConfig()):
     lp_bound = root.objective
 
     added = []
-    prev_obj = [None]
 
-    def node_hook(sol, round_idx, add_row):
-        # one separation round per call; the engine re-solves between rounds,
-        # and rounds at a node stop once the gain falls to the tolerance
-        if round_idx == 0:
-            prev_obj[0] = None
-        if prev_obj[0] is not None and prev_obj[0] - sol.objective <= NODE_TOL:
-            return False
+    def separate(sol):
         xv, yv = handle.point_from_solution(sol)
         cand = separate_connectivity(xv, yv, pre)
-        if not cand:
-            return False
-        for cut in cand:
-            add_row(cut.to_row(handle))
-            added.append(cut)
-        prev_obj[0] = sol.objective
-        return True
+        added.extend(cand)
+        return [cut.to_row(handle) for cut in cand]
 
-    search = branch_and_bound(handle, work, [], config, deadline, node_cut_hook=node_hook)
+    search = branch_and_bound(handle, handle.model, [], config, deadline, separate)
     t_total = time.monotonic() - t0
     timings = {"preprocess": t_pre, "search": t_total - t_pre, "total": t_total}
     counts = {CONNECTIVITY: len(added), CONFLICT: 0, COVER: 0}
@@ -712,12 +706,11 @@ def solve_baseline(inst, config=SolveConfig()):
 def solve_lp_only(inst, config=SolveConfig()):
     """Bound from the plain relaxation (flow kind, hard flow lower bounds)."""
     t0 = time.monotonic()
-    screened = _screen_report(inst, t0)
-    if screened is not None:
-        return screened
-    pre, _ = preprocess(inst)
+    pre, blocker = _screen(inst)
+    if blocker is not None:
+        return _unroutable_report(blocker, t0)
     handle = build_flow_formulation(pre)
-    sol = lp.solve(handle.model)
+    sol = _checked(lp.solve(handle.model))
     t_total = time.monotonic() - t0
     if sol.status == "infeasible":
         return _infeasible_report({"total": t_total}, "linear relaxation infeasible")

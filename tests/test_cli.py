@@ -8,7 +8,13 @@ from orienteer import bench
 from orienteer.cli import main, validate_solution
 from orienteer.instance import parse_instance, preprocess
 from orienteer.separation import CONFLICT, CONNECTIVITY, COVER
-from orienteer.solver import SolveConfig, cutting_plane_phase
+from orienteer.solver import (
+    SolveConfig,
+    cutting_plane_phase,
+    solve_baseline,
+    solve_lp_only,
+    solve_stop,
+)
 
 from conftest import I, J, K, L, S, T, make_figure_instance
 
@@ -168,6 +174,36 @@ def test_cli_dump_lp_only_for_a_screened_instance(five_path, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert json.loads(out)["status"] == "optimal" and err == ""
     assert dump.read_text().startswith("\\ tight\nMaximize\n")
+
+
+def test_screened_instance_gives_one_verdict_everywhere(tmp_path, capsys):
+    # on a budget of 12, mandatory vertices 1 and 3 both need 13.06 while
+    # vertex 2 fits; every path names the lowest blocker, vertex 1
+    path = tmp_path / "tight.txt"
+    path.write_text(FIVE.replace("tmax 20", "tmax 12") + "M: 3 1 2\n")
+    inst = parse_instance(path.read_text())
+    cfg = SolveConfig(time_limit_s=30)
+    reports = [solve(inst, cfg) for solve in (solve_stop, solve_baseline, solve_lp_only)]
+    assert {r.status for r in reports} == {"infeasible"}
+    assert {r.reason for r in reports} == {"mandatory vertex 1 cannot be routed within the limit"}
+    assert bench.run_bench([str(path)], "impact-flow", cfg)[0].status == "infeasible"
+    dump = tmp_path / "relaxation.lp"
+    assert main(["solve", str(path), "--dump-lp", str(dump), "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["reason"] == reports[0].reason
+    assert "mandatory vertex 1 " in err
+    assert not dump.exists()
+
+
+def test_solve_and_bench_name_a_dotted_file_alike(tmp_path, capsys):
+    # only .txt, .top and .stop are suffixes; other dots belong to the name
+    path = tmp_path / "p1.2.a"
+    path.write_text(FIVE)
+    assert main(["solve", str(path), "--mode", "lp", "--json"]) == 0
+    named = json.loads(capsys.readouterr().out)["instance"]
+    row = bench.run_bench([str(path)], "lp")[0]
+    assert named == row.instance == "p1.2.a"
+    assert row.set_id == "1"
 
 
 def test_cli_bench_text_and_csv(five_path, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from dataclasses import replace
 
 import pytest
@@ -318,6 +319,19 @@ def test_methods_share_optimal_values(rng):
             assert a.lower_bound == b.lower_bound
 
 
+def test_root_loop_stops_at_the_deadline(rng):
+    inst = make_random_instance(rng, mandatory_share=0.0)
+    pre, _ = preprocess(inst)
+    # a deadline already past: the root LP is solved, no round runs
+    phase = cutting_plane_phase(pre, FAST, deadline=time.monotonic() - 1)
+    assert phase.status == "time-limit"
+    assert phase.iterations == 0
+    assert phase.upper_bound == phase.lp_bound
+    rep = solve_stop(inst, replace(FAST, time_limit_s=0.0))
+    assert rep.status == "time-limit"
+    assert rep.upper_bound >= enumerate_optimal(inst).total_reward - 1e-9
+
+
 def test_time_limit_report_keeps_valid_bounds(rng):
     inst = make_random_instance(rng, n_max=9, tightness=(1.8, 2.2))
     squeezed = replace(FAST, max_nodes=1)
@@ -391,6 +405,23 @@ def test_rejected_row_append_raises(rng, monkeypatch):
     _stub_engine(monkeypatch, addRows=lambda self, *args: rejected)
     with pytest.raises(lp.LpError, match="rejected appended rows"):
         solve_stop(inst, FAST)
+
+
+def test_unbounded_node_lp_raises(rng, monkeypatch):
+    # every formulation bounds its objective, so an unbounded node LP is an
+    # engine fault: it must end the solve, not prune the node as infeasible
+    inst = make_random_instance(rng, mandatory_share=0.0)
+    solve = lp.HighsSession.solve
+
+    def unbounded_at_nodes(self, bounds_override=None):
+        if bounds_override is not None:  # node solves fix column bounds
+            return lp.LpSolution("unbounded", math.inf, None)
+        return solve(self, bounds_override)
+
+    monkeypatch.setattr(lp.HighsSession, "solve", unbounded_at_nodes)
+    for pipeline in (solve_stop, solve_baseline):
+        with pytest.raises(lp.LpError, match="unbounded"):
+            pipeline(inst, FAST)
 
 
 def test_lp_only_bound(figure_instance):
