@@ -97,6 +97,7 @@ def _cmd_solve(args):
         "lp_fallbacks": rep.lp_fallbacks,
         "heuristic_incumbents": rep.heuristic_incumbents,
         "heuristic_discarded": rep.heuristic_discarded,
+        "reduced_cost_fixed": rep.reduced_cost_fixed,
     }
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -151,7 +152,8 @@ def _cmd_bench(args):
         with open(args.json_out, "w") as fh:
             fh.write(bench_mod.to_json(rows))
     sys.stdout.write(bench_mod.to_text(rows))
-    return 0
+    # a raised solve fails the run; its row says why
+    return 1 if any(r.status == "error" for r in rows) else 0
 
 
 def _vertex_id(token):

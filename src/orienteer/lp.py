@@ -5,7 +5,8 @@ row appends (the cutting-plane loop lives on those), and are solved by the
 HiGHS engine bundled with scipy (>= 1.15), used in one of two ways:
 
 * ``solve``        - one-shot solve on a fresh engine: optimal, infeasible or
-                     unbounded, or ``LpError`` when HiGHS cannot tell
+                     unbounded, or ``LpError`` when HiGHS cannot tell and a
+                     zero-cost probe finds a feasible point
 * ``HighsSession`` - one engine kept for warm-started re-solves after row
                      appends, bound changes and basis restarts; it settles
                      an LP its engine cannot classify with ``solve`` and
@@ -148,6 +149,8 @@ class LpSolution:
     status: str  # optimal | infeasible | unbounded
     objective: float
     x: np.ndarray | None
+    # reduced costs of the columns for the maximized objective (optimal only)
+    dual: np.ndarray | None = None
 
 
 def _engine(model, bounds=None, cost=None):
@@ -183,8 +186,10 @@ def _engine(model, bounds=None, cost=None):
 def _verdict(engine, status, objective):
     """LpSolution for a classified engine status, else None."""
     if status == _hcore.HighsModelStatus.kOptimal:
-        x = np.asarray(engine.getSolution().col_value)
-        return LpSolution("optimal", float(np.dot(objective, x)), x)
+        point = engine.getSolution()
+        x = np.asarray(point.col_value)
+        # the engine minimizes the negated objective, so its duals flip sign
+        return LpSolution("optimal", float(np.dot(objective, x)), x, -np.asarray(point.col_dual))
     if status == _hcore.HighsModelStatus.kInfeasible:
         return LpSolution("infeasible", -math.inf, None)
     if status == _hcore.HighsModelStatus.kUnbounded:
@@ -194,7 +199,8 @@ def _verdict(engine, status, objective):
 
 def solve(model, bounds_override=None):
     """Solve to proven optimality (or infeasible/unbounded status) on fresh
-    engines; raises ``LpError`` when HiGHS cannot classify the LP.
+    engines; raises ``LpError`` when HiGHS cannot classify an LP that has a
+    feasible point.
 
     ``bounds_override`` is an optional (n, 2) array of column bounds used in
     place of the model's own; branch-and-bound nodes rely on it to avoid
@@ -209,19 +215,26 @@ def solve(model, bounds_override=None):
         h.run()
         return h, h.getModelStatus()
 
+    def probe():
+        # a zero-cost solve has a trivially feasible dual, so its status
+        # settles whether any point exists at all
+        return attempt(cost=np.zeros(model.n_cols))[1]
+
     h, status = attempt()
     if status in (status_of.kInfeasible, status_of.kUnbounded, status_of.kUnboundedOrInfeasible):
-        # presolve can conflate primal and dual infeasibility; a zero-cost
-        # probe cannot (the dual is trivially feasible), so it settles
-        # whether any point exists at all
-        _, probe = attempt(cost=np.zeros(model.n_cols))
-        if probe == status_of.kInfeasible:
+        # presolve can conflate primal and dual infeasibility; the probe cannot
+        found = probe()
+        if found == status_of.kInfeasible:
             return LpSolution("infeasible", -math.inf, None)
-        if probe == status_of.kOptimal:
+        if found == status_of.kOptimal:
             return LpSolution("unbounded", math.inf, None)
     if status != status_of.kOptimal:
         h, status = attempt(presolve=False)
     sol = _verdict(h, status, model.objective)
+    if sol is None and probe() == status_of.kInfeasible:
+        # HiGHS may fail to classify an LP with and without presolve that has
+        # no point at all
+        return LpSolution("infeasible", -math.inf, None)
     if sol is None:
         raise LpError(
             f"HiGHS could not classify the LP: model status {h.modelStatusToString(status)}"

@@ -21,6 +21,11 @@ Both searches prune on the reward grid: every objective value is a multiple
 of g = gcd(rewards), so a node is dropped once its bound, rounded down to a
 multiple of g (``separation.floor_bound``), cannot beat the incumbent.  With
 g = 1 that is the plain integer rounding.  Reported bounds stay raw LP values.
+The grid also fixes columns: before a node branches, a binary arc or visit
+column at 0 (1) whose reduced cost d shows that moving it to 1 (0) leaves at
+most z + d (z - d) < incumbent + g is fixed where it sits, for both children
+and so, at the first node, for the whole tree (``_reduced_cost_fixings``).
+Continuous flow and slack columns are never fixed.
 
 Incumbents come from two places.  A node whose LP optimum is integral gives
 its routes (``extract_routes``).  And at the first node, once its cut rounds
@@ -40,8 +45,9 @@ node left: its parent stored its final basis with it at branching
 
 Everything is deterministic for a fixed configuration: node selection is
 best-bound with deeper-first then insertion-order tie-breaks, branching picks
-the most fractional arc variable (then visit variable), ties on the lowest
-column index, and the heuristic breaks every tie on vertex ids.
+the fractional visit variable with the largest value (then, with every visit
+integral, the most fractional arc variable), ties on the lowest column index,
+and the heuristic breaks every tie on vertex ids.
 """
 
 from __future__ import annotations
@@ -112,6 +118,7 @@ class SolveReport:
     lp_fallbacks: int = 0  # LPs the sessions settled with the stateless solve
     heuristic_incumbents: int = 0  # incumbents the LP-guided heuristic supplied
     heuristic_discarded: int = 0  # its candidates the route validator turned down
+    reduced_cost_fixed: int = 0  # binary columns the search fixed by reduced cost
 
     @property
     def gap(self):
@@ -268,23 +275,40 @@ class _Tree:
 
 
 def _branch_order(handle):
-    """Column ids of the arc block then the visit block, in index order
-    (ties in fractionality resolve to the lowest column id)."""
-    xs = np.fromiter((handle.x_index[a] for a in sorted(handle.x_index)), dtype=np.int64)
-    ys = np.fromiter((handle.y_index[i] for i in sorted(handle.y_index)), dtype=np.int64)
-    return xs, ys
+    """Column ids of the visit block and of the arc block, each ascending:
+    the binary columns, in the order branching scans them."""
+    ys = np.sort(np.fromiter(handle.y_index.values(), dtype=np.int64))
+    xs = np.sort(np.fromiter(handle.x_index.values(), dtype=np.int64))
+    return ys, xs
 
 
 def _pick_branch_column(order, x):
-    for cols in order:
-        if not len(cols):
-            continue
-        vals = x[cols]
-        frac = np.abs(vals - np.round(vals))
-        k = int(np.argmax(frac))
-        if frac[k] > INTEGER_TOL:
-            return int(cols[k])
+    """The fractional visit column with the largest value, else the most
+    fractional arc column, else None; ties go to the lowest column id."""
+    ys, xs = order
+    y = x[ys]
+    frac = np.abs(y - np.round(y)) > INTEGER_TOL
+    if frac.any():
+        return int(ys[np.argmax(np.where(frac, y, -1.0))])
+    dist = np.abs(x[xs] - np.round(x[xs]))
+    if len(xs) and dist.max() > INTEGER_TOL:
+        return int(xs[np.argmax(dist)])
     return None
+
+
+def _reduced_cost_fixings(order, sol, bounds, cutoff):
+    """Fixings (column, v, v) for the free binary columns of ``order`` that
+    sit at v in {0, 1} in the optimum ``sol`` and whose reduced cost shows
+    that moving them to 1 - v drops the LP bound below ``cutoff``.  Only
+    binary columns qualify: the bound holds for a full move to the other
+    value, which a continuous column need not make."""
+    cols = np.concatenate(order)
+    cols = cols[(bounds[cols, 0] == 0.0) & (bounds[cols, 1] == 1.0)]
+    x, d = sol.x[cols], sol.dual[cols]
+    at0 = (x <= INTEGER_TOL) & (sol.objective + d < cutoff)
+    at1 = (x >= 1.0 - INTEGER_TOL) & (sol.objective - d < cutoff)
+    fixed = at0 | at1
+    return tuple((int(c), float(v), float(v)) for c, v in zip(cols[fixed], at1[fixed]))
 
 
 def extract_routes(handle, x):
@@ -432,11 +456,14 @@ def branch_and_bound(handle, work_model, pool, config, deadline, separate=None):
     (LpRow objects valid for every feasible solution) that the node optimum
     violates, until none is left.  ``separate(sol)``, when given, supplies
     the rows instead, until a round gains at most ``NODE_TOL`` (the
-    baseline's per-node connectivity cuts).  An unbounded node LP raises
+    baseline's per-node connectivity cuts).  A node that branches first
+    fixes binary columns by reduced cost against the incumbent on the reward
+    grid, and both children inherit the fixings.  An unbounded node LP raises
     ``LpError``.
     Returns (status, incumbent value, upper bound, incumbent routes, stats);
-    stats counts nodes, activated pool rows, LP fallbacks and the heuristic's
-    seconds, incumbents and discarded candidates.
+    stats counts nodes, activated pool rows, LP fallbacks, columns fixed by
+    reduced cost and the heuristic's seconds, incumbents and discarded
+    candidates.
     """
     stats = {
         "nodes": 0,
@@ -444,6 +471,7 @@ def branch_and_bound(handle, work_model, pool, config, deadline, separate=None):
         "heuristic_s": 0.0,
         "heuristic_incumbents": 0,
         "heuristic_discarded": 0,
+        "reduced_cost_fixed": 0,
     }
     base_bounds = np.array([work_model.lower, work_model.upper], dtype=float).T
     session = lp.HighsSession(work_model)
@@ -517,6 +545,11 @@ def branch_and_bound(handle, work_model, pool, config, deadline, separate=None):
                 best_value = value
                 best_routes = extract_routes(handle, sol.x)
             continue
+        if best_value > -math.inf:
+            # both children inherit what the reduced costs rule out here
+            fixed = _reduced_cost_fixings(order, sol, bounds, best_value + step - INTEGER_TOL)
+            stats["reduced_cost_fixed"] += len(fixed)
+            fixings += fixed
         lo, up = bounds[col]
         down = fixings + ((col, lo, math.floor(sol.x[col])),)
         upn = fixings + ((col, math.ceil(sol.x[col]), up),)
@@ -626,6 +659,7 @@ def _search_report(
         lp_fallbacks=fallbacks,
         heuristic_incumbents=stats["heuristic_incumbents"],
         heuristic_discarded=stats["heuristic_discarded"],
+        reduced_cost_fixed=stats["reduced_cost_fixed"],
     )
 
 

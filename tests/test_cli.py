@@ -73,6 +73,7 @@ def test_cli_solve_json(five_path, capsys):
     # the LP-guided heuristic is reported as its own layer
     assert payload["heuristic_incumbents"] >= 0 and payload["heuristic_discarded"] == 0
     assert "heuristic" in payload["timings_s"]
+    assert payload["reduced_cost_fixed"] >= 0
 
 
 def test_cli_solve_modes_agree(five_path, capsys):
@@ -244,6 +245,18 @@ def test_cli_bench_parallel_matches_serial(five_path, tmp_path):
     main(["bench", five_path, five_path, "--csv", str(a), "--jobs", "1", *cfg_args])
     main(["bench", five_path, five_path, "--csv", str(b), "--jobs", "2", *cfg_args])
     assert a.read_text() == b.read_text()
+
+
+def test_cli_bench_exits_nonzero_on_an_error_row(five_path, tmp_path, capsys):
+    bad = tmp_path / "broken.txt"
+    bad.write_text("n x\n")
+    csv_path = tmp_path / "rows.csv"
+    args = ["bench", five_path, "--mode", "cpa", "--time-limit", "60", "--csv", str(csv_path)]
+    assert main(args) == 0
+    assert main([*args[:2], str(bad), *args[2:]]) == 1
+    rows = csv_path.read_text().splitlines()
+    assert any(r.startswith("broken,") and ",error," in r for r in rows)
+    assert any(r.startswith("five,,cpa,optimal,") for r in rows)  # the rest still written
 
 
 # -- bench internals -----------------------------------------------------------

@@ -310,4 +310,46 @@ def test_unclassified_lp_raises(monkeypatch):
     monkeypatch.setattr(lp, "_engine", engine)
     with pytest.raises(lp.LpError, match="model status Unknown"):
         lp.solve(_single_bound_model())
-    assert len(fresh) == 2  # the first attempt and the retry without presolve
+    # the first attempt, the retry without presolve and the zero-cost probe
+    assert len(fresh) == 3
+
+
+def test_unclassified_infeasible_lp_is_infeasible(monkeypatch):
+    # HiGHS may leave an empty LP unclassified with and without presolve;
+    # the zero-cost probe still proves that no point exists
+    build = lp._engine
+
+    def engine(model, bounds=None, cost=None):
+        h = build(model, bounds, cost)
+        return h if cost is not None else UnknownStatus(h)
+
+    monkeypatch.setattr(lp, "_engine", engine)
+    m = lp.LpModel()
+    x = m.add_column(0.0, 1.0, 1.0)
+    m.add_row([(x, 1.0)], ">=", 2.0)
+    assert lp.solve(m).status == "infeasible"
+    with pytest.raises(lp.LpError, match="model status Unknown"):
+        lp.solve(_single_bound_model())  # feasible: the probe cannot settle it
+
+
+def test_reduced_costs_bound_every_column_move():
+    # ``dual`` holds the reduced costs of the maximized objective: forcing a
+    # column at a bound one unit inward costs at least its reduced cost
+    checked = 0
+    for seed in range(20):
+        model = _bounded_model(random.Random(seed))
+        sol = lp.solve(model)
+        if sol.status != "optimal":
+            continue
+        box = np.array([model.lower, model.upper], dtype=float).T
+        for j in range(model.n_cols):
+            for end, step in ((0, 1.0), (1, -1.0)):
+                if abs(sol.x[j] - box[j, end]) > 1e-9 or box[j, 1] - box[j, 0] < 1.0:
+                    continue
+                moved = box.copy()
+                moved[j] = box[j, end] + step
+                forced = lp.solve(model, bounds_override=moved)
+                if forced.status == "optimal":
+                    assert forced.objective <= sol.objective + step * sol.dual[j] + 1e-6
+                    checked += sol.dual[j] != 0.0
+    assert checked

@@ -1,14 +1,16 @@
 import itertools
 import math
+import os
 import random
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from orienteer import lp, solver
 from orienteer.formulation import build_flow_formulation
-from orienteer.instance import min_time_matrix, preprocess, validate_solution
+from orienteer.instance import min_time_matrix, preprocess, read_instance, validate_solution
 from orienteer.oracle import enumerate_optimal
 from orienteer.solver import (
     SolveConfig,
@@ -148,6 +150,24 @@ def test_oracle_agreement_on_reward_grid(scheme):
                 assert got.status == "optimal", (scheme, k, solve.__name__)
                 assert got.lower_bound == want.total_reward, (scheme, k, solve.__name__)
     assert heavy and infeasible  # the draw reaches both kinds of instance
+
+
+def test_reduced_cost_fixing_agrees_with_the_oracle():
+    # searches that branch with an incumbent in hand, half of them on a
+    # reward grid of 5: fixing by reduced cost must keep every optimum
+    rng = random.Random("reduced-cost-fixing")
+    fixing = {solve_stop: 0, solve_baseline: 0}
+    for k in range(120):
+        inst = make_random_instance(rng, n_max=11, tightness=(1.2, 2.2), mandatory_share=0.0)
+        if k % 2:
+            inst = replace(inst, rewards={i: 5 * p for i, p in inst.rewards.items()})
+        want = enumerate_optimal(inst)
+        for solve in fixing:
+            got = solve(inst, FAST)
+            fixing[solve] += got.reduced_cost_fixed > 0
+            assert got.status == "optimal", (k, solve.__name__)
+            assert got.lower_bound == want.total_reward, (k, solve.__name__)
+    assert all(fixing.values()), fixing  # both searches fixed columns somewhere
 
 
 def test_uncertified_incumbent_raises(rng, monkeypatch):
@@ -422,6 +442,62 @@ def test_unbounded_node_lp_raises(rng, monkeypatch):
     for pipeline in (solve_stop, solve_baseline):
         with pytest.raises(lp.LpError, match="unbounded"):
             pipeline(inst, FAST)
+
+
+def test_instance_with_an_unclassified_node_lp_solves_infeasible():
+    # a seeded mandatory-heavy instance with no feasible route set: one of
+    # the baseline's node LPs is left unclassified by HiGHS with and without
+    # presolve, and only the zero-cost probe shows it is empty
+    inst = read_instance(os.path.join(os.path.dirname(__file__), "data", "unclassified_node_lp.txt"))
+    for pipeline in (solve_stop, solve_baseline):
+        assert pipeline(inst, FAST).status == "infeasible", pipeline.__name__
+
+
+def test_branching_takes_the_largest_fractional_visit_then_the_most_fractional_arc(
+    figure_instance,
+):
+    handle = build_flow_formulation(preprocess(figure_instance)[0])
+    order = solver._branch_order(handle)
+    ys, xs = order
+    assert list(ys) == sorted(handle.y_index.values())
+    assert list(xs) == sorted(handle.x_index.values())
+    x = np.zeros(handle.model.n_cols)
+    x[xs] = 0.5
+    x[ys[:3]] = [1.0, 0.6, 0.6]
+    assert solver._pick_branch_column(order, x) == ys[1]  # tie: lowest id
+    x[ys[2]] = 0.9
+    assert solver._pick_branch_column(order, x) == ys[2]  # largest, not most fractional
+    x[ys] = np.round(x[ys])
+    x[xs[:4]] = [0.0, 0.8, 0.6, 0.4]
+    assert solver._pick_branch_column(order, x) == xs[2]  # most fractional arc, lowest id
+    x[xs] = 1.0
+    assert solver._pick_branch_column(order, x) is None
+
+
+def test_reduced_cost_fixing_touches_binary_columns_only(figure_instance):
+    # moving any column off its value would cost 1e6, far below the cutoff;
+    # still only arc and visit columns may be fixed: the bound covers a full
+    # move to the other binary value, which a flow or slack column (here
+    # bounded by [0, 1] with one vehicle) need not make
+    handle = build_flow_formulation(preprocess(figure_instance)[0])
+    order = solver._branch_order(handle)
+    binary = sorted(np.concatenate(order).tolist())
+    n = handle.model.n_cols
+    bounds = np.array([handle.model.lower, handle.model.upper], dtype=float).T
+    assert tuple(bounds[handle.slack_index]) == (0.0, 1.0)
+    for value, dual in ((0.0, -1e6), (1.0, 1e6)):
+        sol = lp.LpSolution("optimal", 10.0, np.full(n, value), np.full(n, dual))
+        fixed = solver._reduced_cost_fixings(order, sol, bounds, cutoff=5.0)
+        assert sorted(c for c, _, _ in fixed) == binary
+        assert all(lo == up == value for _, lo, up in fixed)
+        # no fixing when the move keeps the bound at the cutoff, or from a
+        # fractional value, or for a column a fixing already holds
+        assert solver._reduced_cost_fixings(order, sol, bounds, cutoff=10.0 - 1e6) == ()
+        half = lp.LpSolution("optimal", 10.0, np.full(n, 0.5), sol.dual)
+        assert solver._reduced_cost_fixings(order, half, bounds, cutoff=5.0) == ()
+        held = bounds.copy()
+        held[binary] = value
+        assert solver._reduced_cost_fixings(order, sol, held, cutoff=5.0) == ()
 
 
 def test_lp_only_bound(figure_instance):
