@@ -61,6 +61,7 @@ class BenchRow:
     lp_bound: float | None = None
     improvement: float | None = None
     error: str = ""
+    stats: dict = field(default_factory=dict)  # SolveReport.stats of a pipeline's solve
 
 
 def _set_id(name):
@@ -91,7 +92,8 @@ def bench_one(path, mode, config):
                 row.status = "bound"
                 row.upper = rep.root_bound
                 row.lp_bound = rep.lp_bound
-                row.cuts = {f: rep.cut_counts[f] for f in (CONNECTIVITY, CONFLICT, COVER)}
+                row.cuts = rep.cut_counts
+                row.stats = rep.stats
                 if row.lp_bound:
                     row.improvement = 100.0 * (row.lp_bound - row.upper) / row.lp_bound
         elif mode in IMPACT_MODES:
@@ -109,9 +111,10 @@ def bench_one(path, mode, config):
             row.lower = None if rep.lower_bound == -math.inf else rep.lower_bound
             row.upper = None if rep.upper_bound in (-math.inf, math.inf) else rep.upper_bound
             row.gap = rep.gap
-            row.cuts = dict(rep.cut_counts)
+            row.cuts = rep.cut_counts
             row.nodes = rep.node_count
             row.lp_bound = rep.lp_bound
+            row.stats = rep.stats
     except Exception as exc:  # never abort the batch
         row.status = "error"
         row.error = f"{type(exc).__name__}: {exc}"

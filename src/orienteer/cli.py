@@ -6,11 +6,10 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 
 from . import bench as bench_mod
 from . import solver
-from .formulation import build_flow_formulation as build_flow
+from .formulation import build_arrival_formulation, build_flow_formulation
 # Verdict is re-exported: both validator names stay importable from here
 from .instance import (
     InstanceError,
@@ -60,9 +59,6 @@ def _config(args):
 def _cmd_solve(args):
     inst = read_instance(args.instance, args.mandatory.split() or None)
     cfg = _config(args)
-    if args.mode in bench_mod.CONFIG_FAMILIES:
-        # full pipeline restricted to the mode's cut families
-        cfg = replace(cfg, families=bench_mod.CONFIG_FAMILIES[args.mode])
     if args.dump_lp:
         from . import lp as lp_mod
 
@@ -76,10 +72,14 @@ def _cmd_solve(args):
                 file=sys.stderr,
             )
         else:
-            handle = build_flow(pre)
+            # the model the mode's pipeline solves
+            if args.mode == "baseline":
+                handle = build_arrival_formulation(pre, include_total_time_row=True)
+            else:
+                handle = build_flow_formulation(pre)
             with open(args.dump_lp, "w") as fh:
                 fh.write(lp_mod.export_lp_text(handle.model, name=inst.name or "model"))
-    rep = solver.PIPELINES.get(args.mode, solver.solve_stop)(inst, cfg)
+    rep = solver.PIPELINES[args.mode](inst, cfg)
     status = rep.status
     payload = {
         "instance": inst.name,
@@ -90,14 +90,10 @@ def _cmd_solve(args):
         "gap_pct": 100.0 * rep.gap,
         "routes": rep.routes,
         "cuts": rep.cut_counts,
-        "nodes": rep.node_count,
         "lp_bound": rep.lp_bound,
         "timings_s": {k: round(v, 3) for k, v in rep.timings.items()},
         "reason": rep.reason,
-        "lp_fallbacks": rep.lp_fallbacks,
-        "heuristic_incumbents": rep.heuristic_incumbents,
-        "heuristic_discarded": rep.heuristic_discarded,
-        "reduced_cost_fixed": rep.reduced_cost_fixed,
+        **rep.stats,
     }
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -207,15 +203,10 @@ def main(argv=None):
 
     p = sub.add_parser("solve", help="solve one instance")
     p.add_argument("instance")
-    p.add_argument(
-        "--mode",
-        default="cpa",
-        choices=tuple(solver.PIPELINES) + tuple(bench_mod.CONFIG_FAMILIES),
-        help="config1..5 run the full pipeline restricted to a cut-family subset",
-    )
+    p.add_argument("--mode", default="cpa", choices=tuple(solver.PIPELINES))
     p.add_argument("--mandatory", default="", help="override mandatory ids, e.g. '3 7 9'")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--dump-lp", default="", help="write the relaxation in LP text format")
+    p.add_argument("--dump-lp", default="", help="write the relaxation the mode solves in LP text format")
     _add_param_flags(p)
     p.set_defaults(func=_cmd_solve)
 

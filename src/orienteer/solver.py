@@ -43,6 +43,13 @@ node left: its parent stored its final basis with it at branching
 (``HighsSession.basis``), and the node's LP restarts from that
 (``HighsSession.set_basis``).  The dive child goes on from the live basis.
 
+Every pipeline ends in one ``SolveReport``.  Its ``stats`` are the counters
+``branch_and_bound`` keeps (``_search_stats``), with the root's LP fallbacks
+added in, and its ``cut_pool`` holds every cut the solve separated; every
+exit, the infeasible ones included, keeps both, and a solve that never
+searched reports the same counters at zero.  ``node_count`` and
+``cut_counts`` are read off them.
+
 Everything is deterministic for a fixed configuration: node selection is
 best-bound with deeper-first then insertion-order tie-breaks, branching picks
 the fractional visit variable with the largest value (then, with every visit
@@ -102,6 +109,22 @@ class UncertifiedSolution(RuntimeError):
     """A reported incumbent failed the independent route check."""
 
 
+def _search_stats():
+    """The counters of one solve, all at zero: search nodes, activated pool
+    rows, the LP-guided heuristic's seconds, incumbents and candidates the
+    route validator turned down, binary columns fixed by reduced cost, and
+    LPs the sessions settled with the stateless solve."""
+    return {
+        "nodes": 0,
+        "pool_activated": 0,
+        "heuristic_s": 0.0,
+        "heuristic_incumbents": 0,
+        "heuristic_discarded": 0,
+        "reduced_cost_fixed": 0,
+        "lp_fallbacks": 0,
+    }
+
+
 @dataclass
 class SolveReport:
     status: str  # optimal | infeasible | time-limit | bound (lp mode: relaxation only)
@@ -109,20 +132,27 @@ class SolveReport:
     upper_bound: float
     timings: dict
     routes: list = field(default_factory=list)
-    cut_counts: dict = field(default_factory=dict)
-    node_count: int = 0
     lp_bound: float | None = None
     root_bound: float | None = None
     cut_pool: list = field(default_factory=list)
     reason: str = ""
-    lp_fallbacks: int = 0  # LPs the sessions settled with the stateless solve
-    heuristic_incumbents: int = 0  # incumbents the LP-guided heuristic supplied
-    heuristic_discarded: int = 0  # its candidates the route validator turned down
-    reduced_cost_fixed: int = 0  # binary columns the search fixed by reduced cost
+    stats: dict = field(default_factory=_search_stats)
 
     @property
     def gap(self):
         return compute_gap(self.status, self.lower_bound, self.upper_bound)
+
+    @property
+    def node_count(self):
+        return self.stats["nodes"]
+
+    @property
+    def cut_counts(self):
+        """Cuts in ``cut_pool`` per family."""
+        counts = dict.fromkeys((CONNECTIVITY, CONFLICT, COVER), 0)
+        for cut in self.cut_pool:
+            counts[cut.family] += 1
+        return counts
 
 
 def compute_gap(status, lower, upper):
@@ -460,19 +490,10 @@ def branch_and_bound(handle, work_model, pool, config, deadline, separate=None):
     fixes binary columns by reduced cost against the incumbent on the reward
     grid, and both children inherit the fixings.  An unbounded node LP raises
     ``LpError``.
-    Returns (status, incumbent value, upper bound, incumbent routes, stats);
-    stats counts nodes, activated pool rows, LP fallbacks, columns fixed by
-    reduced cost and the heuristic's seconds, incumbents and discarded
-    candidates.
+    Returns (status, incumbent value, upper bound, incumbent routes, stats),
+    stats being the search's ``_search_stats`` counters.
     """
-    stats = {
-        "nodes": 0,
-        "pool_activated": 0,
-        "heuristic_s": 0.0,
-        "heuristic_incumbents": 0,
-        "heuristic_discarded": 0,
-        "reduced_cost_fixed": 0,
-    }
+    stats = _search_stats()
     base_bounds = np.array([work_model.lower, work_model.upper], dtype=float).T
     session = lp.HighsSession(work_model)
     pool_active = [False] * len(pool)
@@ -570,7 +591,7 @@ def branch_and_bound(handle, work_model, pool, config, deadline, separate=None):
             upper = math.inf
     else:
         upper = best_value if best_value > -math.inf else -math.inf
-    stats["lp_fallbacks"] = session.fallbacks
+    stats["lp_fallbacks"] += session.fallbacks
     return status, best_value, upper, best_routes, stats
 
 
@@ -592,23 +613,10 @@ def _unroutable_report(blocker, t0):
     )
 
 
-def _infeasible_report(timings, reason, cut_counts=None, lp_fallbacks=0):
-    return SolveReport(
-        status="infeasible",
-        lower_bound=-math.inf,
-        upper_bound=-math.inf,
-        timings=timings,
-        cut_counts=cut_counts or {},
-        reason=reason,
-        lp_fallbacks=lp_fallbacks,
-    )
-
-
-def _family_counts(cuts):
-    counts = {CONNECTIVITY: 0, CONFLICT: 0, COVER: 0}
-    for c in cuts:
-        counts[c.family] += 1
-    return counts
+def _infeasible_report(timings, reason, **known):
+    """Report for an instance proven infeasible; ``known`` sets the other
+    ``SolveReport`` fields the exit has (cut pool, stats)."""
+    return SolveReport("infeasible", -math.inf, -math.inf, timings, reason=reason, **known)
 
 
 def _certify(inst, routes, value):
@@ -622,44 +630,33 @@ def _certify(inst, routes, value):
         raise UncertifiedSolution(f"{inst.name or 'instance'}: " + "; ".join(problems))
 
 
-def _search_report(
-    inst, search, root_upper, timings, counts, cuts, lp_bound, root_bound=None, root_fallbacks=0
-):
+def _search_report(inst, search, timings, cuts, lp_bound, root_bound=None):
     """Report for a finished ``branch_and_bound``: exhausted with no feasible
-    point, stopped with no incumbent, or an incumbent (proven optimal, or
-    below an upper bound capped by the root's ``root_upper``) that first
-    passes ``_certify`` against ``inst``."""
+    point (infeasible), stopped with no incumbent, or an incumbent (proven
+    optimal, or below an upper bound capped by the root's bound, else by
+    ``lp_bound``) that first passes ``_certify`` against ``inst``.  Every
+    exit keeps the cut pool ``cuts`` and the search's stats."""
     status, best_value, upper, routes, stats = search
-    fallbacks = root_fallbacks + stats["lp_fallbacks"]
-    timings = {**timings, "heuristic": stats["heuristic_s"]}
-    found = best_value > -math.inf
-    if status != "time-limit":
-        if not found:
-            return _infeasible_report(
-                timings, "search exhausted without a feasible point", counts, fallbacks
-            )
-        upper = best_value
+    reason = ""
+    if status == "time-limit":
+        upper = min(upper, lp_bound if root_bound is None else root_bound)
     else:
-        upper = min(upper, root_upper)
-    lower = -math.inf
-    if found:
+        upper = best_value
+        if best_value == -math.inf:
+            status, reason = "infeasible", "search exhausted without a feasible point"
+    if best_value > -math.inf:
         _certify(inst, routes, best_value)
-        lower = float(best_value)
     return SolveReport(
         status=status,
-        lower_bound=lower,
+        lower_bound=float(best_value),
         upper_bound=float(upper),
+        timings={**timings, "heuristic": stats["heuristic_s"]},
         routes=routes or [],
-        timings=timings,
-        cut_counts=counts,
-        node_count=stats["nodes"],
         lp_bound=lp_bound,
         root_bound=root_bound,
         cut_pool=list(cuts),
-        lp_fallbacks=fallbacks,
-        heuristic_incumbents=stats["heuristic_incumbents"],
-        heuristic_discarded=stats["heuristic_discarded"],
-        reduced_cost_fixed=stats["reduced_cost_fixed"],
+        reason=reason,
+        stats=stats,
     )
 
 
@@ -679,7 +676,8 @@ def solve_stop(inst, config=SolveConfig()):
         return _infeasible_report(
             {"preprocess": t_pre, "root": t_root, "total": time.monotonic() - t0},
             "linear relaxation infeasible",
-            lp_fallbacks=phase.lp_fallbacks,
+            cut_pool=phase.cuts,
+            stats={**_search_stats(), "lp_fallbacks": phase.lp_fallbacks},
         )
     handle = phase.handle
 
@@ -692,14 +690,10 @@ def solve_stop(inst, config=SolveConfig()):
     )
 
     search = branch_and_bound(handle, work, pool, config, deadline)
+    search[4]["lp_fallbacks"] += phase.lp_fallbacks
     t_total = time.monotonic() - t0
     timings = {"preprocess": t_pre, "root": t_root, "search": t_total - t_pre - t_root, "total": t_total}
-    counts = _family_counts(phase.cuts)
-    counts["pool_activated"] = search[4]["pool_activated"]
-    return _search_report(
-        inst, search, phase.upper_bound, timings, counts, phase.cuts, phase.lp_bound,
-        phase.upper_bound, phase.lp_fallbacks,
-    )
+    return _search_report(inst, search, timings, phase.cuts, phase.lp_bound, phase.upper_bound)
 
 
 def solve_baseline(inst, config=SolveConfig()):
@@ -733,8 +727,7 @@ def solve_baseline(inst, config=SolveConfig()):
     search = branch_and_bound(handle, handle.model, [], config, deadline, separate)
     t_total = time.monotonic() - t0
     timings = {"preprocess": t_pre, "search": t_total - t_pre, "total": t_total}
-    counts = {CONNECTIVITY: len(added), CONFLICT: 0, COVER: 0}
-    return _search_report(inst, search, lp_bound, timings, counts, added, lp_bound)
+    return _search_report(inst, search, timings, added, lp_bound)
 
 
 def solve_lp_only(inst, config=SolveConfig()):

@@ -6,7 +6,9 @@ import pytest
 
 from orienteer import bench
 from orienteer.cli import main, validate_solution
-from orienteer.instance import parse_instance, preprocess
+from orienteer.formulation import build_arrival_formulation, build_flow_formulation
+from orienteer.instance import parse_instance, preprocess, read_instance
+from orienteer.lp import export_lp_text
 from orienteer.separation import CONFLICT, CONNECTIVITY, COVER
 from orienteer.solver import (
     SolveConfig,
@@ -175,6 +177,46 @@ def test_cli_dump_lp_only_for_a_screened_instance(five_path, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert json.loads(out)["status"] == "optimal" and err == ""
     assert dump.read_text().startswith("\\ tight\nMaximize\n")
+
+
+def test_cli_dump_lp_writes_the_model_of_the_mode(five_path, tmp_path):
+    inst = read_instance(five_path)
+    pre, _ = preprocess(inst)
+    want = {
+        "cpa": build_flow_formulation(pre),
+        "lp": build_flow_formulation(pre),
+        # the baseline solves the arrival formulation with its total-time row
+        "baseline": build_arrival_formulation(pre, include_total_time_row=True),
+    }
+    for mode, handle in want.items():
+        dump = tmp_path / f"{mode}.lp"
+        assert main(["solve", five_path, "--mode", mode, "--dump-lp", str(dump)]) == 0
+        assert dump.read_text() == export_lp_text(handle.model, name=inst.name), mode
+
+
+def test_cli_solve_rejects_the_bench_config_modes(five_path, capsys):
+    # config1..5 are root-loop modes of bench only
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", five_path, "--mode", "config1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "config1" in err
+
+
+def test_cli_json_carries_the_solve_stats(five_path, tmp_path, capsys):
+    rep = solve_stop(read_instance(five_path), SolveConfig(time_limit_s=60))
+    counts = {k: v for k, v in rep.stats.items() if k != "heuristic_s"}  # no wall time
+    assert main(["solve", five_path, "--json", "--time-limit", "60"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["cuts"] == rep.cut_counts
+    assert set(payload["cuts"]) == {CONNECTIVITY, CONFLICT, COVER}
+    assert "heuristic_s" in payload and counts.items() <= payload.items()
+    rows = tmp_path / "rows.json"
+    assert main(["bench", five_path, "--json-out", str(rows), "--time-limit", "60"]) == 0
+    row = json.loads(rows.read_text())["rows"][0]
+    assert row["stats"].keys() == rep.stats.keys()
+    assert counts.items() <= row["stats"].items()
+    assert row["nodes"] == rep.node_count
 
 
 def test_screened_instance_gives_one_verdict_everywhere(tmp_path, capsys):

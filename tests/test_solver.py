@@ -10,7 +10,13 @@ import pytest
 
 from orienteer import lp, solver
 from orienteer.formulation import build_flow_formulation
-from orienteer.instance import min_time_matrix, preprocess, read_instance, validate_solution
+from orienteer.instance import (
+    min_time_matrix,
+    parse_instance,
+    preprocess,
+    read_instance,
+    validate_solution,
+)
 from orienteer.oracle import enumerate_optimal
 from orienteer.solver import (
     SolveConfig,
@@ -164,7 +170,7 @@ def test_reduced_cost_fixing_agrees_with_the_oracle():
         want = enumerate_optimal(inst)
         for solve in fixing:
             got = solve(inst, FAST)
-            fixing[solve] += got.reduced_cost_fixed > 0
+            fixing[solve] += got.stats["reduced_cost_fixed"] > 0
             assert got.status == "optimal", (k, solve.__name__)
             assert got.lower_bound == want.total_reward, (k, solve.__name__)
     assert all(fixing.values()), fixing  # both searches fixed columns somewhere
@@ -189,7 +195,7 @@ def test_uncertified_incumbent_raises(rng, monkeypatch):
         got = solve(inst, FAST)
         assert got.status == "optimal" and got.lower_bound == want.lower_bound
         assert independent_route_check(inst, got.routes) == []
-        assert got.heuristic_discarded >= 1 and got.heuristic_incumbents == 0
+        assert got.stats["heuristic_discarded"] >= 1 and got.stats["heuristic_incumbents"] == 0
 
     # with no heuristic incumbent, every reported route comes from
     # extract_routes, whose output the stubs below break
@@ -277,11 +283,11 @@ def test_discarded_heuristic_candidate_never_reported(rng, monkeypatch):
         for solve, ref in zip((solve_stop, solve_baseline), pair):
             got = solve(inst, FAST)
             assert got.status == ref.status
-            assert got.heuristic_incumbents == 0
+            assert got.stats["heuristic_incumbents"] == 0
             if got.status == "optimal":
                 assert got.lower_bound == ref.lower_bound < 1000
                 assert independent_route_check(inst, got.routes) == []
-            discarded += got.heuristic_discarded
+            discarded += got.stats["heuristic_discarded"]
     assert discarded  # the stub's candidates reached the validator
 
 
@@ -401,13 +407,13 @@ def _stub_engine(monkeypatch, **methods):
 def test_unclassified_engine_status_falls_back_and_counts(rng, monkeypatch):
     instances = [make_random_instance(rng, mandatory_share=0.0) for _ in range(4)]
     want = [(solve_stop(i, FAST), solve_baseline(i, FAST)) for i in instances]
-    assert all(r.lp_fallbacks == 0 for pair in want for r in pair)
+    assert all(r.stats["lp_fallbacks"] == 0 for pair in want for r in pair)
     unknown = lp._hcore.HighsModelStatus.kUnknown
     _stub_engine(monkeypatch, getModelStatus=lambda self: unknown)
     for inst, pair in zip(instances, want):
         for solve, ref in zip((solve_stop, solve_baseline), pair):
             got = solve(inst, FAST)
-            assert got.lp_fallbacks >= 1
+            assert got.stats["lp_fallbacks"] >= 1
             assert got.status == ref.status == "optimal"
             assert got.lower_bound == ref.lower_bound
             assert got.upper_bound == ref.upper_bound
@@ -419,7 +425,8 @@ def test_rejected_row_append_raises(rng, monkeypatch):
     inst = next(
         i
         for i in (make_random_instance(rng, tightness=(0.9, 1.4)) for _ in range(50))
-        if sum(solve_stop(i, FAST).cut_counts.values()) > 0  # root cuts or pool rows
+        # root cuts or pool rows
+        if (rep := solve_stop(i, FAST)).cut_pool or rep.stats["pool_activated"]
     )
     rejected = lp._hcore.HighsStatus.kError
     _stub_engine(monkeypatch, addRows=lambda self, *args: rejected)
@@ -515,7 +522,37 @@ def test_solver_reports_cut_counts(rng):
         for fam in total:
             total[fam] += rep.cut_counts.get(fam, 0)
         assert rep.node_count >= 0
+        # every report counts its own cut pool by family
+        for other in (rep, solve_baseline(inst, FAST), solve_lp_only(inst, FAST)):
+            want = {fam: sum(c.family == fam for c in other.cut_pool) for fam in total}
+            assert other.cut_counts == want
     assert sum(total.values()) > 0
+
+
+# one vehicle cannot visit the mandatory vertices 1, 3 and 4 within 16 time
+# units, yet the relaxation without cuts is feasible
+UNCOVERABLE = "n 6\nm 1\ntmax 16\n3 2 0\n1 2 0\n2 4 6\n9 2 0\n8 2 0\n8 9 0\nM: 1 3 4\n"
+
+
+def test_infeasible_exits_keep_their_counts():
+    inst = parse_instance(UNCOVERABLE)
+    assert enumerate_optimal(inst) is None
+    # the baseline's search, not its root LP, proves infeasibility
+    rep = solve_baseline(inst, FAST)
+    assert rep.reason == "search exhausted without a feasible point"
+    assert rep.status == "infeasible" and rep.gap == 0.0
+    assert rep.node_count == rep.stats["nodes"] >= 1
+    assert math.isfinite(rep.lp_bound)
+    assert rep.cut_pool and rep.cut_counts[CONNECTIVITY] == len(rep.cut_pool)
+    # the main pipeline's root cuts empty a feasible relaxation, and its
+    # report keeps them, with the same stats keys at zero
+    phase = cutting_plane_phase(preprocess(inst)[0], FAST)
+    assert phase.status == "infeasible" and math.isfinite(phase.lp_bound) and phase.cuts
+    root = solve_stop(inst, FAST)
+    assert root.reason == "linear relaxation infeasible"
+    assert root.cut_pool == phase.cuts
+    assert sum(root.cut_counts.values()) == len(phase.cuts)
+    assert root.stats.keys() == rep.stats.keys() and root.node_count == 0
 
 
 def test_gap_conventions():
