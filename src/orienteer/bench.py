@@ -85,6 +85,9 @@ def bench_one(path, mode, config):
         if mode in CONFIG_FAMILIES:
             # a zero-node search stops right after the root cutting loop
             rep = solver.solve_stop(inst, replace(config, families=CONFIG_FAMILIES[mode], max_nodes=0))
+            row.gap = rep.gap
+            row.cuts = rep.cut_counts
+            row.stats = rep.stats
             if rep.status == "infeasible":
                 row.status = "infeasible"
                 row.improvement = 0.0
@@ -92,8 +95,6 @@ def bench_one(path, mode, config):
                 row.status = "bound"
                 row.upper = rep.root_bound
                 row.lp_bound = rep.lp_bound
-                row.cuts = rep.cut_counts
-                row.stats = rep.stats
                 if row.lp_bound:
                     row.improvement = 100.0 * (row.lp_bound - row.upper) / row.lp_bound
         elif mode in IMPACT_MODES:

@@ -120,8 +120,8 @@ def build_flow_formulation(inst):
     """Remaining-time commodity model.
 
     The per-arc flow lower bounds (f_ij >= R_jt x_ij) form the ``floor``
-    block; they are valid inequalities rather than defining constraints, so
-    the search phase may pool them as cuts.
+    block; they are valid inequalities rather than defining constraints, and
+    the bench's impact modes drop the block to measure what it adds.
     """
     R = _prepare(inst)
     d = inst.travel_time

@@ -2,20 +2,21 @@
 
 Every pipeline starts with one screening pass (``_screen``), preprocessing,
 which also names an unroutable mandatory vertex that ends the solve as
-infeasible.  Every LP is then tightened by one round loop (``_cut_rounds``):
-separate rows against the optimum, append them at once and re-solve, until a
-round finds nothing, the LP empties or the bound gains at most a tolerance.
-Two modes share it and one branch-and-bound engine:
+infeasible.  The main pipeline's root LP and the baseline's node LPs are then
+tightened by one round loop (``_cut_rounds``): separate rows against the
+optimum, append them at once and re-solve, until a round finds nothing, the
+LP empties or the bound gains at most a tolerance.  Two modes share one
+branch-and-bound engine:
 
-* main pipeline: the flow formulation, its per-arc flow lower bounds
-  poolable.  Root rounds separate filtered connectivity, conflict and
-  lifted-cover cuts until a round gains at most ``PHASE_TOL``; node rounds
-  append the violated pooled rows (flow lower bounds and root cuts) until
-  none is left.
+* main pipeline: the flow formulation with its per-arc flow lower bounds.
+  Root rounds separate filtered connectivity, conflict and lifted-cover cuts
+  until a round gains at most ``PHASE_TOL``.  The search then goes on in the
+  root's own LP session, every root cut in it, and solves each node's LP
+  once, without cut rounds.
 
 * baseline: the arrival-time formulation with the aggregate travel-time row
-  kept; node rounds append every violated connectivity cut (no filter, no
-  pool) until a round gains at most ``NODE_TOL``.
+  kept; node rounds append every violated connectivity cut (no filter)
+  until a round gains at most ``NODE_TOL``.
 
 Both searches prune on the reward grid: every objective value is a multiple
 of g = gcd(rewards), so a node is dropped once its bound, rounded down to a
@@ -28,27 +29,28 @@ and so, at the first node, for the whole tree (``_reduced_cost_fixings``).
 Continuous flow and slack columns are never fixed.
 
 Incumbents come from two places.  A node whose LP optimum is integral gives
-its routes (``extract_routes``).  And at the first node, once its cut rounds
-settle, and then at every ``HEURISTIC_EVERY``-th node, the LP-guided
-heuristic (``lp_guided_routes``) builds routes by cheapest insertion in order
-of the node's visit values and polishes them with 2-opt; a candidate is used
-only after it passes the route validator on the search's instance with the
-reward it claims.  With an optimal incumbent at the root, an instance whose
-root bound already meets the optimum closes without branching.  Every
-reported incumbent passes the independent route validator again on the
-instance as given.
+its routes (``extract_routes``).  And at the first node, once its LP settles,
+and then at every ``HEURISTIC_EVERY``-th node, the LP-guided heuristic
+(``lp_guided_routes``) builds routes by cheapest insertion in order of the
+node's visit values and polishes them with 2-opt; a candidate is used only
+after it passes the route validator on the search's instance with the reward
+it claims.  With an optimal incumbent at the root, an instance whose root
+bound already meets the optimum closes without branching.  Every reported
+incumbent passes the independent route validator again on the instance as
+given.
 
+The first node of the main pipeline goes on from the root's optimal basis.
 The node taken next off the heap does not start from the basis the previous
 node left: its parent stored its final basis with it at branching
 (``HighsSession.basis``), and the node's LP restarts from that
 (``HighsSession.set_basis``).  The dive child goes on from the live basis.
 
 Every pipeline ends in one ``SolveReport``.  Its ``stats`` are the counters
-``branch_and_bound`` keeps (``_search_stats``), with the root's LP fallbacks
-added in, and its ``cut_pool`` holds every cut the solve separated; every
-exit, the infeasible ones included, keeps both, and a solve that never
-searched reports the same counters at zero.  ``node_count`` and
-``cut_counts`` are read off them.
+``branch_and_bound`` keeps (``_search_stats``), its LP fallbacks those of
+the one session a solve's root and search share, and its ``cut_pool`` holds
+every cut the solve separated; every exit, the infeasible ones included,
+keeps both, and a solve that never searched reports the same counters at
+zero.  ``node_count`` and ``cut_counts`` are read off them.
 
 Everything is deterministic for a fixed configuration: node selection is
 best-bound with deeper-first then insertion-order tie-breaks, branching picks
@@ -89,7 +91,6 @@ from .separation import (
 ALL_FAMILIES = frozenset({CONNECTIVITY, CONFLICT, COVER})
 
 INTEGER_TOL = 1e-6
-POOL_TOL = 1e-6
 PHASE_TOL = 1e-3  # root cutting loop stops once a round gains at most this
 NODE_TOL = 1e-3  # baseline per-node rounds stop once a round gains at most this
 HEURISTIC_EVERY = 10  # the LP-guided heuristic runs at the first node and every 10th
@@ -110,10 +111,11 @@ class UncertifiedSolution(RuntimeError):
 
 
 def _search_stats():
-    """The counters of one solve, all at zero: search nodes, activated pool
-    rows, the LP-guided heuristic's seconds, incumbents and candidates the
-    route validator turned down, binary columns fixed by reduced cost, and
-    LPs the sessions settled with the stateless solve."""
+    """The counters of one solve, all at zero: search nodes, the LP-guided
+    heuristic's seconds, incumbents and candidates the route validator
+    turned down, binary columns fixed by reduced cost, and LPs the session
+    settled with the stateless solve.  ``pool_activated`` stays 0: the
+    search keeps every row in its LP, and the key is kept for its readers."""
     return {
         "nodes": 0,
         "pool_activated": 0,
@@ -178,7 +180,7 @@ class PhaseResult:
     cuts: list
     iterations: int
     solution: object
-    lp_fallbacks: int
+    session: object  # the root's HighsSession, holding its last LP and basis
 
 
 def _checked(sol):
@@ -193,9 +195,9 @@ def _cut_rounds(session, sol, separate, tol, bounds=None, deadline=None):
     """Rounds from the optimum ``sol`` of the LP in ``session``: check
     ``deadline``, append the rows ``separate(sol)`` returns in one call and
     re-solve under ``bounds`` (None: those in force), until ``separate``
-    returns nothing, the LP is infeasible or a round gains at most ``tol``
-    (None: never on the gain).  Returns (status, last solution, least
-    objective seen, rounds); status is bound, infeasible or time-limit."""
+    returns nothing, the LP is infeasible or a round gains at most ``tol``.
+    Returns (status, last solution, least objective seen, rounds); status is
+    bound, infeasible or time-limit."""
     best = sol.objective
     rounds = 0
     while deadline is None or time.monotonic() <= deadline:
@@ -209,7 +211,7 @@ def _cut_rounds(session, sol, separate, tol, bounds=None, deadline=None):
             return "infeasible", sol, best, rounds
         gain = best - sol.objective
         best = min(best, sol.objective)
-        if tol is not None and gain <= tol:
+        if gain <= tol:
             return "bound", sol, best, rounds
     return "time-limit", sol, best, rounds
 
@@ -255,30 +257,10 @@ def cutting_plane_phase(inst, config=SolveConfig(), conflicts=None, deadline=Non
         # cuts never exclude feasible integer points, so an emptied
         # relaxation certifies the instance itself is infeasible
         ub, sol = -math.inf, None
-    return PhaseResult(status, handle, ub, lp_bound, cuts, rounds, sol, session.fallbacks)
+    return PhaseResult(status, handle, ub, lp_bound, cuts, rounds, sol, session)
 
 
 # -- branch and bound --------------------------------------------------------
-
-
-def _pool_matrix(pool, n_cols):
-    """(csr matrix, row lower, row upper) for vectorized pool-violation
-    scans."""
-    if not pool:
-        return None
-    from scipy.sparse import csr_matrix
-
-    starts, indices, values, row_lower, row_upper = lp.row_arrays(pool)
-    return csr_matrix((values, indices, starts), shape=(len(pool), n_cols)), row_lower, row_upper
-
-
-def _violated_pool_rows(pool_matrix, pool_active, x):
-    if pool_matrix is None:
-        return []
-    mat, row_lower, row_upper = pool_matrix
-    act = mat @ x
-    bad = (act < row_lower - POOL_TOL) | (act > row_upper + POOL_TOL)
-    return [int(k) for k in np.nonzero(bad)[0] if not pool_active[k]]
 
 
 class _Tree:
@@ -478,37 +460,23 @@ def _lp_guided_incumbent(handle, x, stats):
     return cand
 
 
-def branch_and_bound(handle, work_model, pool, config, deadline, separate=None):
-    """LP branch-and-bound over ``work_model``.
+def branch_and_bound(handle, session, config, deadline, separate=None):
+    """LP branch-and-bound over ``handle.model``, the model ``session``
+    holds; the first node goes on from the session's live basis.
 
-    Each node's LP runs cut rounds (``_cut_rounds``) before it may branch or
-    improve the incumbent.  By default a round appends the rows of ``pool``
-    (LpRow objects valid for every feasible solution) that the node optimum
-    violates, until none is left.  ``separate(sol)``, when given, supplies
-    the rows instead, until a round gains at most ``NODE_TOL`` (the
-    baseline's per-node connectivity cuts).  A node that branches first
+    Each node solves its LP once.  With ``separate(sol)`` given, cut rounds
+    (``_cut_rounds``) then append the rows it returns until a round gains at
+    most ``NODE_TOL`` (the baseline's per-node connectivity cuts), before the
+    node may branch or improve the incumbent.  A node that branches first
     fixes binary columns by reduced cost against the incumbent on the reward
     grid, and both children inherit the fixings.  An unbounded node LP raises
     ``LpError``.
     Returns (status, incumbent value, upper bound, incumbent routes, stats),
-    stats being the search's ``_search_stats`` counters.
+    stats being the search's ``_search_stats`` counters, whose LP fallbacks
+    are all the session's.
     """
     stats = _search_stats()
-    base_bounds = np.array([work_model.lower, work_model.upper], dtype=float).T
-    session = lp.HighsSession(work_model)
-    pool_active = [False] * len(pool)
-    pool_matrix = _pool_matrix(pool, work_model.n_cols)
-
-    def pool_rows(sol):
-        violated = _violated_pool_rows(pool_matrix, pool_active, sol.x)
-        for k in violated:
-            pool_active[k] = True
-        stats["pool_activated"] += len(violated)
-        return [pool[k] for k in violated]
-
-    tol = NODE_TOL
-    if separate is None:
-        separate, tol = pool_rows, None
+    base_bounds = np.array([handle.model.lower, handle.model.upper], dtype=float).T
 
     order = _branch_order(handle)
     step = reward_step(handle.instance.rewards)
@@ -545,8 +513,8 @@ def branch_and_bound(handle, work_model, pool, config, deadline, separate=None):
         if basis is not None:
             session.set_basis(basis)
         sol = _checked(session.solve(bounds))
-        if sol.status == "optimal":
-            sol = _cut_rounds(session, sol, separate, tol, bounds)[1]
+        if sol.status == "optimal" and separate is not None:
+            sol = _cut_rounds(session, sol, separate, NODE_TOL, bounds)[1]
         if sol.status == "infeasible":
             continue
         if stats["nodes"] == 1 or stats["nodes"] % HEURISTIC_EVERY == 0:
@@ -591,7 +559,7 @@ def branch_and_bound(handle, work_model, pool, config, deadline, separate=None):
             upper = math.inf
     else:
         upper = best_value if best_value > -math.inf else -math.inf
-    stats["lp_fallbacks"] += session.fallbacks
+    stats["lp_fallbacks"] = session.fallbacks
     return status, best_value, upper, best_routes, stats
 
 
@@ -661,8 +629,8 @@ def _search_report(inst, search, timings, cuts, lp_bound, root_bound=None):
 
 
 def solve_stop(inst, config=SolveConfig()):
-    """Cutting-plane pipeline: root reinforcement then branch-and-bound with
-    the flow lower bounds and all root cuts handled as a lazy pool."""
+    """Cutting-plane pipeline: root reinforcement, then branch-and-bound on
+    the reinforced LP in the root's session."""
     t0 = time.monotonic()
     deadline = t0 + config.time_limit_s
     pre, blocker = _screen(inst)
@@ -676,21 +644,12 @@ def solve_stop(inst, config=SolveConfig()):
         return _infeasible_report(
             {"preprocess": t_pre, "root": t_root, "total": time.monotonic() - t0},
             "linear relaxation infeasible",
+            lp_bound=phase.lp_bound,
             cut_pool=phase.cuts,
-            stats={**_search_stats(), "lp_fallbacks": phase.lp_fallbacks},
+            stats={**_search_stats(), "lp_fallbacks": phase.session.fallbacks},
         )
-    handle = phase.handle
 
-    # the search starts from the hard rows; the flow lower bounds and the
-    # root cuts' rows wait in the pool and join on demand
-    start, count = handle.row_blocks["floor"]
-    n_structural = handle.model.n_rows - len(phase.cuts)
-    work, pool = handle.model.split_rows(
-        [*range(start, start + count), *range(n_structural, handle.model.n_rows)]
-    )
-
-    search = branch_and_bound(handle, work, pool, config, deadline)
-    search[4]["lp_fallbacks"] += phase.lp_fallbacks
+    search = branch_and_bound(phase.handle, phase.session, config, deadline)
     t_total = time.monotonic() - t0
     timings = {"preprocess": t_pre, "root": t_root, "search": t_total - t_pre - t_root, "total": t_total}
     return _search_report(inst, search, timings, phase.cuts, phase.lp_bound, phase.upper_bound)
@@ -724,7 +683,8 @@ def solve_baseline(inst, config=SolveConfig()):
         added.extend(cand)
         return [cut.to_row(handle) for cut in cand]
 
-    search = branch_and_bound(handle, handle.model, [], config, deadline, separate)
+    session = lp.HighsSession(handle.model)
+    search = branch_and_bound(handle, session, config, deadline, separate)
     t_total = time.monotonic() - t0
     timings = {"preprocess": t_pre, "search": t_total - t_pre, "total": t_total}
     return _search_report(inst, search, timings, added, lp_bound)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from orienteer import lp, solver
+from orienteer import bench, lp, solver
 from orienteer.formulation import build_flow_formulation
 from orienteer.instance import (
     min_time_matrix,
@@ -419,14 +419,69 @@ def test_unclassified_engine_status_falls_back_and_counts(rng, monkeypatch):
             assert got.upper_bound == ref.upper_bound
 
 
+def test_fallbacks_count_every_session_solve_once(rng, monkeypatch):
+    # the main pipeline's root and search share one session, so a solve whose
+    # every session LP falls back counts each of them exactly once
+    inst = make_random_instance(rng, mandatory_share=0.0)
+    unknown = lp._hcore.HighsModelStatus.kUnknown
+    _stub_engine(monkeypatch, getModelStatus=lambda self: unknown)
+    solves = []
+    solve = lp.HighsSession.solve
+
+    def counted(self, bounds_override=None):
+        solves.append(self)
+        return solve(self, bounds_override)
+
+    monkeypatch.setattr(lp.HighsSession, "solve", counted)
+    for pipeline in (solve_stop, solve_baseline):
+        solves.clear()
+        rep = pipeline(inst, FAST)
+        assert rep.status == "optimal"
+        assert rep.stats["lp_fallbacks"] == len(solves) >= 1, pipeline.__name__
+
+
+# a Chao-style instance whose search branches: two vehicles, 12 scored stops
+BRANCHING = (
+    "n 14\nm 2\ntmax 15\n4.9 2.3 0\n1.1 8.0 10\n8.7 13.6 20\n0.6 6.5 15\n3.6 8.3 10\n"
+    "12.4 1.9 10\n9.5 8.7 15\n8.7 6.0 10\n0.7 12.9 15\n6.3 8.1 20\n4.6 12.2 30\n"
+    "1.5 8.6 15\n5.6 8.2 15\n0.9 0.9 0\n"
+)
+
+
+def test_main_pipeline_searches_in_the_root_session(monkeypatch):
+    # the search goes on in the root's session: one engine per solve, one LP
+    # per node, and the first node starts at the root's optimal basis
+    opened = []
+    init = lp.HighsSession.__init__
+    solve = lp.HighsSession.solve
+    solves = []
+
+    def counted_init(self, model):
+        opened.append(model)
+        init(self, model)
+
+    def counted_solve(self, bounds_override=None):
+        sol = solve(self, bounds_override)
+        if bounds_override is not None:
+            solves.append(self._h.getInfo().simplex_iteration_count)
+        return sol
+
+    monkeypatch.setattr(lp.HighsSession, "__init__", counted_init)
+    monkeypatch.setattr(lp.HighsSession, "solve", counted_solve)
+    rep = solve_stop(parse_instance(BRANCHING), FAST)
+    assert rep.node_count > 1 and len(opened) == 1
+    # node solves set column bounds; root solves keep those in force
+    assert len(solves) == rep.node_count
+    assert solves[0] == 0
+
+
 def test_rejected_row_append_raises(rng, monkeypatch):
     # a row append the engine rejects ends the solve; it must not quietly
     # switch the rest of the run to one-shot solves
     inst = next(
         i
         for i in (make_random_instance(rng, tightness=(0.9, 1.4)) for _ in range(50))
-        # root cuts or pool rows
-        if (rep := solve_stop(i, FAST)).cut_pool or rep.stats["pool_activated"]
+        if solve_stop(i, FAST).cut_pool
     )
     rejected = lp._hcore.HighsStatus.kError
     _stub_engine(monkeypatch, addRows=lambda self, *args: rejected)
@@ -550,9 +605,20 @@ def test_infeasible_exits_keep_their_counts():
     assert phase.status == "infeasible" and math.isfinite(phase.lp_bound) and phase.cuts
     root = solve_stop(inst, FAST)
     assert root.reason == "linear relaxation infeasible"
+    assert root.lp_bound == phase.lp_bound
     assert root.cut_pool == phase.cuts
     assert sum(root.cut_counts.values()) == len(phase.cuts)
     assert root.stats.keys() == rep.stats.keys() and root.node_count == 0
+
+
+def test_bench_config_row_keeps_the_counts_of_an_emptied_root(tmp_path):
+    path = tmp_path / "uncoverable.txt"
+    path.write_text(UNCOVERABLE)
+    want = solve_stop(parse_instance(UNCOVERABLE), FAST)
+    row = bench.bench_one(str(path), "config5", FAST)
+    assert row.status == "infeasible" and row.gap == 0.0
+    assert row.cuts == want.cut_counts and sum(row.cuts.values()) > 0
+    assert row.stats.keys() == want.stats.keys()
 
 
 def test_gap_conventions():
