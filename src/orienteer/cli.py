@@ -9,7 +9,6 @@ import sys
 
 from . import bench as bench_mod
 from . import solver
-from .formulation import build_arrival_formulation, build_flow_formulation
 # Verdict is re-exported: both validator names stay importable from here
 from .instance import (
     InstanceError,
@@ -19,6 +18,7 @@ from .instance import (
     serialize_instance,
     validate_solution,
 )
+from .lp import export_lp_text
 from .oracle import OracleBudgetExceeded, enumerate_optimal
 
 
@@ -59,27 +59,20 @@ def _config(args):
 def _cmd_solve(args):
     inst = read_instance(args.instance, args.mandatory.split() or None)
     cfg = _config(args)
-    if args.dump_lp:
-        from . import lp as lp_mod
+    written = []
 
-        pre, blocker = solver._screen(inst)
-        if blocker is not None:
-            # preprocessing dropped the vertex, so the relaxation left over
-            # would describe a different, possibly feasible, model
-            print(
-                f"orienteer solve: no LP written to {args.dump_lp}: "
-                f"mandatory vertex {blocker} cannot be routed within the limit",
-                file=sys.stderr,
-            )
-        else:
-            # the model the mode's pipeline solves
-            if args.mode == "baseline":
-                handle = build_arrival_formulation(pre, include_total_time_row=True)
-            else:
-                handle = build_flow_formulation(pre)
-            with open(args.dump_lp, "w") as fh:
-                fh.write(lp_mod.export_lp_text(handle.model, name=inst.name or "model"))
-    rep = solver.PIPELINES[args.mode](inst, cfg)
+    def dump(model):
+        # the relaxation the mode's pipeline builds, before it solves on it
+        with open(args.dump_lp, "w") as fh:
+            fh.write(export_lp_text(model, name=inst.name or "model"))
+        written.append(args.dump_lp)
+
+    rep = solver.PIPELINES[args.mode](inst, cfg, on_model=dump if args.dump_lp else None)
+    if args.dump_lp and not written:
+        # the screen named an unroutable mandatory vertex, which preprocessing
+        # dropped: the relaxation left over would describe a different,
+        # possibly feasible, model
+        print(f"orienteer solve: no LP written to {args.dump_lp}: {rep.reason}", file=sys.stderr)
     status = rep.status
     payload = {
         "instance": inst.name,

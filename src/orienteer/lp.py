@@ -10,16 +10,28 @@ HiGHS engine bundled with scipy (>= 1.15), used in one of two ways:
 * ``HighsSession`` - one engine kept for warm-started re-solves after row
                      appends, bound changes and basis restarts; it settles
                      an LP its engine cannot classify with ``solve`` and
-                     counts it
+                     counts it.  From its first ``submit`` on, a second
+                     engine solves submitted LPs in one worker thread while
+                     the caller goes on with the first
 
 ``_engine`` is the one place a model becomes an engine, and ``row_arrays``
 the one place rows become sparse arrays.  The objective sense is always
 maximize.
+
+The worker's results do not depend on thread timing: its jobs run one at a
+time in the order they were submitted, on an engine that only they touch,
+and none is cancelled while the session's caller may still collect one; so
+what the second engine has solved before each job, which HiGHS results do
+depend on, is fixed by the call sequence alone.  The worker calls engine
+methods and ``row_arrays`` only; classifying its results and any fallback
+stay on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,9 +170,6 @@ def _engine(model, bounds=None, cost=None):
     quiet and on one thread.  ``bounds`` is an optional (n, 2) array of column
     bounds in place of the model's own; ``cost`` replaces the engine's
     objective, which is minimized (the model's negated by default)."""
-    h = _hcore._Highs()
-    h.setOptionValue("output_flag", False)
-    h.setOptionValue("threads", 1)
     starts, indices, values, row_lower, row_upper = row_arrays(model.rows)
     lp_obj = _hcore.HighsLp()
     lp_obj.num_col_ = model.n_cols
@@ -178,18 +187,61 @@ def _engine(model, bounds=None, cost=None):
     lp_obj.a_matrix_.start_ = starts
     lp_obj.a_matrix_.index_ = indices
     lp_obj.a_matrix_.value_ = values
+    return _engine_of(lp_obj)
+
+
+def _engine_of(lp_obj):
+    """A fresh quiet HiGHS engine on one thread holding the ``HighsLp``
+    ``lp_obj``."""
+    h = _hcore._Highs()
+    h.setOptionValue("output_flag", False)
+    h.setOptionValue("threads", 1)
     if h.passModel(lp_obj) != _hcore.HighsStatus.kOk:
         raise LpError("engine rejected the model")
     return h
 
 
-def _verdict(engine, status, objective):
-    """LpSolution for a classified engine status, else None."""
+def _append_rows(engine, rows):
+    starts, indices, values, row_lower, row_upper = row_arrays(rows)
+    status = engine.addRows(len(rows), row_lower, row_upper, len(indices), starts[:-1], indices, values)
+    if status != _hcore.HighsStatus.kOk:
+        raise LpError("engine rejected appended rows")
+
+
+def _set_bounds(engine, cols, bounds):
+    lower = np.ascontiguousarray(bounds[:, 0])
+    engine.changeColsBounds(len(cols), cols, lower, np.ascontiguousarray(bounds[:, 1]))
+
+
+def _set_basis(engine, saved, n_rows):
+    """Restart ``engine``, which holds ``n_rows`` rows, from the basis
+    ``saved`` (a ``HighsSession.basis`` pair), the rows it does not cover
+    basic.  A grown basis is a new object: ``saved`` may be in another
+    thread's hands, so it is never changed."""
+    basis, covered = saved
+    if covered < n_rows:
+        grown = _hcore.HighsBasis()
+        grown.valid, grown.alien = basis.valid, basis.alien
+        grown.col_status = basis.col_status
+        grown.row_status = basis.row_status + [_hcore.HighsBasisStatus.kBasic] * (n_rows - covered)
+        basis = grown
+    if engine.setBasis(basis) != _hcore.HighsStatus.kOk:
+        raise LpError("engine rejected the basis")
+
+
+def _optimum(engine):
+    """(column values, column duals) of the engine's optimum, as arrays."""
+    point = engine.getSolution()
+    return np.asarray(point.col_value), np.asarray(point.col_dual)
+
+
+def _verdict(status, objective, optimum):
+    """LpSolution for a classified engine status, else None; ``optimum()``
+    gives the ``_optimum`` pair of an optimal one."""
     if status == _hcore.HighsModelStatus.kOptimal:
-        point = engine.getSolution()
-        x = np.asarray(point.col_value)
+        x, dual = optimum()
         # the engine minimizes the negated objective, so its duals flip sign
-        return LpSolution("optimal", float(np.dot(objective, x)), x, -np.asarray(point.col_dual))
+        return LpSolution("optimal", float(np.dot(objective, x)), x, -dual)
     if status == _hcore.HighsModelStatus.kInfeasible:
         return LpSolution("infeasible", -math.inf, None)
     if status == _hcore.HighsModelStatus.kUnbounded:
@@ -230,7 +282,7 @@ def solve(model, bounds_override=None):
             return LpSolution("unbounded", math.inf, None)
     if status != status_of.kOptimal:
         h, status = attempt(presolve=False)
-    sol = _verdict(h, status, model.objective)
+    sol = _verdict(status, model.objective, lambda: _optimum(h))
     if sol is None and probe() == status_of.kInfeasible:
         # HiGHS may fail to classify an LP with and without presolve that has
         # no point at all
@@ -262,9 +314,17 @@ class HighsSession:
 
     ``basis`` copies the engine's current basis (a HiGHS object, about a
     microsecond to take) with the row count it covers, and ``set_basis``
-    restarts the engine from such a copy, padding the rows appended since
-    as basic; the search uses the pair to start a node taken off its heap
-    from its parent's basis instead of the last node's.
+    restarts the engine from such a copy, the rows appended since basic;
+    the search uses the pair to start a node taken off its heap from its
+    parent's basis instead of the last node's.
+
+    ``submit`` hands an LP (column bounds and a start basis) to a second
+    engine, which a worker thread runs while the session's own engine goes
+    on; ``collect`` waits for it and returns its LpSolution, counted in
+    ``prefetched`` when the worker's result settles it and timed in
+    ``prefetch_wait_s``.  The first ``submit`` copies the engine's LP into
+    the second engine (``getLp``), and each job first appends the rows the
+    model gained before its submission.  ``close`` stops the worker.
 
     HiGHS with presolve may report a feasible LP with an unbounded objective
     as infeasible, and the session trusts that verdict.  It is exact for LPs
@@ -276,33 +336,29 @@ class HighsSession:
         self._model = model
         self._bounds = None  # the last override: the engine keeps column bounds
         self.fallbacks = 0
+        self.prefetched = 0
+        self.prefetch_wait_s = 0.0
         self._h = _engine(model)
         self._all_cols = np.arange(model.n_cols, dtype=np.int32)
+        self._worker = None  # the thread running submitted jobs, one at a time
+        self._twin = None  # the engine only those jobs touch, and its row count
+        self._twin_rows = 0
 
     def add_rows(self, rows):
-        starts, indices, values, row_lower, row_upper = row_arrays(rows)
-        status = self._h.addRows(
-            len(rows), row_lower, row_upper, len(indices), starts[:-1], indices, values
-        )
-        if status != _hcore.HighsStatus.kOk:
-            raise LpError("engine rejected appended rows")
+        _append_rows(self._h, rows)
         for row in rows:
             self._model.add_row(row)
 
     def basis(self):
         """(the engine's basis as HiGHS holds it, the row count then): a copy
-        to hand back to ``set_basis``; its statuses stay HiGHS objects."""
+        to hand back to ``set_basis`` or ``submit``; its statuses stay HiGHS
+        objects."""
         return self._h.getBasis(), self._model.n_rows
 
     def set_basis(self, saved):
         """Start the next solve from what ``basis`` returned; rows appended
         since then enter basic.  Raises ``LpError`` when HiGHS rejects it."""
-        basis, n_rows = saved
-        extra = self._model.n_rows - n_rows
-        if extra:
-            basis.row_status = basis.row_status[:n_rows] + [_hcore.HighsBasisStatus.kBasic] * extra
-        if self._h.setBasis(basis) != _hcore.HighsStatus.kOk:
-            raise LpError("engine rejected the basis")
+        _set_basis(self._h, saved, self._model.n_rows)
 
     def solve(self, bounds_override=None):
         """LpSolution with status optimal, infeasible or unbounded; column
@@ -311,21 +367,81 @@ class HighsSession:
             self._bounds = bounds_override
         try:
             if bounds_override is not None:
-                self._h.changeColsBounds(
-                    len(self._all_cols),
-                    self._all_cols,
-                    np.ascontiguousarray(bounds_override[:, 0]),
-                    np.ascontiguousarray(bounds_override[:, 1]),
-                )
+                _set_bounds(self._h, self._all_cols, bounds_override)
             self._h.run()
             status = self._h.getModelStatus()
         except Exception:
             status = None
-        sol = _verdict(self._h, status, self._model.objective)
+        sol = _verdict(status, self._model.objective, lambda: _optimum(self._h))
         if sol is not None:
             return sol
         self.fallbacks += 1
         return solve(self._model, self._bounds)
+
+    def submit(self, saved, bounds):
+        """Future of the worker's job: the LP of the model as it is now,
+        under the column bounds ``bounds`` (left unchanged from here on),
+        restarted from the basis ``saved``.  The first call builds the
+        second engine and starts the worker."""
+        if self._worker is None:
+            self._twin = _engine_of(self._h.getLp())
+            self._twin_rows = self._model.n_rows
+            self._worker = ThreadPoolExecutor(max_workers=1)
+        return self._worker.submit(self._prefetch, saved, bounds, self._model.n_rows)
+
+    def _prefetch(self, saved, bounds, n_rows):
+        """The worker's job: (model status, None when the engine raised; the
+        ``_optimum`` pair or None; the final basis as ``basis`` gives it;
+        ``saved``).  Engine calls and array copies only: everything else
+        stays on the session's own thread."""
+        h = self._twin
+        try:
+            if self._twin_rows < n_rows:
+                _append_rows(h, self._model.rows[self._twin_rows : n_rows])
+                self._twin_rows = n_rows
+            _set_bounds(h, self._all_cols, bounds)
+            _set_basis(h, saved, n_rows)
+            h.run()
+            status = h.getModelStatus()
+        except Exception:
+            return None, None, None, saved
+        optimum = _optimum(h) if status == _hcore.HighsModelStatus.kOptimal else None
+        return status, optimum, (h.getBasis(), n_rows), saved
+
+    def collect(self, job, bounds):
+        """LpSolution of the LP a ``submit`` returned ``job`` for, under the
+        column bounds ``bounds`` it was submitted with and with every row the
+        model holds now.
+
+        An infeasible result stands, since rows appended since can only cut
+        more.  An optimal one stands when no row was appended since; else
+        the engine restarts from the job's final basis and solves again.
+        Any other result is dropped, and the engine solves the LP from the
+        submitted basis.  After an optimal result the engine holds the LP's
+        bounds and final basis, so a solve that follows goes on from them."""
+        started = time.monotonic()
+        status, optimum, final, saved = job.result()
+        self.prefetch_wait_s += time.monotonic() - started
+        if status == _hcore.HighsModelStatus.kInfeasible:
+            self.prefetched += 1
+            return LpSolution("infeasible", -math.inf, None)
+        if status != _hcore.HighsModelStatus.kOptimal:
+            self.set_basis(saved)
+            return self.solve(bounds)
+        self.set_basis(final)
+        if final[1] < self._model.n_rows:
+            return self.solve(bounds)
+        self._bounds = bounds
+        _set_bounds(self._h, self._all_cols, bounds)
+        self.prefetched += 1
+        return _verdict(status, self._model.objective, lambda: optimum)
+
+    def close(self):
+        """Stop the worker, its unstarted jobs dropped and its running one
+        waited for, and free its engine; a later ``submit`` starts afresh."""
+        if self._worker is not None:
+            self._worker.shutdown(wait=True, cancel_futures=True)
+            self._worker = self._twin = None
 
 
 def export_lp_text(model, name="model"):

@@ -40,10 +40,22 @@ incumbent passes the independent route validator again on the instance as
 given.
 
 The first node of the main pipeline goes on from the root's optimal basis.
-The node taken next off the heap does not start from the basis the previous
-node left: its parent stored its final basis with it at branching
-(``HighsSession.basis``), and the node's LP restarts from that
-(``HighsSession.set_basis``).  The dive child goes on from the live basis.
+A node that branches dives into one child, which goes on from the live basis,
+and leaves the other on the heap with its own final basis
+(``HighsSession.basis``).  For the first ``PREFETCH_PER_DIVE`` such children
+of a dive (the nodes taken off the heap start dives), that child's LP is
+submitted at once to the session's worker engine (``HighsSession.submit``),
+restarted from that basis, and is solved in a worker thread while the main
+thread goes on with the dive.  When the child is popped,
+``HighsSession.collect`` returns its LP from the worker's result, or, when the
+baseline has appended cuts since, re-solves on the main engine from the
+worker's final basis; a dive from it goes on from that basis.  Any other
+child popped restarts its LP on the main engine from the stored basis
+(``HighsSession.set_basis``).  Every submitted job runs, in the order of
+submission, on the one worker engine, so what that engine solved before a
+job, which HiGHS results depend on, is fixed by the search itself: node
+counts and bounds do not depend on thread timing.  The worker stops when the
+search ends, however it ends.
 
 Every pipeline ends in one ``SolveReport``.  Its ``stats`` are the counters
 ``branch_and_bound`` keeps (``_search_stats``), its LP fallbacks those of
@@ -64,6 +76,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,6 +107,11 @@ INTEGER_TOL = 1e-6
 PHASE_TOL = 1e-3  # root cutting loop stops once a round gains at most this
 NODE_TOL = 1e-3  # baseline per-node rounds stop once a round gains at most this
 HEURISTIC_EVERY = 10  # the LP-guided heuristic runs at the first node and every 10th
+# waiting children per dive whose LPs go to the worker engine: the nodes popped
+# later are mostly the first few siblings of a dive, and the worker's restarts
+# take more iterations than the dive's own solves, so jobs for the deeper ones
+# would queue up ahead of the next pop
+PREFETCH_PER_DIVE = 8
 Y_SUPPORT = 1e-6  # visit values above this count as chosen by the LP
 POLISH_PASSES = 2  # 2-opt then reinsertion rounds after the construction
 TWO_OPT_GAIN = 1e-9  # a 2-opt move must shorten its route by more than this
@@ -113,9 +131,11 @@ class UncertifiedSolution(RuntimeError):
 def _search_stats():
     """The counters of one solve, all at zero: search nodes, the LP-guided
     heuristic's seconds, incumbents and candidates the route validator
-    turned down, binary columns fixed by reduced cost, and LPs the session
-    settled with the stateless solve.  ``pool_activated`` stays 0: the
-    search keeps every row in its LP, and the key is kept for its readers."""
+    turned down, binary columns fixed by reduced cost, LPs the session
+    settled with the stateless solve, popped nodes whose LP the worker's
+    result settled, and the seconds the search waited for the worker.
+    ``pool_activated`` stays 0: the search keeps every row in its LP, and the
+    key is kept for its readers."""
     return {
         "nodes": 0,
         "pool_activated": 0,
@@ -124,6 +144,8 @@ def _search_stats():
         "heuristic_discarded": 0,
         "reduced_cost_fixed": 0,
         "lp_fallbacks": 0,
+        "prefetched": 0,
+        "prefetch_wait_s": 0.0,
     }
 
 
@@ -216,7 +238,7 @@ def _cut_rounds(session, sol, separate, tol, bounds=None, deadline=None):
     return "time-limit", sol, best, rounds
 
 
-def cutting_plane_phase(inst, config=SolveConfig(), conflicts=None, deadline=None):
+def cutting_plane_phase(inst, config=SolveConfig(), conflicts=None, deadline=None, on_model=None):
     """Root reinforcement loop.
 
     Starting from the full linear relaxation, cut rounds separate the
@@ -224,9 +246,12 @@ def cutting_plane_phase(inst, config=SolveConfig(), conflicts=None, deadline=Non
     violated plus sufficiently orthogonal ones (connectivity and conflict
     families filtered separately, at most one cover cut), until a round
     finds nothing or improves the bound by at most ``PHASE_TOL``.  The
-    instance must already be preprocessed.
+    instance must already be preprocessed.  ``on_model``, when given, is
+    called with the relaxation's model before anything is solved on it.
     """
     handle = build_flow_formulation(inst)
+    if on_model is not None:
+        on_model(handle.model)
     if conflicts is None and CONFLICT in config.families:
         conflicts = build_conflict_set(inst, handle.min_times)
     session = lp.HighsSession(handle.model)
@@ -265,25 +290,34 @@ def cutting_plane_phase(inst, config=SolveConfig(), conflicts=None, deadline=Non
 
 class _Tree:
     """Best-bound search with deeper-first, then FIFO tie-breaks; each node
-    carries the basis its LP restarts from (None: the engine's current one)."""
+    carries the worker's job for its LP or the basis its LP restarts from
+    (neither: the engine's current one)."""
 
     def __init__(self):
         self.heap = []
         self.seq = 0
 
-    def push(self, bound, depth, fixings, basis=None):
-        heapq.heappush(self.heap, (-bound, -depth, self.seq, fixings, basis))
+    def push(self, bound, depth, fixings, start=None):
+        heapq.heappush(self.heap, (-bound, -depth, self.seq, fixings, start))
         self.seq += 1
 
     def pop(self):
-        nb, nd, _, fixings, basis = heapq.heappop(self.heap)
-        return -nb, -nd, fixings, basis
+        nb, nd, _, fixings, start = heapq.heappop(self.heap)
+        return -nb, -nd, fixings, start
 
     def best_open_bound(self):
         return -self.heap[0][0] if self.heap else -math.inf
 
     def __len__(self):
         return len(self.heap)
+
+
+def _node_bounds(base_bounds, fixings):
+    bounds = base_bounds.copy()
+    for col, lo, up in fixings:
+        bounds[col, 0] = lo
+        bounds[col, 1] = up
+    return bounds
 
 
 def _branch_order(handle):
@@ -469,11 +503,15 @@ def branch_and_bound(handle, session, config, deadline, separate=None):
     most ``NODE_TOL`` (the baseline's per-node connectivity cuts), before the
     node may branch or improve the incumbent.  A node that branches first
     fixes binary columns by reduced cost against the incumbent on the reward
-    grid, and both children inherit the fixings.  An unbounded node LP raises
-    ``LpError``.
+    grid, and both children inherit the fixings.  The child that waits on
+    the heap keeps this node's final basis; for the first
+    ``PREFETCH_PER_DIVE`` of a dive its LP goes to the session's worker
+    (``HighsSession.submit``) from that basis, and the result is collected
+    when it is popped.  An unbounded node LP raises ``LpError``.  The worker
+    stops however the search ends.
     Returns (status, incumbent value, upper bound, incumbent routes, stats),
     stats being the search's ``_search_stats`` counters, whose LP fallbacks
-    are all the session's.
+    and prefetch counts are all the session's.
     """
     stats = _search_stats()
     base_bounds = np.array([handle.model.lower, handle.model.upper], dtype=float).T
@@ -487,68 +525,78 @@ def branch_and_bound(handle, session, config, deadline, separate=None):
     status = "optimal"
     dive = None  # (bound, depth, fixings): child processed before the heap
 
-    while dive is not None or len(tree):
-        if time.monotonic() > deadline or stats["nodes"] >= config.max_nodes:
-            status = "time-limit"
-            break
-        if dive is not None:
-            parent_bound, depth, fixings = dive
-            basis = None  # the dive child goes on from its parent's live basis
-            dive = None
-        else:
-            parent_bound, depth, fixings, basis = tree.pop()
-        if (
-            best_value > -math.inf
-            and parent_bound < math.inf
-            and floor_bound(parent_bound + INTEGER_TOL, step) <= best_value
-        ):
-            continue
-        stats["nodes"] += 1
+    try:
+        while dive is not None or len(tree):
+            if time.monotonic() > deadline or stats["nodes"] >= config.max_nodes:
+                status = "time-limit"
+                break
+            if dive is not None:
+                parent_bound, depth, fixings = dive
+                start = None  # the dive child goes on from its parent's basis
+                dive = None
+            else:
+                parent_bound, depth, fixings, start = tree.pop()
+                submitted = 0  # jobs for the worker in the dive this node starts
+            if (
+                best_value > -math.inf
+                and parent_bound < math.inf
+                and floor_bound(parent_bound + INTEGER_TOL, step) <= best_value
+            ):
+                continue
+            stats["nodes"] += 1
 
-        bounds = base_bounds.copy()
-        for col, lo, up in fixings:
-            bounds[col, 0] = lo
-            bounds[col, 1] = up
+            bounds = _node_bounds(base_bounds, fixings)
+            if isinstance(start, Future):
+                sol = session.collect(start, bounds)
+            else:
+                if start is not None:
+                    session.set_basis(start)
+                sol = session.solve(bounds)
+            sol = _checked(sol)
+            if sol.status == "optimal" and separate is not None:
+                sol = _cut_rounds(session, sol, separate, NODE_TOL, bounds)[1]
+            if sol.status == "infeasible":
+                continue
+            if stats["nodes"] == 1 or stats["nodes"] % HEURISTIC_EVERY == 0:
+                started = time.monotonic()
+                cand = _lp_guided_incumbent(handle, sol.x, stats)
+                stats["heuristic_s"] += time.monotonic() - started
+                if cand is not None and cand[0] > best_value:
+                    best_value, best_routes = cand
+                    stats["heuristic_incumbents"] += 1
+            if floor_bound(sol.objective + INTEGER_TOL, step) <= best_value:
+                continue  # objective on the reward grid: nothing better here
 
-        if basis is not None:
-            session.set_basis(basis)
-        sol = _checked(session.solve(bounds))
-        if sol.status == "optimal" and separate is not None:
-            sol = _cut_rounds(session, sol, separate, NODE_TOL, bounds)[1]
-        if sol.status == "infeasible":
-            continue
-        if stats["nodes"] == 1 or stats["nodes"] % HEURISTIC_EVERY == 0:
-            started = time.monotonic()
-            cand = _lp_guided_incumbent(handle, sol.x, stats)
-            stats["heuristic_s"] += time.monotonic() - started
-            if cand is not None and cand[0] > best_value:
-                best_value, best_routes = cand
-                stats["heuristic_incumbents"] += 1
-        if floor_bound(sol.objective + INTEGER_TOL, step) <= best_value:
-            continue  # objective on the reward grid: nothing better here
-
-        col = _pick_branch_column(order, sol.x)
-        if col is None:
-            value = _incumbent_value(handle, sol.x)
-            if value > best_value:
-                best_value = value
-                best_routes = extract_routes(handle, sol.x)
-            continue
-        if best_value > -math.inf:
-            # both children inherit what the reduced costs rule out here
-            fixed = _reduced_cost_fixings(order, sol, bounds, best_value + step - INTEGER_TOL)
-            stats["reduced_cost_fixed"] += len(fixed)
-            fixings += fixed
-        lo, up = bounds[col]
-        down = fixings + ((col, lo, math.floor(sol.x[col])),)
-        upn = fixings + ((col, math.ceil(sol.x[col]), up),)
-        # dive into the child agreeing with the fractional value's rounding;
-        # the sibling waits on the best-bound heap with this node's basis
-        if sol.x[col] - math.floor(sol.x[col]) >= 0.5:
-            dive, waits = (sol.objective, depth + 1, upn), down
-        else:
-            dive, waits = (sol.objective, depth + 1, down), upn
-        tree.push(sol.objective, depth + 1, waits, session.basis())
+            col = _pick_branch_column(order, sol.x)
+            if col is None:
+                value = _incumbent_value(handle, sol.x)
+                if value > best_value:
+                    best_value = value
+                    best_routes = extract_routes(handle, sol.x)
+                continue
+            if best_value > -math.inf:
+                # both children inherit what the reduced costs rule out here
+                fixed = _reduced_cost_fixings(order, sol, bounds, best_value + step - INTEGER_TOL)
+                stats["reduced_cost_fixed"] += len(fixed)
+                fixings += fixed
+            lo, up = bounds[col]
+            down = fixings + ((col, lo, math.floor(sol.x[col])),)
+            upn = fixings + ((col, math.ceil(sol.x[col]), up),)
+            # dive into the child agreeing with the fractional value's
+            # rounding; the sibling waits on the best-bound heap with this
+            # node's basis, which the worker solves its LP from while the
+            # dive goes on, for the first siblings of a dive
+            if sol.x[col] - math.floor(sol.x[col]) >= 0.5:
+                dive, waits = (sol.objective, depth + 1, upn), down
+            else:
+                dive, waits = (sol.objective, depth + 1, down), upn
+            start = session.basis()
+            if submitted < PREFETCH_PER_DIVE:
+                start = session.submit(start, _node_bounds(base_bounds, waits))
+                submitted += 1
+            tree.push(sol.objective, depth + 1, waits, start)
+    finally:
+        session.close()
 
     open_bound = tree.best_open_bound()
     if dive is not None:
@@ -560,6 +608,8 @@ def branch_and_bound(handle, session, config, deadline, separate=None):
     else:
         upper = best_value if best_value > -math.inf else -math.inf
     stats["lp_fallbacks"] = session.fallbacks
+    stats["prefetched"] = session.prefetched
+    stats["prefetch_wait_s"] = session.prefetch_wait_s
     return status, best_value, upper, best_routes, stats
 
 
@@ -628,9 +678,11 @@ def _search_report(inst, search, timings, cuts, lp_bound, root_bound=None):
     )
 
 
-def solve_stop(inst, config=SolveConfig()):
+def solve_stop(inst, config=SolveConfig(), on_model=None):
     """Cutting-plane pipeline: root reinforcement, then branch-and-bound on
-    the reinforced LP in the root's session."""
+    the reinforced LP in the root's session.  Each pipeline calls
+    ``on_model``, when given, with the model of the relaxation it builds,
+    before it solves anything on it; a solve the screen ends builds none."""
     t0 = time.monotonic()
     deadline = t0 + config.time_limit_s
     pre, blocker = _screen(inst)
@@ -638,7 +690,7 @@ def solve_stop(inst, config=SolveConfig()):
         return _unroutable_report(blocker, t0)
     t_pre = time.monotonic() - t0
 
-    phase = cutting_plane_phase(pre, config, deadline=deadline)
+    phase = cutting_plane_phase(pre, config, deadline=deadline, on_model=on_model)
     t_root = time.monotonic() - t0 - t_pre
     if phase.status == "infeasible":
         return _infeasible_report(
@@ -655,7 +707,7 @@ def solve_stop(inst, config=SolveConfig()):
     return _search_report(inst, search, timings, phase.cuts, phase.lp_bound, phase.upper_bound)
 
 
-def solve_baseline(inst, config=SolveConfig()):
+def solve_baseline(inst, config=SolveConfig(), on_model=None):
     """Branch-and-cut on the arrival-time formulation: connectivity cuts
     separated at every node until the gain per round drops to ``NODE_TOL``;
     every violated cut found is added (no orthogonality filter)."""
@@ -667,6 +719,8 @@ def solve_baseline(inst, config=SolveConfig()):
     t_pre = time.monotonic() - t0
 
     handle = build_arrival_formulation(pre, include_total_time_row=True)
+    if on_model is not None:
+        on_model(handle.model)
     root = _checked(lp.solve(handle.model))
     if root.status == "infeasible":
         return _infeasible_report(
@@ -690,13 +744,15 @@ def solve_baseline(inst, config=SolveConfig()):
     return _search_report(inst, search, timings, added, lp_bound)
 
 
-def solve_lp_only(inst, config=SolveConfig()):
+def solve_lp_only(inst, config=SolveConfig(), on_model=None):
     """Bound from the plain relaxation (flow kind, hard flow lower bounds)."""
     t0 = time.monotonic()
     pre, blocker = _screen(inst)
     if blocker is not None:
         return _unroutable_report(blocker, t0)
     handle = build_flow_formulation(pre)
+    if on_model is not None:
+        on_model(handle.model)
     sol = _checked(lp.solve(handle.model))
     t_total = time.monotonic() - t0
     if sol.status == "infeasible":

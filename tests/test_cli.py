@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from orienteer import bench
+from orienteer import bench, formulation, instance
 from orienteer.cli import main, validate_solution
 from orienteer.formulation import build_arrival_formulation, build_flow_formulation
 from orienteer.instance import parse_instance, preprocess, read_instance
@@ -194,6 +194,29 @@ def test_cli_dump_lp_writes_the_model_of_the_mode(five_path, tmp_path):
         assert dump.read_text() == export_lp_text(handle.model, name=inst.name), mode
 
 
+def test_cli_dump_lp_screens_and_builds_once(five_path, tmp_path, monkeypatch):
+    # the dump is the model the pipeline builds, so the flag adds no second
+    # screening pass and no second shortest-time matrix
+    calls = []
+    for module in (instance, formulation):
+        monkeypatch.setattr(module, "min_time_matrix", _counted(module.min_time_matrix, calls))
+    for mode in ("cpa", "baseline", "lp"):
+        runs = []
+        for extra in ([], ["--dump-lp", str(tmp_path / f"{mode}.lp")]):
+            calls.clear()
+            assert main(["solve", five_path, "--mode", mode, *extra]) == 0
+            runs.append(len(calls))
+        assert runs[0] == runs[1] >= 1, mode
+
+
+def _counted(fn, calls):
+    def counted(*args):
+        calls.append(fn)
+        return fn(*args)
+
+    return counted
+
+
 def test_cli_solve_rejects_the_bench_config_modes(five_path, capsys):
     # config1..5 are root-loop modes of bench only
     with pytest.raises(SystemExit) as exc:
@@ -205,12 +228,14 @@ def test_cli_solve_rejects_the_bench_config_modes(five_path, capsys):
 
 def test_cli_json_carries_the_solve_stats(five_path, tmp_path, capsys):
     rep = solve_stop(read_instance(five_path), SolveConfig(time_limit_s=60))
-    counts = {k: v for k, v in rep.stats.items() if k != "heuristic_s"}  # no wall time
+    timers = ("heuristic_s", "prefetch_wait_s")
+    counts = {k: v for k, v in rep.stats.items() if k not in timers}  # no wall time
     assert main(["solve", five_path, "--json", "--time-limit", "60"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["cuts"] == rep.cut_counts
     assert set(payload["cuts"]) == {CONNECTIVITY, CONFLICT, COVER}
-    assert "heuristic_s" in payload and counts.items() <= payload.items()
+    assert all(k in payload for k in timers) and counts.items() <= payload.items()
+    assert payload["prefetched"] == 0  # the five-vertex search never branches
     rows = tmp_path / "rows.json"
     assert main(["bench", five_path, "--json-out", str(rows), "--time-limit", "60"]) == 0
     row = json.loads(rows.read_text())["rows"][0]

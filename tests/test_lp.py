@@ -196,6 +196,36 @@ def test_session_restarts_from_a_saved_basis(seed):
             assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_worker_results_agree_with_stateless_solve(seed):
+    # LPs handed to the worker come back as the LP of the model with every
+    # row it holds at collection, rows appended after submission included
+    rng = random.Random(seed)
+    model = _bounded_model(rng)
+    session = lp.HighsSession(model)
+    session.solve()
+    try:
+        jobs = []
+        for _ in range(4):
+            bounds = _random_box(rng, model)
+            jobs.append((session.submit(session.basis(), bounds), bounds))
+            if rng.random() < 0.5:
+                session.add_rows([_random_inequality(rng, model.n_cols)])
+        for job, bounds in jobs:
+            got = session.collect(job, bounds)
+            want = lp.solve(model, bounds)
+            assert got.status == want.status
+            if want.status == "optimal":
+                assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
+                # the session's engine goes on from the collected optimum
+                again = session.solve()
+                assert again.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
+                assert session._h.getInfo().simplex_iteration_count == 0
+    finally:
+        session.close()
+
+
 def test_rejected_basis_raises():
     # a basis of another model does not fit this engine's columns
     session = lp.HighsSession(_single_bound_model())

@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+import threading
 import time
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ import pytest
 from orienteer import bench, lp, solver
 from orienteer.formulation import build_flow_formulation
 from orienteer.instance import (
+    StopInstance,
     min_time_matrix,
     parse_instance,
     preprocess,
@@ -123,39 +125,87 @@ GRID_REWARDS = {
 }
 
 
-def _mandatory_heavy(rng, inst):
-    """Move most inner vertices into the mandatory set."""
-    inner = sorted(inst.inner)
-    mand = frozenset(rng.sample(inner, max(1, (2 * len(inner)) // 3)))
+def _chao_style(rng, draw):
+    """A draw shaped like ``BRANCHING``: 12-14 vertices on a 14 x 14 square,
+    two or three vehicles, a time limit of 10-14 and rewards ``draw`` makes
+    of 1-10; searches on such draws branch."""
+    n = rng.randint(12, 14)
+    coords = np.array([[rng.uniform(0, 14), rng.uniform(0, 14)] for _ in range(n)])
+    d = np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2))
+    inner = frozenset(range(1, n - 1))
+    return StopInstance(
+        vertex_count=n,
+        origin=0,
+        destination=n - 1,
+        mandatory=frozenset(),
+        profitable=inner,
+        rewards={i: draw(rng, rng.randint(1, 10)) for i in sorted(inner)},
+        travel_time=d,
+        arc_mask=~np.eye(n, dtype=bool),
+        fleet_size=rng.randint(2, 3),
+        time_limit=rng.uniform(10, 14),
+        coordinates=coords,
+    )
+
+
+def _mandatory_from_optimum(rng, inst, skipped):
+    """``inst`` with half the vertices of its optimum mandatory, plus, with
+    ``skipped``, one vertex the optimum leaves out, which may leave no
+    feasible route set."""
+    visited = sorted(v for route in enumerate_optimal(inst).routes for v in route[1:-1])
+    mand = set(rng.sample(visited, len(visited) // 2))
+    rest = sorted(inst.inner - set(visited))
+    if skipped and rest:
+        mand.add(rng.choice(rest))
+    return _with_mandatory(inst, frozenset(mand))
+
+
+def _with_mandatory(inst, mand):
     return replace(
         inst,
         mandatory=mand,
-        profitable=frozenset(inner) - mand,
+        profitable=inst.inner - mand,
         rewards={i: p for i, p in inst.rewards.items() if i not in mand},
     )
 
 
+def _mandatory_heavy(rng, inst):
+    """Move most inner vertices into the mandatory set."""
+    inner = sorted(inst.inner)
+    return _with_mandatory(inst, frozenset(rng.sample(inner, max(1, (2 * len(inner)) // 3))))
+
+
 @pytest.mark.parametrize("scheme", sorted(GRID_REWARDS))
 def test_oracle_agreement_on_reward_grid(scheme):
+    # both pipelines meet the oracle on random draws, half of them
+    # mandatory-heavy, and on Chao-style draws with mandatory vertices, whose
+    # searches branch and hand nodes to the worker engine
     rng = random.Random(f"grid-{scheme}")
     draw = GRID_REWARDS[scheme]
-    infeasible = heavy = 0
-    for k in range(80):
-        inst = make_random_instance(rng, tightness=(0.9, 2.2), mandatory_share=0.0)
-        inst = replace(inst, rewards={i: draw(rng, p) for i, p in inst.rewards.items()})
-        if k % 2:
-            inst = _mandatory_heavy(rng, inst)
-            heavy += 1
+    reached = {"heavy": 0, "infeasible": 0, "worker": 0}
+
+    def agree(inst, k):
         want = enumerate_optimal(inst)
-        infeasible += want is None
+        reached["infeasible"] += want is None
         for solve in (solve_stop, solve_baseline):
             got = solve(inst, FAST)
+            reached["worker"] += got.stats["prefetched"] > 0
             if want is None:
                 assert got.status == "infeasible", (scheme, k, solve.__name__)
             else:
                 assert got.status == "optimal", (scheme, k, solve.__name__)
                 assert got.lower_bound == want.total_reward, (scheme, k, solve.__name__)
-    assert heavy and infeasible  # the draw reaches both kinds of instance
+
+    for k in range(80):
+        inst = make_random_instance(rng, tightness=(0.9, 2.2), mandatory_share=0.0)
+        inst = replace(inst, rewards={i: draw(rng, p) for i, p in inst.rewards.items()})
+        if k % 2:
+            inst = _mandatory_heavy(rng, inst)
+            reached["heavy"] += 1
+        agree(inst, k)
+    for k in range(80, 120):
+        agree(_mandatory_from_optimum(rng, _chao_style(rng, draw), skipped=k % 2), k)
+    assert all(reached.values()), reached  # the draws reach every kind
 
 
 def test_reduced_cost_fixing_agrees_with_the_oracle():
@@ -449,8 +499,9 @@ BRANCHING = (
 
 
 def test_main_pipeline_searches_in_the_root_session(monkeypatch):
-    # the search goes on in the root's session: one engine per solve, one LP
-    # per node, and the first node starts at the root's optimal basis
+    # the search goes on in the root's session: one session per solve (its
+    # worker's engine lives inside it), one LP per node on one of the two
+    # engines, and the first node starts at the root's optimal basis
     opened = []
     init = lp.HighsSession.__init__
     solve = lp.HighsSession.solve
@@ -470,9 +521,57 @@ def test_main_pipeline_searches_in_the_root_session(monkeypatch):
     monkeypatch.setattr(lp.HighsSession, "solve", counted_solve)
     rep = solve_stop(parse_instance(BRANCHING), FAST)
     assert rep.node_count > 1 and len(opened) == 1
-    # node solves set column bounds; root solves keep those in force
-    assert len(solves) == rep.node_count
+    # node solves set column bounds; root solves keep those in force; the
+    # worker settles the rest of the nodes' LPs
+    assert rep.stats["prefetched"] >= 1
+    assert len(solves) + rep.stats["prefetched"] == rep.node_count
     assert solves[0] == 0
+
+
+def _without_timers(rep):
+    stats = {k: v for k, v in rep.stats.items() if k not in ("heuristic_s", "prefetch_wait_s")}
+    return replace(rep, timings={}, stats=stats)
+
+
+@pytest.mark.parametrize("pipeline", [solve_stop, solve_baseline])
+def test_worker_leaves_the_report_repeatable(pipeline):
+    # the worker's jobs run in submission order on one engine, so nothing
+    # but the timers depends on when they finish
+    inst = parse_instance(BRANCHING)
+    first, second = pipeline(inst, FAST), pipeline(inst, FAST)
+    assert first.stats["prefetched"] >= 1
+    assert _without_timers(first) == _without_timers(second)
+
+
+def test_no_thread_outlives_a_solve(monkeypatch):
+    inst = parse_instance(BRANCHING)
+    before = threading.active_count()
+    ends = {
+        "optimal": FAST,
+        "time-limit": SolveConfig(max_nodes=2),  # a job is still queued here
+        "tiny-limit": SolveConfig(time_limit_s=1e-4),
+    }
+    for pipeline in (solve_stop, solve_baseline):
+        for end, config in ends.items():
+            rep = pipeline(inst, config)
+            assert rep.status == end.replace("tiny-limit", "time-limit"), (pipeline.__name__, end)
+            assert threading.active_count() == before, (pipeline.__name__, end)
+
+    # an exception at the second node, after the first submitted a job
+    monkeypatch.setattr(solver, "HEURISTIC_EVERY", 2)
+    calls = []
+
+    def raising(handle, x, stats):
+        calls.append(stats["nodes"])
+        if len(calls) > 1:
+            raise RuntimeError("heuristic failed")
+
+    monkeypatch.setattr(solver, "_lp_guided_incumbent", raising)
+    for pipeline in (solve_stop, solve_baseline):
+        calls.clear()
+        with pytest.raises(RuntimeError, match="heuristic failed"):
+            pipeline(inst, FAST)
+        assert calls == [1, 2] and threading.active_count() == before, pipeline.__name__
 
 
 def test_rejected_row_append_raises(rng, monkeypatch):
