@@ -25,17 +25,59 @@ what the second engine has solved before each job, which HiGHS results do
 depend on, is fixed by the call sequence alone.  The worker calls engine
 methods and ``row_arrays`` only; classifying its results and any fallback
 stay on the calling thread.
+
+The engine is scipy's extension module ``scipy.optimize._highspy._core``.
+``_load_highs`` loads it without running ``scipy.optimize``'s package init
+(linprog, minimize, scipy.linalg and more), which the solver does not use
+and which was most of a cold ``import orienteer``: 0.84 s, against 0.27 s
+without it, on a 2-core x86_64 VM.  Code that imports ``scipy.optimize``
+before or after shares the one module object; only the attribute
+``scipy.optimize._highspy._core`` stays unset, as the import system sets it
+on the parent package only when it loads the module itself.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize._highspy import _core as _hcore
+
+
+def _load_highs():
+    """scipy's HiGHS extension module, found beside scipy's package files and
+    registered under its full name before it runs, so that a later ``import
+    scipy.optimize`` gets this same module; an earlier one's is reused."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+
+    dirs = [os.path.join(d, "optimize", "_highspy") for d in scipy.__path__]
+    spec = importlib.machinery.PathFinder.find_spec(name, dirs)
+    if spec is None:
+        raise ImportError(
+            f"orienteer needs scipy >= 1.15, whose {name} holds the HiGHS "
+            f"bindings; scipy {scipy.__version__} has none in {dirs}",
+            name=name,
+        )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+_hcore = _load_highs()
 
 LE, EQ, GE = "<=", "=", ">="
 

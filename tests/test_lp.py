@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -383,3 +387,102 @@ def test_reduced_costs_bound_every_column_move():
                     assert forced.objective <= sol.objective + step * sol.dual[j] + 1e-6
                     checked += sol.dual[j] != 0.0
     assert checked
+
+
+# -- how the HiGHS bindings are loaded ------------------------------------------
+
+HIGHS_CORE = "scipy.optimize._highspy._core"
+TINY_INSTANCE = "n 5\nm 2\ntmax 12.0\n0 0 0\n3 0 5\n0 3 4\n3 3 6\n6 0 0\n"
+
+
+def _fresh_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this package from where
+    the tests do (source tree or install); fail with its stderr if it fails."""
+    env = dict(os.environ)
+    here = os.path.dirname(os.path.dirname(os.path.abspath(lp.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (here, env.get("PYTHONPATH")) if p)
+    run = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+
+
+def test_package_loads_highs_without_scipy_optimize():
+    # scipy.optimize's package init is most of a cold start; the solver needs
+    # only the extension, and scipy.optimize finds that same module later
+    _fresh_python(
+        f"""
+        import sys
+        import orienteer.cli
+        from orienteer import lp
+
+        assert "scipy.optimize" not in sys.modules
+        assert lp._hcore is sys.modules[{HIGHS_CORE!r}]
+        import scipy.optimize
+        from scipy.optimize._highspy import _core
+
+        assert _core is lp._hcore and sys.modules[{HIGHS_CORE!r}] is lp._hcore
+        res = scipy.optimize.linprog(
+            [-1, -2], A_ub=[[1, 1]], b_ub=[3], bounds=[(0, 2)] * 2, method="highs"
+        )
+        assert res.status == 0 and abs(res.fun + 5) < 1e-9, res
+        """
+    )
+    # the other order: the package takes the module scipy.optimize loaded
+    _fresh_python(
+        f"""
+        import sys
+        import scipy.optimize
+
+        core = sys.modules[{HIGHS_CORE!r}]
+        from orienteer import lp, solver
+        from orienteer.instance import parse_instance
+
+        assert lp._hcore is core
+        rep = solver.solve_stop(parse_instance(sys.argv[1]))
+        assert rep.status == "optimal", rep
+        """,
+        TINY_INSTANCE,
+    )
+
+
+@pytest.mark.parametrize(
+    ("core_file", "error", "message"),
+    (
+        (None, "ImportError", "scipy >= 1.15"),
+        ("raise RuntimeError('broken build')\n", "RuntimeError", "broken build"),
+    ),
+    ids=("missing", "broken"),
+)
+def test_missing_highs_extension_fails_clearly(tmp_path, core_file, error, message):
+    # scipy before 1.15 has no _highspy._core beside its package files, and a
+    # broken one must not leave a half-built module behind either way
+    if core_file is not None:
+        (tmp_path / "optimize" / "_highspy").mkdir(parents=True)
+        (tmp_path / "optimize" / "_highspy" / "_core.py").write_text(core_file)
+    _fresh_python(
+        f"""
+        import builtins
+        import sys
+        import scipy
+
+        scipy.__path__[:] = [sys.argv[1]]
+        error = getattr(builtins, sys.argv[2])
+        for _ in range(2):  # the second import must fail the same way
+            try:
+                import orienteer
+            except error as exc:
+                assert sys.argv[3] in str(exc), exc
+            else:
+                raise AssertionError("imported without the HiGHS extension")
+            assert {HIGHS_CORE!r} not in sys.modules
+            assert "orienteer.lp" not in sys.modules
+        """,
+        str(tmp_path),
+        error,
+        message,
+    )

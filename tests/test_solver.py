@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orienteer import bench, lp, solver
 from orienteer.formulation import build_flow_formulation
@@ -185,16 +187,9 @@ def test_oracle_agreement_on_reward_grid(scheme):
     reached = {"heavy": 0, "infeasible": 0, "worker": 0}
 
     def agree(inst, k):
-        want = enumerate_optimal(inst)
+        want, reports = _agree_with_oracle(inst, (scheme, k))
         reached["infeasible"] += want is None
-        for solve in (solve_stop, solve_baseline):
-            got = solve(inst, FAST)
-            reached["worker"] += got.stats["prefetched"] > 0
-            if want is None:
-                assert got.status == "infeasible", (scheme, k, solve.__name__)
-            else:
-                assert got.status == "optimal", (scheme, k, solve.__name__)
-                assert got.lower_bound == want.total_reward, (scheme, k, solve.__name__)
+        reached["worker"] += sum(got.stats["prefetched"] > 0 for got in reports)
 
     for k in range(80):
         inst = make_random_instance(rng, tightness=(0.9, 2.2), mandatory_share=0.0)
@@ -206,6 +201,36 @@ def test_oracle_agreement_on_reward_grid(scheme):
     for k in range(80, 120):
         agree(_mandatory_from_optimum(rng, _chao_style(rng, draw), skipped=k % 2), k)
     assert all(reached.values()), reached  # the draws reach every kind
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scheme=st.sampled_from(sorted(GRID_REWARDS)),
+    skipped=st.booleans(),
+)
+def test_oracle_agreement_on_chao_style_draws(seed, scheme, skipped):
+    # the Chao-style mandatory draws above, drawn by hypothesis; derandomized
+    # so that every run checks the same examples
+    rng = random.Random(seed)
+    inst = _mandatory_from_optimum(rng, _chao_style(rng, GRID_REWARDS[scheme]), skipped)
+    _agree_with_oracle(inst, (scheme, seed, skipped))
+
+
+def _agree_with_oracle(inst, label):
+    """Assert that both pipelines meet the oracle on ``inst``; return the
+    oracle's optimum (None when infeasible) and the two reports."""
+    want = enumerate_optimal(inst)
+    reports = []
+    for solve in (solve_stop, solve_baseline):
+        got = solve(inst, FAST)
+        if want is None:
+            assert got.status == "infeasible", (label, solve.__name__)
+        else:
+            assert got.status == "optimal", (label, solve.__name__)
+            assert got.lower_bound == want.total_reward, (label, solve.__name__)
+        reports.append(got)
+    return want, reports
 
 
 def test_reduced_cost_fixing_agrees_with_the_oracle():
