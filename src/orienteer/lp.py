@@ -45,7 +45,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -205,6 +205,9 @@ class LpSolution:
     x: np.ndarray | None
     # reduced costs of the columns for the maximized objective (optimal only)
     dual: np.ndarray | None = None
+    # ``solve``'s optimal ones: the engine's final basis as the pair
+    # ``HighsSession.basis`` returns, for a session to start from
+    basis: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def _engine(model, bounds=None, cost=None):
@@ -294,7 +297,8 @@ def _verdict(status, objective, optimum):
 def solve(model, bounds_override=None):
     """Solve to proven optimality (or infeasible/unbounded status) on fresh
     engines; raises ``LpError`` when HiGHS cannot classify an LP that has a
-    feasible point.
+    feasible point.  An optimal solution carries the engine's final basis,
+    which ``HighsSession.set_basis`` takes for a session on the same model.
 
     ``bounds_override`` is an optional (n, 2) array of column bounds used in
     place of the model's own; branch-and-bound nodes rely on it to avoid
@@ -333,6 +337,8 @@ def solve(model, bounds_override=None):
         raise LpError(
             f"HiGHS could not classify the LP: model status {h.modelStatusToString(status)}"
         )
+    if sol.status == "optimal":
+        sol.basis = h.getBasis(), model.n_rows
     return sol
 
 

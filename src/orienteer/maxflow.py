@@ -16,12 +16,23 @@ arc leaves a minimum cut's source side and the reachable set lies inside it,
 while the reachable set is itself the source side of a minimum cut.  Every
 maximum flow therefore yields the same set, up to the ``RESIDUAL_EPS``
 tolerance that both the augmenting searches and the final one apply.
+
+That is what lets a caller reuse work.  A network keeps its residual
+adjacency from its first solve on, so a run of flows on one set of arcs, with
+the capacities, source or sink changed in between, builds it once.  And a
+solve may start from the flow of an earlier one (``start``) instead of from
+zero, as long as that flow still fits the capacities and has the same source
+and sink: augmenting it to a maximum flow gives the same value and, by the
+argument above, the same smallest source side as a solve from zero.  Raising
+capacities keeps a flow feasible, which is how the conflict separator grows a
+flow into one sink arc into a flow into two.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import add, sub
 
 # kept for the benchmark's environment report; there is no compiled kernel
 KERNEL_COMPILED = False
@@ -32,7 +43,11 @@ RESIDUAL_EPS = 1e-12
 
 @dataclass
 class FlowNetwork:
-    """Capacitated digraph under construction; arcs keep insertion order."""
+    """Capacitated digraph; arcs keep insertion order and, once added, stay.
+
+    Capacities (``set_capacity``), the source and the sink may change
+    between solves; the residual adjacency is built at the first solve and
+    kept until an arc is added."""
 
     node_count: int
     source: int
@@ -40,8 +55,14 @@ class FlowNetwork:
     tails: list = field(default_factory=list)
     heads: list = field(default_factory=list)
     capacities: list = field(default_factory=list)
+    # (arc count, heads, tails, out-arcs per vertex) of the residual graph:
+    # arc e < m is the network's arc e, arc e + m its reverse
+    _residual: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._check_ends()
+
+    def _check_ends(self):
         n = self.node_count
         if not (0 <= self.source < n and 0 <= self.sink < n):
             raise ValueError("source/sink out of range")
@@ -51,34 +72,69 @@ class FlowNetwork:
     def add_arc(self, tail, head, capacity):
         if not (0 <= tail < self.node_count and 0 <= head < self.node_count):
             raise ValueError(f"arc ({tail}, {head}) out of range")
-        if not capacity >= 0 or math.isnan(capacity):
-            raise ValueError(f"negative or NaN capacity on ({tail}, {head})")
+        _check_capacity(capacity, tail, head)
         self.tails.append(tail)
         self.heads.append(head)
         self.capacities.append(float(capacity))
 
+    def set_capacity(self, arc, capacity):
+        _check_capacity(capacity, self.tails[arc], self.heads[arc])
+        self.capacities[arc] = float(capacity)
+
+    def _residual_graph(self):
+        """``_residual``, built again only when the arc count changed."""
+        m = len(self.tails)
+        if self._residual is None or self._residual[0] != m:
+            head = self.heads + self.tails
+            tail = self.tails + self.heads
+            out = [[] for _ in range(self.node_count)]
+            for e, u in enumerate(tail):
+                out[u].append(e)
+            self._residual = (m, head, tail, out)
+        return self._residual
+
+
+def _check_capacity(capacity, tail, head):
+    if not capacity >= 0:  # NaN fails the comparison too
+        raise ValueError(f"negative or NaN capacity on ({tail}, {head})")
+
 
 @dataclass(frozen=True)
 class MinCutResult:
-    """Max-flow value and the source-side vertex set of the smallest minimum cut."""
+    """Max-flow value and the source-side vertex set of the smallest minimum
+    cut.  ``state`` ((source, sink), capacities, residual capacities) is what
+    a later solve on the same network needs to start from this flow."""
 
     flow_value: float
     source_side: frozenset
+    state: tuple = field(default=None, repr=False, compare=False)
 
 
-def max_flow_min_cut(net: FlowNetwork) -> MinCutResult:
-    """Maximum source-sink flow value and the smallest minimum cut."""
+def max_flow_min_cut(net: FlowNetwork, start: MinCutResult | None = None) -> MinCutResult:
+    """Maximum source-sink flow value and the smallest minimum cut.
+
+    With ``start``, a result of an earlier solve on ``net`` with the same
+    source and sink, augmenting begins from that maximum flow under the
+    capacities then, the capacity changes since added to its residuals.  The
+    flow must still fit: a capacity lowered below it raises ``ValueError``."""
+    net._check_ends()
     n, source, sink = net.node_count, net.source, net.sink
-    # arc e < m is the network's arc e; arc e + m is its reverse
-    m = len(net.tails)
-    head = net.heads + net.tails
-    tail = net.tails + net.heads
-    res = net.capacities + [0.0] * m
-    out = [[] for _ in range(n)]
-    for e, u in enumerate(tail):
-        out[u].append(e)
+    m, head, tail, out = net._residual_graph()
+    caps = net.capacities
+    if start is None:
+        res = caps + [0.0] * m
+        flow = 0.0
+    else:
+        ends, before, residual = start.state
+        if ends != (source, sink) or len(before) != m:
+            raise ValueError("start comes from another source, sink or network")
+        # an unchanged arc adds exactly 0.0, so its residual stays bit for bit
+        res = list(map(add, residual, map(sub, caps, before)))
+        if res and min(res) < -RESIDUAL_EPS:
+            raise ValueError("start's flow exceeds a lowered capacity")
+        res += residual[m:]
+        flow = start.flow_value
 
-    flow = 0.0
     while True:
         # breadth-first search; into[v] is the arc that first reached v
         into = [-1] * n
@@ -94,7 +150,7 @@ def max_flow_min_cut(net: FlowNetwork) -> MinCutResult:
                 break
         else:
             # the sink is out of reach: the search reached exactly the min cut
-            return MinCutResult(flow_value=flow, source_side=frozenset(reached))
+            return MinCutResult(flow, frozenset(reached), ((source, sink), list(caps), res))
         path = []
         delta = math.inf
         v = sink

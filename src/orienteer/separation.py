@@ -156,17 +156,20 @@ def separate_connectivity(xv, yv, inst, params=CONNECTIVITY_FILTER):
     For every v (except the destination) the max flow from v to the
     destination on the support graph is compared against the largest visit
     value on the source side of the min cut; a shortfall beyond the violation
-    threshold yields the cut over the arcs leaving that side.
+    threshold yields the cut over the arcs leaving that side.  Every flow of
+    the scan runs on one network, its source moved from vertex to vertex, so
+    the residual adjacency is built once per call.
     """
-    n = inst.vertex_count
     t = inst.destination
     support = _support(xv)
     tails = [a[0] for a, _ in support]
     heads = [a[1] for a, _ in support]
     caps = [c for _, c in support]
+    # the source moves to each v below; the origin is a valid placeholder
+    net = FlowNetwork(inst.vertex_count, inst.origin, t, tails, heads, caps)
     cuts = []
     for v in sorted(inst.present - {t}):
-        net = FlowNetwork(n, v, t, tails, heads, caps)
+        net.source = v
         res = max_flow_min_cut(net)
         side = res.source_side
         if t in side or len(side) < 2:
@@ -205,6 +208,18 @@ def separate_conflict(xv, yv, inst, conflicts, params=CONFLICT_FILTER):
     below y_i + y_j exposes a separating set V (the sink side) whose entering
     arcs must carry at least y_i + y_j.  The mirrored construction on the
     reversed support graph yields the leave-side cuts.
+
+    Each side builds one auxiliary network per call, with an arc of capacity
+    0 from every vertex to the artificial sink; a pair opens its two sink
+    arcs and closes them again after its flow.  A closed arc carries no flow
+    and its residual arcs are empty, so the cuts are those of a network
+    holding the pair's two sink arcs alone.  The maximum flow with one
+    vertex's sink arc alone open is solved once per vertex and side.  The
+    larger of the pair's two such flows is a lower bound on the pair's flow:
+    when it meets the need, the pair yields no cut.  Otherwise the pair's
+    flow is grown from it: opening the other arc only raises a capacity, so
+    that flow still fits, and a maximum flow grown from it has the same
+    smallest min cut as one grown from zero (see ``orienteer.maxflow``).
     """
     n = inst.vertex_count
     big = float(inst.fleet_size)
@@ -212,22 +227,37 @@ def separate_conflict(xv, yv, inst, conflicts, params=CONFLICT_FILTER):
     tails = [a[0] for a, _ in support]
     heads = [a[1] for a, _ in support]
     caps = [c for _, c in support]
-    sides = (
+    sides = []
+    for side, source, side_tails, side_heads, crossing_arcs in (
         ("enter", inst.origin, tails, heads, _in_cut_arcs),
         ("leave", inst.destination, heads, tails, _out_cut_arcs),
-    )
+    ):
+        net = FlowNetwork(n + 1, source, n, list(side_tails), list(side_heads), list(caps))
+        # arc len(caps) + v runs from v to the artificial sink
+        for v in range(n):
+            net.add_arc(v, n, 0.0)
+        sides.append((side, net, {}, crossing_arcs))
+    sink_arc = len(caps)
     cuts = []
     seen = set()
     for (i, j) in conflicts:
         need = yv.get(i, 0.0) + yv.get(j, 0.0)
         if need <= params.abs_violation:
             continue
-        for side, source, side_tails, side_heads, crossing_arcs in sides:
-            # copies: add_arc appends the two sink arcs to the lists
-            net = FlowNetwork(n + 1, source, n, list(side_tails), list(side_heads), list(caps))
-            net.add_arc(i, n, big)
-            net.add_arc(j, n, big)
-            res = max_flow_min_cut(net)
+        for side, net, alone, crossing_arcs in sides:
+            for v in (i, j):
+                if v not in alone:
+                    net.set_capacity(sink_arc + v, big)
+                    alone[v] = max_flow_min_cut(net)
+                    net.set_capacity(sink_arc + v, 0.0)
+            res = max(alone[i], alone[j], key=lambda r: r.flow_value)
+            if res.flow_value >= need - params.abs_violation:
+                continue
+            net.set_capacity(sink_arc + i, big)
+            net.set_capacity(sink_arc + j, big)
+            res = max_flow_min_cut(net, start=res)
+            net.set_capacity(sink_arc + i, 0.0)
+            net.set_capacity(sink_arc + j, 0.0)
             if res.flow_value >= need - params.abs_violation:
                 continue
             V = frozenset(range(n)) - res.source_side

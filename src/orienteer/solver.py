@@ -16,7 +16,9 @@ branch-and-bound engine:
 
 * baseline: the arrival-time formulation with the aggregate travel-time row
   kept; node rounds append every violated connectivity cut (no filter)
-  until a round gains at most ``NODE_TOL``.
+  until a round gains at most ``NODE_TOL``.  Its root LP is solved once, by
+  ``lp.solve``, whose probe settles an infeasible relaxation; the search's
+  session starts from that solve's final basis.
 
 Both searches prune on the reward grid: every objective value is a multiple
 of g = gcd(rewards), so a node is dropped once its bound, rounded down to a
@@ -39,7 +41,10 @@ bound already meets the optimum closes without branching.  Every reported
 incumbent passes the independent route validator again on the instance as
 given.
 
-The first node of the main pipeline goes on from the root's optimal basis.
+The first node of either pipeline goes on from the root's optimal basis, so
+it re-solves the root LP at no simplex iteration: the main pipeline's from
+the live basis of its root session, the baseline's from the basis
+``lp.solve`` returned with the root optimum (``HighsSession.set_basis``).
 A node that branches dives into one child, which goes on from the live basis,
 and leaves the other on the heap with its own final basis
 (``HighsSession.basis``).  For the first ``PREFETCH_PER_DIVE`` such children
@@ -710,7 +715,9 @@ def solve_stop(inst, config=SolveConfig(), on_model=None):
 def solve_baseline(inst, config=SolveConfig(), on_model=None):
     """Branch-and-cut on the arrival-time formulation: connectivity cuts
     separated at every node until the gain per round drops to ``NODE_TOL``;
-    every violated cut found is added (no orthogonality filter)."""
+    every violated cut found is added (no orthogonality filter).  The root
+    LP is solved once, on a fresh engine, and the search starts from its
+    final basis."""
     t0 = time.monotonic()
     deadline = t0 + config.time_limit_s
     pre, blocker = _screen(inst)
@@ -738,6 +745,8 @@ def solve_baseline(inst, config=SolveConfig(), on_model=None):
         return [cut.to_row(handle) for cut in cand]
 
     session = lp.HighsSession(handle.model)
+    # the first node's LP is the root's, so its solve starts at the optimum
+    session.set_basis(root.basis)
     search = branch_and_bound(handle, session, config, deadline, separate)
     t_total = time.monotonic() - t0
     timings = {"preprocess": t_pre, "search": t_total - t_pre, "total": t_total}

@@ -176,3 +176,64 @@ def test_flow_conservation_detail():
         net.add_arc(u, v, c)
     res = max_flow_min_cut(net)
     assert res.flow_value == pytest.approx(2.5)
+
+
+def test_start_from_lower_capacities_gives_the_same_flow_and_side():
+    # a maximum flow under lower capacities still fits, and grown from it the
+    # flow reaches the same value and the same smallest minimum cut as one
+    # grown from zero
+    rng = random.Random(4242)
+    for _ in range(400):
+        n, s, t, arcs = _random_net(rng)
+        net = FlowNetwork(n, s, t)
+        for u, v, c in arcs:
+            net.add_arc(u, v, rng.choice((0.0, c / 2, c, rng.uniform(0, c))))
+        start = max_flow_min_cut(net)
+        for e, (_, _, c) in enumerate(arcs):
+            net.set_capacity(e, c)
+        warm = max_flow_min_cut(net, start=start)
+        cold = _solve(n, s, t, arcs)
+        assert abs(warm.flow_value - cold.flow_value) <= 1e-12
+        assert warm.source_side == cold.source_side
+
+
+def test_start_must_fit_the_network():
+    net = FlowNetwork(3, 0, 2)
+    net.add_arc(0, 1, 1.0)
+    net.add_arc(1, 2, 1.0)
+    start = max_flow_min_cut(net)
+    net.set_capacity(1, 0.5)  # below the start's flow of 1
+    with pytest.raises(ValueError):
+        max_flow_min_cut(net, start=start)
+    net.set_capacity(1, 1.0)
+    net.source, net.sink = 1, 2
+    with pytest.raises(ValueError):
+        max_flow_min_cut(net, start=start)
+    net.add_arc(0, 2, 1.0)
+    net.source = 0
+    with pytest.raises(ValueError):
+        max_flow_min_cut(net, start=start)
+    with pytest.raises(ValueError):
+        net.set_capacity(0, float("nan"))
+
+
+def test_network_reused_across_sources_and_capacities():
+    # the residual adjacency is built once; moving the source or changing a
+    # capacity between solves gives what a new network would
+    rng = random.Random(99)
+    for _ in range(100):
+        n, s, t, arcs = _random_net(rng)
+        net = FlowNetwork(n, s, t)
+        for u, v, c in arcs:
+            net.add_arc(u, v, c)
+        for source in (v for v in range(n) if v != t):
+            net.source = source
+            if arcs and rng.random() < 0.5:
+                e = rng.randrange(len(arcs))
+                u, v, _ = arcs[e]
+                arcs[e] = (u, v, round(rng.uniform(0, 3), 3))
+                net.set_capacity(e, arcs[e][2])
+            assert max_flow_min_cut(net) == _solve(n, source, t, arcs)
+        net.source = t
+        with pytest.raises(ValueError):
+            max_flow_min_cut(net)

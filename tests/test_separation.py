@@ -5,12 +5,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orienteer import lp
 from orienteer.formulation import build_flow_formulation
-from orienteer.instance import min_time_matrix, parse_instance, preprocess
+from orienteer.instance import StopInstance, min_time_matrix, parse_instance, preprocess
+from orienteer.maxflow import FlowNetwork, max_flow_min_cut
 from orienteer.oracle import enumerate_feasible
 from orienteer.separation import (
+    CONFLICT,
+    CONFLICT_FILTER,
+    CONNECTIVITY,
+    CONNECTIVITY_FILTER,
+    SUPPORT_EPS,
     ConflictSet,
     Cut,
     FilterParams,
@@ -487,3 +495,123 @@ def test_every_emitted_cut_valid_for_every_feasible_solution(rng):
                 px, py = point_of_routes(pre, rs.routes)
                 assert cut.violation(px, py) <= 1e-6, (cut, rs)
     assert all(v > 0 for v in seen.values()), f"families not all exercised: {seen}"
+
+
+# -- shared-network, warm-started separators against from-scratch ones ------
+
+
+def _reference_connectivity(xv, yv, inst, params=CONNECTIVITY_FILTER):
+    """The connectivity scan with a new network for every source vertex."""
+    n, t = inst.vertex_count, inst.destination
+    support = [(a, v) for a, v in xv.items() if v > SUPPORT_EPS]
+    cuts = []
+    for v in sorted(inst.present - {t}):
+        net = FlowNetwork(n, v, t)
+        for (a, b), c in support:
+            net.add_arc(a, b, c)
+        res = max_flow_min_cut(net)
+        side = res.source_side
+        candidates = [w for w in side if w in inst.inner]
+        if t in side or len(side) < 2 or not candidates:
+            continue
+        vstar = max(candidates, key=lambda w: (yv.get(w, 0.0), -w))
+        if yv.get(vstar, 0.0) - res.flow_value <= params.abs_violation:
+            continue
+        x_terms = tuple(
+            ((a, b), 1.0) for a in sorted(side) for b in range(n) if inst.arc_mask[a, b] and b not in side
+        )
+        cuts.append(Cut(CONNECTIVITY, x_terms, ((vstar, -1.0),), ">=", 0.0, (frozenset(side), vstar)))
+    return cuts
+
+
+def _reference_conflict(xv, yv, inst, conflicts, params=CONFLICT_FILTER):
+    """Conflict separation with a new auxiliary network, holding the pair's
+    two sink arcs alone, for every pair and side, each flow from zero."""
+    n = inst.vertex_count
+    support = [(a, v) for a, v in xv.items() if v > SUPPORT_EPS]
+    cuts = []
+    seen = set()
+    for (i, j) in conflicts:
+        need = yv.get(i, 0.0) + yv.get(j, 0.0)
+        if need <= params.abs_violation:
+            continue
+        for side, source in (("enter", inst.origin), ("leave", inst.destination)):
+            net = FlowNetwork(n + 1, source, n)
+            for (a, b), c in support:
+                net.add_arc(*((a, b) if side == "enter" else (b, a)), c)
+            net.add_arc(i, n, float(inst.fleet_size))
+            net.add_arc(j, n, float(inst.fleet_size))
+            res = max_flow_min_cut(net)
+            if res.flow_value >= need - params.abs_violation:
+                continue
+            V = frozenset(range(n)) - res.source_side
+            if not {i, j} <= V or (side, V) in seen:
+                continue
+            seen.add((side, V))
+            if side == "enter":
+                arcs = [(a, b) for b in sorted(V) for a in range(n) if inst.arc_mask[a, b] and a not in V]
+            else:
+                arcs = [(a, b) for a in sorted(V) for b in range(n) if inst.arc_mask[a, b] and b not in V]
+            x_terms = tuple((a, 1.0) for a in arcs)
+            cuts.append(Cut(CONFLICT, x_terms, ((i, -1.0), (j, -1.0)), ">=", 0.0, (V, (i, j), side)))
+    return cuts
+
+
+def _support_draw(rng):
+    """(instance, x point, y point, conflicting pairs): a random digraph
+    with antiparallel arcs, some vertices removed, some present ones left
+    without support, zero values among the support, and fractional,
+    integral and missing visit values.  Values lie on a 1/64 grid, which
+    keeps every flow exact, so a flow that ties a threshold compares the
+    same however its augmentations were summed."""
+
+    def value():
+        return rng.randint(0, 64) / 64
+
+    n = rng.randint(4, 11)
+    inner = list(range(1, n - 1))
+    removed = frozenset(v for v in inner if rng.random() < 0.15)
+    kept = [v for v in inner if v not in removed]
+    mand = frozenset(v for v in kept if rng.random() < 0.3)
+    prof = frozenset(kept) - mand
+    mask = np.zeros((n, n), dtype=bool)
+    for a in range(n):
+        for b in range(n):
+            if a != b and rng.random() < 0.45:
+                mask[a, b] = True
+                if rng.random() < 0.4:
+                    mask[b, a] = True  # antiparallel
+    inst = StopInstance(
+        vertex_count=n,
+        origin=0,
+        destination=n - 1,
+        mandatory=mand,
+        profitable=prof,
+        rewards={i: 1 for i in sorted(prof)},
+        travel_time=1.0 - np.eye(n),
+        arc_mask=mask,
+        fleet_size=rng.randint(1, 3),
+        time_limit=10.0,
+        removed=removed,
+    )
+    isolated = {v for v in range(n) if rng.random() < 0.15}
+    xv = {}
+    for a, b in inst.arcs():
+        if a in isolated or b in isolated:
+            continue
+        xv[(a, b)] = 0.0 if rng.random() < 0.25 else value()
+    yv = {v: rng.choice((0.0, 1.0, value(), value())) for v in kept if rng.random() < 0.9}
+    pairs = [(i, j) for i in sorted(inst.inner) for j in sorted(inst.inner) if i < j and rng.random() < 0.5]
+    return inst, xv, yv, ConflictSet(tuple(pairs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_shared_network_separators_match_from_scratch_ones(seed):
+    inst, xv, yv, conflicts = _support_draw(random.Random(seed))
+    for params in (FilterParams(0.0, 0.03), FilterParams(0.05, 0.03), CONFLICT_FILTER):
+        got = separate_connectivity(xv, yv, inst, params)
+        assert got == _reference_connectivity(xv, yv, inst, params)
+        # Cut equality covers the origin: the side set, pair and cut side
+        got = separate_conflict(xv, yv, inst, conflicts, params)
+        assert got == _reference_conflict(xv, yv, inst, conflicts, params)

@@ -553,6 +553,47 @@ def test_main_pipeline_searches_in_the_root_session(monkeypatch):
     assert solves[0] == 0
 
 
+def test_baseline_search_starts_from_the_root_basis(monkeypatch):
+    # the baseline solves its root LP once, with lp.solve, and the search's
+    # first node goes on from that solve's final basis: no simplex iteration,
+    # and the same report as a search whose first node starts from scratch
+    inst = parse_instance(BRANCHING)
+    stateless = []
+    node_iters = []
+    lp_solve = lp.solve
+    session_solve = lp.HighsSession.solve
+    set_basis = lp.HighsSession.set_basis
+
+    def counted_lp_solve(model, bounds_override=None):
+        stateless.append(model)
+        return lp_solve(model, bounds_override)
+
+    def counted_solve(self, bounds_override=None):
+        sol = session_solve(self, bounds_override)
+        self.solved = True
+        if not node_iters:
+            node_iters.append(self._h.getInfo().simplex_iteration_count)
+        return sol
+
+    monkeypatch.setattr(lp, "solve", counted_lp_solve)
+    monkeypatch.setattr(lp.HighsSession, "solve", counted_solve)
+    seeded = solve_baseline(inst, FAST)
+    assert seeded.node_count > 1 and len(stateless) == 1
+    assert node_iters == [0]
+
+    def unseeded_set_basis(self, saved):
+        # a basis handed over before the session's first solve is dropped
+        if getattr(self, "solved", False):
+            set_basis(self, saved)
+
+    monkeypatch.setattr(lp.HighsSession, "set_basis", unseeded_set_basis)
+    stateless.clear()
+    node_iters.clear()
+    unseeded = solve_baseline(inst, FAST)
+    assert len(stateless) == 1 and node_iters[0] > 0
+    assert _without_timers(seeded) == _without_timers(unseeded)
+
+
 def _without_timers(rep):
     stats = {k: v for k, v in rep.stats.items() if k not in ("heuristic_s", "prefetch_wait_s")}
     return replace(rep, timings={}, stats=stats)
