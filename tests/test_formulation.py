@@ -1,4 +1,6 @@
+import hashlib
 import math
+import os
 import random
 
 import numpy as np
@@ -13,7 +15,7 @@ from orienteer.formulation import (
     map_solution,
     point_violations,
 )
-from orienteer.instance import preprocess
+from orienteer.instance import preprocess, read_instance
 
 from conftest import I, J, K, L, S, T, make_figure_instance, make_random_instance
 
@@ -181,3 +183,33 @@ def test_random_vertices_map_between_formulations(rng):
         mapped = map_solution(ha, sol, hf)
         assert point_violations(hf, mapped, tol=1e-6) == []
     assert done >= 20
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+GOLDEN_BUILDS = {
+    "flow": build_flow_formulation,
+    "arrival": build_arrival_formulation,
+    "arrival_total_time": lambda i: build_arrival_formulation(i, include_total_time_row=True),
+}
+
+# sha256 of the export_lp_text output for the preprocessed
+# data/unclassified_node_lp.txt instance, by build
+UNCLASSIFIED_SHA256 = {
+    "flow": "3f19f576e5849445a5c788da0dc62695b52dc8d3013f15327404da3ca724f9fc",
+    "arrival": "f42adb435d336885f7f429db0725622201ef0726effbb41bd4b022903c8068bd",
+    "arrival_total_time": "e962270ce1495713ee3c500aa0a3c68c552a704e68115ec8e85649dcc6cf027d",
+}
+
+
+@pytest.mark.parametrize("build", sorted(GOLDEN_BUILDS))
+def test_lp_text_matches_golden(build):
+    # every column, row, coefficient and bound of the three models, pinned:
+    # data/figure_<build>.lp for the preprocessed figure instance, a digest
+    # for a 21-vertex one
+    pre, _ = preprocess(make_figure_instance())
+    with open(os.path.join(DATA, f"figure_{build}.lp")) as fh:
+        assert lp.export_lp_text(GOLDEN_BUILDS[build](pre).model) == fh.read()
+    pre, _ = preprocess(read_instance(os.path.join(DATA, "unclassified_node_lp.txt")))
+    text = lp.export_lp_text(GOLDEN_BUILDS[build](pre).model)
+    assert hashlib.sha256(text.encode()).hexdigest() == UNCLASSIFIED_SHA256[build]
