@@ -17,6 +17,7 @@ byte-identical CSV.
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 import io
 import json
 import math
@@ -201,28 +202,26 @@ CSV_FIELDS = (
 def to_csv(rows):
     """Deterministic machine output: no wall-clock fields."""
     buf = io.StringIO()
-    buf.write(CSV_FIELDS + "\n")
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(CSV_FIELDS.split(","))
     for r in rows:
-        buf.write(
-            ",".join(
-                [
-                    r.instance,
-                    r.set_id,
-                    r.mode,
-                    r.status,
-                    _num(r.lower),
-                    _num(r.upper),
-                    f"{100.0 * r.gap:.4f}",
-                    str(r.cuts.get(CONNECTIVITY, 0)),
-                    str(r.cuts.get(CONFLICT, 0)),
-                    str(r.cuts.get(COVER, 0)),
-                    str(r.nodes),
-                    _num(r.lp_bound),
-                    _num(r.improvement),
-                    r.error.replace(",", ";"),
-                ]
-            )
-            + "\n"
+        out.writerow(
+            [
+                r.instance,
+                r.set_id,
+                r.mode,
+                r.status,
+                _num(r.lower),
+                _num(r.upper),
+                f"{100.0 * r.gap:.4f}",
+                r.cuts.get(CONNECTIVITY, 0),
+                r.cuts.get(CONFLICT, 0),
+                r.cuts.get(COVER, 0),
+                r.nodes,
+                _num(r.lp_bound),
+                _num(r.improvement),
+                r.error,
+            ]
         )
     for agg in aggregate(rows):
         buf.write(

@@ -1,7 +1,7 @@
 """LP/MILP formulations of the routing problem.
 
 Two equivalent compact models are built over binary arc variables x, binary
-visit variables y, one continuous value per arc, and a slack counting idle
+visit variables y, one continuous value v per arc, and a slack counting idle
 vehicles:
 
 * ``flow`` kind: the arc value f_ij is the time budget still available after
@@ -9,6 +9,18 @@ vehicles:
   budget and spends it along its route.
 * ``arrival`` kind: the arc value z_ij is the arrival time at j when coming
   from i.  The two are linked pointwise by z_ij = T * x_ij - f_ij.
+
+The kinds share every row on x, y and the slack, and differ only in the
+coefficients of the four per-arc value blocks (R: shortest times, d: travel
+times, s/t: origin/destination, in(i)/out(i): arcs entering/leaving i):
+
+  block     row                                    flow: c                  arrival: c
+  depart    v_sj = c x_sj                          T - d_sj                 d_sj
+  consume   v(out(i)) - v(in(i)) = c (dx)(out(i))  -1                       +1
+  cap       v_ij <= c x_ij                         T - R_si - d_ij, i != s  T - R_jt
+  floor     v_ij >= c x_ij                         R_jt                     R_si + d_ij
+
+The arrival kind may add one ``total_time`` row, sum d_ij x_ij <= m T.
 
 The y variables stay materialized (never substituted out) because the cut
 families are expressed on them, which keeps cuts sparse.
@@ -20,6 +32,7 @@ constraint counts and LP exports are deterministic.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,55 +78,76 @@ def _prepare(inst):
     return R
 
 
-def _base_columns(inst, model):
+def _build(inst, kind, R, depart, consume, cap, floor):
+    """The model of one kind from its coefficient tables.
+
+    ``depart``, ``cap`` and ``floor`` map arcs to c, in row order, for the
+    rows v = c x, v <= c x and v >= c x over each arc's value column v;
+    ``consume`` holds the signs of the values entering and leaving a vertex.
+    """
+    s, t = inst.origin, inst.destination
+    d = inst.travel_time
     arcs = inst.arcs()
+    inner = sorted(inst.inner)
+    out_arcs = defaultdict(list)
+    in_arcs = defaultdict(list)
+    for (i, j) in arcs:
+        out_arcs[i].append((i, j))
+        in_arcs[j].append((i, j))
+
+    model = LpModel()
     x_index = {a: model.add_column(0.0, 1.0, 0.0) for a in arcs}
     y_index = {}
     for i in sorted(inst.present):
         y_index[i] = model.add_column(0.0, 1.0, float(inst.rewards.get(i, 0)))
     flow_index = {a: model.add_column(0.0, math.inf, 0.0) for a in arcs}
     slack_index = model.add_column(0.0, float(inst.fleet_size), 0.0)
-    return arcs, x_index, y_index, flow_index, slack_index
 
+    blocks = {}
 
-def _base_rows(inst, model, arcs, x_index, y_index, slack_index, blocks):
-    s, t = inst.origin, inst.destination
-    inner = sorted(inst.inner)
-    out_arcs = {}
-    in_arcs = {}
-    for (i, j) in arcs:
-        out_arcs.setdefault(i, []).append((i, j))
-        in_arcs.setdefault(j, []).append((i, j))
+    def block(name, rows):
+        start = model.n_rows
+        for coeffs, relation, rhs in rows:
+            model.add_row(coeffs, relation, rhs)
+        blocks[name] = (start, model.n_rows - start)
 
-    start = model.n_rows
-    for i in sorted(inst.mandatory) + [s, t]:
-        model.add_row([(y_index[i], 1.0)], EQ, 1.0)
-    blocks["select"] = (start, model.n_rows - start)
+    def x_sum(arc_list, sign=1.0):
+        return [(x_index[a], sign) for a in arc_list]
 
-    start = model.n_rows
-    for i in inner:
-        coeffs = [(x_index[a], 1.0) for a in out_arcs.get(i, [])]
-        coeffs.append((y_index[i], -1.0))
-        model.add_row(coeffs, EQ, 0.0)
-    blocks["visit_degree"] = (start, model.n_rows - start)
+    def value_rows(table, relation):
+        return [([(flow_index[a], 1.0), (x_index[a], -c)], relation, 0.0) for a, c in table.items()]
 
-    start = model.n_rows
     m = float(inst.fleet_size)
-    model.add_row(
-        [(x_index[a], 1.0) for a in out_arcs.get(s, [])] + [(slack_index, 1.0)], EQ, m
+    sign_in, sign_out = consume
+    block("select", [([(y_index[i], 1.0)], EQ, 1.0) for i in sorted(inst.mandatory) + [s, t]])
+    block("visit_degree", [(x_sum(out_arcs[i]) + [(y_index[i], -1.0)], EQ, 0.0) for i in inner])
+    block(
+        "fleet",
+        [(x_sum(ends[v]) + [(slack_index, 1.0)], EQ, m) for ends, v in ((out_arcs, s), (in_arcs, t))],
     )
-    model.add_row(
-        [(x_index[a], 1.0) for a in in_arcs.get(t, [])] + [(slack_index, 1.0)], EQ, m
-    )
-    blocks["fleet"] = (start, 2)
-
-    start = model.n_rows
+    block("balance", [(x_sum(out_arcs[i]) + x_sum(in_arcs[i], -1.0), EQ, 0.0) for i in inner])
+    block("depart", value_rows(depart, EQ))
+    consume_rows = []
     for i in inner:
-        coeffs = [(x_index[a], 1.0) for a in out_arcs.get(i, [])]
-        coeffs += [(x_index[a], -1.0) for a in in_arcs.get(i, [])]
-        model.add_row(coeffs, EQ, 0.0)
-    blocks["balance"] = (start, model.n_rows - start)
-    return out_arcs, in_arcs
+        coeffs = [(flow_index[a], sign_in) for a in in_arcs[i]]
+        coeffs += [(flow_index[a], sign_out) for a in out_arcs[i]]
+        coeffs += [(x_index[a], -float(d[a])) for a in out_arcs[i]]
+        consume_rows.append((coeffs, EQ, 0.0))
+    block("consume", consume_rows)
+    block("cap", value_rows(cap, LE))
+    block("floor", value_rows(floor, GE))
+
+    return FormulationHandle(
+        model=model,
+        kind=kind,
+        x_index=x_index,
+        y_index=y_index,
+        flow_index=flow_index,
+        slack_index=slack_index,
+        row_blocks=blocks,
+        instance=inst,
+        min_times=R,
+    )
 
 
 def build_flow_formulation(inst):
@@ -124,55 +158,16 @@ def build_flow_formulation(inst):
     the bench's impact modes drop the block to measure what it adds.
     """
     R = _prepare(inst)
-    d = inst.travel_time
-    T = inst.time_limit
-    s = inst.origin
-    t = inst.destination
-
-    model = LpModel()
-    arcs, x_index, y_index, flow_index, slack_index = _base_columns(inst, model)
-    blocks = {}
-    out_arcs, in_arcs = _base_rows(inst, model, arcs, x_index, y_index, slack_index, blocks)
-    inner = sorted(inst.inner)
-
-    start = model.n_rows
-    for a in out_arcs.get(s, []):
-        j = a[1]
-        model.add_row([(flow_index[a], 1.0), (x_index[a], -(T - d[s, j]))], EQ, 0.0)
-    blocks["depart"] = (start, model.n_rows - start)
-
-    start = model.n_rows
-    for i in inner:
-        coeffs = [(flow_index[a], 1.0) for a in in_arcs.get(i, [])]
-        coeffs += [(flow_index[a], -1.0) for a in out_arcs.get(i, [])]
-        coeffs += [(x_index[a], -float(d[a])) for a in out_arcs.get(i, [])]
-        model.add_row(coeffs, EQ, 0.0)
-    blocks["consume"] = (start, model.n_rows - start)
-
-    start = model.n_rows
-    for a in arcs:
-        i, j = a
-        if i == s:
-            continue
-        model.add_row([(flow_index[a], 1.0), (x_index[a], -(T - R[s, i] - d[a]))], LE, 0.0)
-    blocks["cap"] = (start, model.n_rows - start)
-
-    start = model.n_rows
-    for a in arcs:
-        j = a[1]
-        model.add_row([(flow_index[a], 1.0), (x_index[a], -R[j, t])], GE, 0.0)
-    blocks["floor"] = (start, model.n_rows - start)
-
-    return FormulationHandle(
-        model=model,
-        kind="flow",
-        x_index=x_index,
-        y_index=y_index,
-        flow_index=flow_index,
-        slack_index=slack_index,
-        row_blocks=blocks,
-        instance=inst,
-        min_times=R,
+    d, T, s, t = inst.travel_time, inst.time_limit, inst.origin, inst.destination
+    arcs = inst.arcs()
+    return _build(
+        inst,
+        "flow",
+        R,
+        depart={a: T - d[a] for a in arcs if a[0] == s},
+        consume=(1.0, -1.0),
+        cap={a: T - R[s, a[0]] - d[a] for a in arcs if a[0] != s},
+        floor={a: R[a[1], t] for a in arcs},
     )
 
 
@@ -181,61 +176,24 @@ def build_arrival_formulation(inst, include_total_time_row=False):
     sum(d_ij x_ij) <= m*T, which is implied but kept by the baseline solver.
     """
     R = _prepare(inst)
-    d = inst.travel_time
-    T = inst.time_limit
-    s = inst.origin
-    t = inst.destination
-
-    model = LpModel()
-    arcs, x_index, y_index, flow_index, slack_index = _base_columns(inst, model)
-    blocks = {}
-    out_arcs, in_arcs = _base_rows(inst, model, arcs, x_index, y_index, slack_index, blocks)
-    inner = sorted(inst.inner)
-
-    start = model.n_rows
-    for a in out_arcs.get(s, []):
-        j = a[1]
-        model.add_row([(flow_index[a], 1.0), (x_index[a], -d[s, j])], EQ, 0.0)
-    blocks["depart"] = (start, model.n_rows - start)
-
-    start = model.n_rows
-    for i in inner:
-        coeffs = [(flow_index[a], 1.0) for a in out_arcs.get(i, [])]
-        coeffs += [(flow_index[a], -1.0) for a in in_arcs.get(i, [])]
-        coeffs += [(x_index[a], -float(d[a])) for a in out_arcs.get(i, [])]
-        model.add_row(coeffs, EQ, 0.0)
-    blocks["consume"] = (start, model.n_rows - start)
-
-    start = model.n_rows
-    for a in arcs:
-        j = a[1]
-        model.add_row([(flow_index[a], 1.0), (x_index[a], -(T - R[j, t]))], LE, 0.0)
-    blocks["cap"] = (start, model.n_rows - start)
-
-    start = model.n_rows
-    for a in arcs:
-        i = a[0]
-        model.add_row([(flow_index[a], 1.0), (x_index[a], -(R[s, i] + d[a]))], GE, 0.0)
-    blocks["floor"] = (start, model.n_rows - start)
-
-    if include_total_time_row:
-        start = model.n_rows
-        model.add_row(
-            [(x_index[a], float(d[a])) for a in arcs], LE, float(inst.fleet_size) * T
-        )
-        blocks["total_time"] = (start, 1)
-
-    return FormulationHandle(
-        model=model,
-        kind="arrival",
-        x_index=x_index,
-        y_index=y_index,
-        flow_index=flow_index,
-        slack_index=slack_index,
-        row_blocks=blocks,
-        instance=inst,
-        min_times=R,
+    d, T, s, t = inst.travel_time, inst.time_limit, inst.origin, inst.destination
+    arcs = inst.arcs()
+    handle = _build(
+        inst,
+        "arrival",
+        R,
+        depart={a: d[a] for a in arcs if a[0] == s},
+        consume=(-1.0, 1.0),
+        cap={a: T - R[a[1], t] for a in arcs},
+        floor={a: R[s, a[0]] + d[a] for a in arcs},
     )
+    if include_total_time_row:
+        model = handle.model
+        handle.row_blocks["total_time"] = (model.n_rows, 1)
+        model.add_row(
+            [(handle.x_index[a], float(d[a])) for a in arcs], LE, float(inst.fleet_size) * T
+        )
+    return handle
 
 
 def expected_row_counts(inst, kind, include_total_time_row=False):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lp import make_row
 from .maxflow import FlowNetwork, max_flow_min_cut
 
 SUPPORT_EPS = 1e-9
@@ -88,8 +89,6 @@ class Cut:
         return self.violation(xv, yv) / self.norm()
 
     def to_row(self, handle):
-        from .lp import make_row
-
         coeffs = [(handle.x_index[a], c) for a, c in self.x_terms]
         coeffs += [(handle.y_index[i], c) for i, c in self.y_terms]
         return make_row(coeffs, self.relation, self.rhs)
@@ -98,16 +97,16 @@ class Cut:
 # -- conflict pairs ----------------------------------------------------------
 
 
-def build_conflict_set(inst, M):
+def build_conflict_set(inst, R):
     """Vertex pairs provably never served by one route.
 
     A pair (i, j) conflicts when the cheapest route through i then j and the
     cheapest through j then i both exceed the limit; sums of shortest-path
     times underestimate elementary routes, so this is a safe subset of the
     true conflict relation.  Only routable vertices (``inst.inner``) are
-    paired, so vertices preprocessing removed never appear.
+    paired, so vertices preprocessing removed never appear.  ``R`` is the
+    min-time array, ``min_time_matrix(inst).values``.
     """
-    vals = M.values if hasattr(M, "values") else M
     T = inst.time_limit
     s, t = inst.origin, inst.destination
     pairs = []
@@ -115,8 +114,8 @@ def build_conflict_set(inst, M):
     for a_pos, i in enumerate(inner):
         for j in inner[a_pos + 1 :]:
             if (
-                vals[s, i] + vals[i, j] + vals[j, t] > T
-                and vals[s, j] + vals[j, i] + vals[i, t] > T
+                R[s, i] + R[i, j] + R[j, t] > T
+                and R[s, j] + R[j, i] + R[i, t] > T
             ):
                 pairs.append((i, j))
     return ConflictSet(tuple(pairs))
@@ -388,53 +387,30 @@ def separate_lifted_cover(yv, inst, dual_bound, lift=True):
     coeff = {i: 1 for i in core}
     rhs = len(core) - 1
 
-    # outside vertices with fractional support, lifted with the y=1 cover
-    # members pinned in
-    for k in sorted(outside_pos, key=lambda i: (-y[i], i)):
+    # step 3's lifting order in one pass; a y=1 member stays pinned until
+    # its own down-lift
+    pinned = set(ones)
+    sequence = [(k, False) for k in sorted(outside_pos, key=lambda i: (-y[i], i))]
+    sequence += [(k, True) for k in sorted(ones, key=lambda i: (-y[i], i))]
+    sequence += [(k, False) for k in sorted(outside_zero)]
+    for k, down in sequence:
         profits = [coeff.get(i, 0) for i in items]
-        res = knapsack_max(
-            profits,
-            weights,
-            cap,
-            fixed_zero=frozenset(),
-            fixed_one=frozenset(pos[i] for i in ones) | {pos[k]},
-        )
-        if res is not None:
-            mu = rhs - res[0]
-            if mu < 0:
-                raise AssertionError("up-lift produced a negative coefficient")
-            if mu > 0:
-                coeff[k] = mu
-
-    # down-lift the pinned members one at a time
-    done = []
-    for jx in sorted(ones, key=lambda i: (-y[i], i)):
-        profits = [coeff.get(i, 0) for i in items]
-        remaining = [i for i in ones if i not in done and i != jx]
-        res = knapsack_max(
-            profits,
-            weights,
-            cap,
-            fixed_zero=frozenset({pos[jx]}),
-            fixed_one=frozenset(pos[i] for i in remaining),
-        )
+        if down:
+            pinned.remove(k)
+            res = knapsack_max(
+                profits, weights, cap, fixed_zero={pos[k]}, fixed_one={pos[i] for i in pinned}
+            )
+            if res is None:
+                raise AssertionError("down-lift subproblem cannot be infeasible")
+            pi = res[0] - rhs
+            if pi < 1:
+                raise AssertionError("down-lift coefficient below one")
+            coeff[k] = pi
+            rhs += pi
+            continue
+        res = knapsack_max(profits, weights, cap, fixed_one={pos[i] for i in pinned | {k}})
         if res is None:
-            raise AssertionError("down-lift subproblem cannot be infeasible")
-        pi = res[0] - rhs
-        if pi < 1:
-            raise AssertionError("down-lift coefficient below one")
-        coeff[jx] = pi
-        rhs += pi
-        done.append(jx)
-
-    # remaining outside vertices against the full region
-    for k in sorted(outside_zero, key=lambda i: i):
-        profits = [coeff.get(i, 0) for i in items]
-        res = knapsack_max(
-            profits, weights, cap, fixed_zero=frozenset(), fixed_one=frozenset({pos[k]})
-        )
-        if res is None:
-            continue  # reward alone exceeds the bound; coefficient stays 0
+            continue  # k does not fit beside the pinned members; coefficient stays 0
         mu = rhs - res[0]
         if mu < 0:
             raise AssertionError("up-lift produced a negative coefficient")

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from dataclasses import replace
@@ -350,6 +351,19 @@ def test_bench_lp_rows(tmp_path):
     assert bench.to_csv(rows).splitlines()[1:3] == [
         "far,,lp,infeasible,,,0.0000,0,0,0,0,,,",
         "five,,lp,bound,,22.000000,100.0000,0,0,0,0,22.000000,,",
+    ]
+
+
+def test_bench_csv_quotes_a_name_with_a_comma_and_a_quote(tmp_path, capsys):
+    odd = tmp_path / 'a,"b.txt'
+    odd.write_text(FIVE)
+    csv_path = tmp_path / "rows.csv"
+    assert main(["bench", str(odd), "--mode", "lp", "--csv", str(csv_path)]) == 0
+    capsys.readouterr()
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(ln for ln in fh if not ln.startswith("#")))
+    assert [(r["instance"], r["mode"], r["status"], r["upper"]) for r in rows] == [
+        ('a,"b', "lp", "bound", "22.000000")
     ]
 
 

@@ -61,7 +61,7 @@ THIRDS_POINT = (
 
 
 def test_conflict_pairs_of_figure(figure_instance):
-    pairs = build_conflict_set(figure_instance, min_time_matrix(figure_instance))
+    pairs = build_conflict_set(figure_instance, min_time_matrix(figure_instance).values)
     assert (I, J) in pairs.pairs  # the pair the construction is built around
     # soundness: no single feasible route may serve a listed pair
     single = replace(figure_instance, fleet_size=1)
@@ -78,24 +78,24 @@ def test_conflict_pairs_empty_when_limit_loose(rng):
     # conflicting forever, hence the complete graph here)
     inst = make_random_instance(rng, n_max=8)
     loose = replace(inst, time_limit=1e6)
-    assert len(build_conflict_set(loose, min_time_matrix(loose))) == 0
+    assert len(build_conflict_set(loose, min_time_matrix(loose).values)) == 0
 
 
 def test_conflict_pairs_empty_on_unit_complete_graph():
     inst = parse_instance("n 6\nm 2\ntmax 4\n" + "\n".join("0 0 1" for _ in range(6)))
     # all distances zero: nothing can conflict
-    assert len(build_conflict_set(inst, min_time_matrix(inst))) == 0
+    assert len(build_conflict_set(inst, min_time_matrix(inst).values)) == 0
     d = np.ones((6, 6))
     np.fill_diagonal(d, 0.0)
     unit = replace(inst, travel_time=d, coordinates=None)
     # any pair fits: 1 + 1 + 1 = 3 <= 4
-    assert len(build_conflict_set(unit, min_time_matrix(unit))) == 0
+    assert len(build_conflict_set(unit, min_time_matrix(unit).values)) == 0
 
 
 def test_conflict_pairs_soundness_on_randoms(rng):
     for _ in range(15):
         inst = make_random_instance(rng, n_max=8, tightness=(0.9, 1.6))
-        pairs = build_conflict_set(inst, min_time_matrix(inst))
+        pairs = build_conflict_set(inst, min_time_matrix(inst).values)
         single = replace(inst, fleet_size=1, mandatory=frozenset(),
                          profitable=frozenset(range(1, inst.vertex_count - 1)),
                          rewards={i: inst.rewards.get(i, 0) for i in range(1, inst.vertex_count - 1)})
@@ -158,7 +158,7 @@ def test_connectivity_cut_arcs_cover_whole_graph_not_support():
 
 
 def test_conflict_cut_on_halves_point(figure_instance):
-    pairs = build_conflict_set(figure_instance, min_time_matrix(figure_instance))
+    pairs = build_conflict_set(figure_instance, min_time_matrix(figure_instance).values)
     xv, yv = HALVES_POINT
     cuts = separate_conflict(xv, yv, figure_instance, pairs)
     # the construction pair yields both cut sides, each short by 0.5
@@ -181,7 +181,7 @@ def test_conflict_respects_violation_threshold(figure_instance):
 
 
 def test_conflict_silent_on_integral_points(figure_instance):
-    pairs = build_conflict_set(figure_instance, min_time_matrix(figure_instance))
+    pairs = build_conflict_set(figure_instance, min_time_matrix(figure_instance).values)
     xv, yv = point_of_routes(figure_instance, [[S, L, J, T]])
     assert separate_conflict(xv, yv, figure_instance, pairs) == []
 
@@ -222,7 +222,7 @@ def test_conflict_guard_keeps_pair_inside_cut_side(rng):
     for _ in range(10):
         inst = make_random_instance(rng, tightness=(0.9, 1.3))
         pre, _ = preprocess(inst)
-        pairs = build_conflict_set(inst, min_time_matrix(inst))
+        pairs = build_conflict_set(inst, min_time_matrix(inst).values)
         handle = build_flow_formulation(pre)
         sol = lp.solve(handle.model)
         if sol.status != "optimal":
@@ -475,7 +475,7 @@ def test_every_emitted_cut_valid_for_every_feasible_solution(rng):
     for _ in range(40):
         inst = make_random_instance(rng, n_max=8, tightness=(0.9, 1.7))
         pre, _ = preprocess(inst)
-        pairs = build_conflict_set(inst, min_time_matrix(inst))
+        pairs = build_conflict_set(inst, min_time_matrix(inst).values)
         handle = build_flow_formulation(pre)
         sol = lp.solve(handle.model)
         if sol.status != "optimal":
