@@ -1,13 +1,20 @@
 """Benchmark harness: one row per instance, deterministic aggregates.
 
-Modes:
-  lp         plain relaxation bound
-  cpa        full cutting-plane pipeline
-  baseline   branch-and-cut on the arrival-time formulation
-  config1-5  root cutting loop restricted to a family subset
-             (1 connectivity, 2 conflict, 3 cover, 4 connectivity+conflict,
-              5 all), reporting the percentage bound improvement over the
-             plain relaxation
+Every mode is a pipeline of ``solver.PIPELINES``, run on each instance the
+same way and filled into one row:
+
+  lp              plain relaxation bound
+  cpa             full cutting-plane pipeline
+  baseline        branch-and-cut on the arrival-time formulation
+  root            the cutting-plane root loop alone, under ``--families``
+  impact-flow     flow relaxation with and without its per-arc value lower
+                  bounds
+  impact-arrival  the same on the arrival-time relaxation
+
+A ``bound`` row whose report has a root bound (``root`` and the impact modes)
+carries the percentage improvement of that bound over ``lp_bound``:
+100 (lp_bound - root_bound) / lp_bound.  An infeasible row has gap 0 and no
+improvement, so the footer's average improvement is over ``bound`` rows only.
 
 CSV output carries only run-to-run deterministic fields; wall times live in
 the JSON and text renderings, so identical configurations produce
@@ -25,26 +32,13 @@ import multiprocessing
 import re
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import solver
 from .instance import instance_name, read_instance
-from .separation import CONFLICT, CONNECTIVITY, COVER
+from .separation import FAMILIES
 
-CONFIG_FAMILIES = {
-    "config1": frozenset({CONNECTIVITY}),
-    "config2": frozenset({CONFLICT}),
-    "config3": frozenset({COVER}),
-    "config4": frozenset({CONNECTIVITY, CONFLICT}),
-    "config5": frozenset({CONNECTIVITY, CONFLICT, COVER}),
-}
-
-# impact-flow / impact-arrival measure how much the per-arc value lower
-# bounds tighten each relaxation: improvement = 100 (UB_without - UB_with)
-# / UB_without
-IMPACT_MODES = ("impact-flow", "impact-arrival")
-
-MODES = tuple(solver.PIPELINES) + tuple(CONFIG_FAMILIES) + IMPACT_MODES
+MODES = tuple(solver.PIPELINES)
 
 
 @dataclass
@@ -82,71 +76,22 @@ def bench_one(path, mode, config):
     row = BenchRow(name, _set_id(name), mode, "error", None, None, 1.0, 0.0)
     t0 = time.monotonic()
     try:
-        inst = read_instance(path)
-        if mode in CONFIG_FAMILIES:
-            # a zero-node search stops right after the root cutting loop
-            rep = solver.solve_stop(inst, replace(config, families=CONFIG_FAMILIES[mode], max_nodes=0))
-            row.gap = rep.gap
-            row.cuts = rep.cut_counts
-            row.stats = rep.stats
-            if rep.status == "infeasible":
-                row.status = "infeasible"
-                row.improvement = 0.0
-            else:
-                row.status = "bound"
-                row.upper = rep.root_bound
-                row.lp_bound = rep.lp_bound
-                if row.lp_bound:
-                    row.improvement = 100.0 * (row.lp_bound - row.upper) / row.lp_bound
-        elif mode in IMPACT_MODES:
-            rep = _floor_impact(inst, mode.split("-", 1)[1])
-            row.status = rep["status"]
-            row.upper = rep.get("with_floor")
-            row.lp_bound = rep.get("without_floor")
-            if row.status == "bound" and row.lp_bound:
-                row.improvement = 100.0 * (row.lp_bound - row.upper) / row.lp_bound
-            elif row.status == "infeasible":
-                row.improvement = 0.0
-        else:
-            rep = solver.PIPELINES[mode](inst, config)
-            row.status = rep.status
-            row.lower = None if rep.lower_bound == -math.inf else rep.lower_bound
-            row.upper = None if rep.upper_bound in (-math.inf, math.inf) else rep.upper_bound
-            row.gap = rep.gap
-            row.cuts = rep.cut_counts
-            row.nodes = rep.node_count
-            row.lp_bound = rep.lp_bound
-            row.stats = rep.stats
+        rep = solver.PIPELINES[mode](read_instance(path), config)
+        row.status = rep.status
+        row.lower = None if rep.lower_bound == -math.inf else rep.lower_bound
+        row.upper = None if rep.upper_bound in (-math.inf, math.inf) else rep.upper_bound
+        row.gap = rep.gap
+        row.cuts = rep.cut_counts
+        row.nodes = rep.node_count
+        row.lp_bound = rep.lp_bound
+        row.stats = rep.stats
+        if rep.status == "bound" and rep.root_bound is not None and rep.lp_bound:
+            row.improvement = 100.0 * (rep.lp_bound - rep.root_bound) / rep.lp_bound
     except Exception as exc:  # never abort the batch
         row.status = "error"
         row.error = f"{type(exc).__name__}: {exc}"
     row.wall_time = time.monotonic() - t0
     return row
-
-
-def _floor_impact(inst, kind):
-    """How much the per-arc lower-bound rows tighten one relaxation."""
-    from . import lp
-    from .formulation import build_arrival_formulation, build_flow_formulation
-
-    pre, blocker = solver._screen(inst)
-    if blocker is not None:
-        return {"status": "infeasible"}
-    if kind == "flow":
-        handle = build_flow_formulation(pre)
-    else:
-        handle = build_arrival_formulation(pre)
-    start, count = handle.row_blocks["floor"]
-    bare, _ = handle.model.split_rows(range(start, start + count))
-    without = lp.solve(bare)
-    full = lp.solve(handle.model)
-    if without.status != "optimal" or full.status != "optimal":
-        return {"status": "infeasible"}
-    return {
-        "status": "bound",
-        "without_floor": without.objective,
-        "with_floor": full.objective,
-    }
 
 
 def run_bench(paths, mode, config=solver.SolveConfig(), jobs=1):
@@ -193,9 +138,12 @@ def aggregate(rows):
     return out
 
 
-CSV_FIELDS = (
-    "instance,set,mode,status,lower,upper,gap_pct,cuts_connectivity,"
-    "cuts_conflict,cuts_cover,nodes,lp_bound,improvement_pct,error"
+CSV_FIELDS = ",".join(
+    (
+        "instance,set,mode,status,lower,upper,gap_pct",
+        *(f"cuts_{fam}" for fam in FAMILIES),
+        "nodes,lp_bound,improvement_pct,error",
+    )
 )
 
 
@@ -214,9 +162,7 @@ def to_csv(rows):
                 _num(r.lower),
                 _num(r.upper),
                 f"{100.0 * r.gap:.4f}",
-                r.cuts.get(CONNECTIVITY, 0),
-                r.cuts.get(CONFLICT, 0),
-                r.cuts.get(COVER, 0),
+                *(r.cuts.get(fam, 0) for fam in FAMILIES),
                 r.nodes,
                 _num(r.lp_bound),
                 _num(r.improvement),
@@ -253,9 +199,7 @@ def to_text(rows):
     head = f"{'instance':<18} {'mode':<9} {'status':<10} {'LB':>10} {'UB':>10} {'gap%':>7} {'time(s)':>8} {'nodes':>7} {'cuts':>12}"
     lines = [head, "-" * len(head)]
     for r in rows:
-        cuts = "/".join(
-            str(r.cuts.get(f, 0)) for f in (CONNECTIVITY, CONFLICT, COVER)
-        )
+        cuts = "/".join(str(r.cuts.get(fam, 0)) for fam in FAMILIES)
         lines.append(
             f"{r.instance:<18} {r.mode:<9} {r.status:<10} "
             f"{_num(r.lower) or '-':>10} {_num(r.upper) or '-':>10} "

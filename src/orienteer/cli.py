@@ -20,6 +20,7 @@ from .instance import (
 )
 from .lp import export_lp_text
 from .oracle import OracleBudgetExceeded, enumerate_optimal
+from .separation import FAMILIES
 
 
 def _add_param_flags(p):
@@ -34,8 +35,8 @@ def _add_param_flags(p):
     )
     p.add_argument(
         "--families",
-        default="connectivity,conflict,cover",
-        help="comma list of cut families to separate",
+        default=",".join(FAMILIES),
+        help="comma list of cut families to separate (cpa and root)",
     )
 
 

@@ -196,30 +196,6 @@ def build_arrival_formulation(inst, include_total_time_row=False):
     return handle
 
 
-def expected_row_counts(inst, kind, include_total_time_row=False):
-    """Closed-form constraint counts implied by the vertex/arc sets."""
-    arcs = inst.arcs()
-    n_inner = len(inst.inner)
-    n_from_s = sum(1 for a in arcs if a[0] == inst.origin)
-    counts = {
-        "select": len(inst.mandatory) + 2,
-        "visit_degree": n_inner,
-        "fleet": 2,
-        "balance": n_inner,
-        "depart": n_from_s,
-        "consume": n_inner,
-    }
-    if kind == "flow":
-        counts["cap"] = len(arcs) - n_from_s
-        counts["floor"] = len(arcs)
-    else:
-        counts["cap"] = len(arcs)
-        counts["floor"] = len(arcs)
-        if include_total_time_row:
-            counts["total_time"] = 1
-    return counts
-
-
 def map_solution(handle, sol, target):
     """Carry an optimal point of one formulation into the other.
 

@@ -28,6 +28,8 @@ from .maxflow import FlowNetwork, max_flow_min_cut
 SUPPORT_EPS = 1e-9
 
 CONNECTIVITY, CONFLICT, COVER = "connectivity", "conflict", "cover"
+# every cut family, in the order reports, flags and tables list them
+FAMILIES = (CONNECTIVITY, CONFLICT, COVER)
 
 
 @dataclass(frozen=True)
@@ -331,7 +333,7 @@ def reward_step(rewards):
     return math.gcd(*(int(p) for p in rewards.values())) or 1
 
 
-def separate_lifted_cover(yv, inst, dual_bound, lift=True):
+def separate_lifted_cover(yv, inst, dual_bound):
     """Build one (possibly violated) lifted cover inequality, or None.
 
     Step 1 greedily covers the reward knapsack with high-y vertices; step 2
@@ -340,8 +342,7 @@ def separate_lifted_cover(yv, inst, dual_bound, lift=True):
     members pinned, then down-lifts those pinned members, then lifts the
     remaining outside vertices.  All lifting coefficients come from exact
     knapsack solves, so the result is valid for every 0/1 reward vector
-    within the bound.  With ``lift`` false the plain minimal cover inequality
-    is returned.
+    within the bound.  The minimal cover is the cut's ``origin[0]``.
     """
     cap = floor_bound(dual_bound)
     items = sorted(i for i in inst.profitable if inst.rewards[i] > 0)
@@ -373,16 +374,6 @@ def separate_lifted_cover(yv, inst, dual_bound, lift=True):
         return None  # lifting needs a fractional seed in the cover
     outside_pos = [i for i in items if i not in cover and y[i] > 0.0]
     outside_zero = [i for i in items if i not in cover and y[i] <= 0.0]
-
-    if not lift:
-        return Cut(
-            family=COVER,
-            x_terms=(),
-            y_terms=tuple((i, 1.0) for i in sorted(cover)),
-            relation="<=",
-            rhs=float(len(cover) - 1),
-            origin=(tuple(sorted(cover)), (), {}, {}),
-        )
 
     coeff = {i: 1 for i in core}
     rhs = len(core) - 1

@@ -20,6 +20,12 @@ branch-and-bound engine:
   ``lp.solve``, whose probe settles an infeasible relaxation; the search's
   session starts from that solve's final basis.
 
+The other pipelines report a relaxation's bound only, as status ``bound``:
+``lp`` the flow formulation's plain LP; ``root`` the main pipeline's root
+loop under the configured families, its bound against the plain LP's in
+``lp_bound``; ``impact-flow`` and ``impact-arrival`` a formulation's LP with
+its per-arc value lower bounds, against the same without them.
+
 Both searches prune on the reward grid: every objective value is a multiple
 of g = gcd(rewards), so a node is dropped once its bound, rounded down to a
 multiple of g (``separation.floor_bound``), cannot beat the incumbent.  With
@@ -82,7 +88,7 @@ import heapq
 import math
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -97,6 +103,7 @@ from .separation import (
     CONNECTIVITY_FILTER,
     COVER,
     COVER_VIOLATION,
+    FAMILIES,
     build_conflict_set,
     filter_cuts,
     floor_bound,
@@ -106,7 +113,7 @@ from .separation import (
     separate_lifted_cover,
 )
 
-ALL_FAMILIES = frozenset({CONNECTIVITY, CONFLICT, COVER})
+ALL_FAMILIES = frozenset(FAMILIES)
 
 INTEGER_TOL = 1e-6
 PHASE_TOL = 1e-3  # root cutting loop stops once a round gains at most this
@@ -156,7 +163,7 @@ def _search_stats():
 
 @dataclass
 class SolveReport:
-    status: str  # optimal | infeasible | time-limit | bound (lp mode: relaxation only)
+    status: str  # optimal | infeasible | time-limit | bound (a relaxation's bound only)
     lower_bound: float
     upper_bound: float
     timings: dict
@@ -178,7 +185,7 @@ class SolveReport:
     @property
     def cut_counts(self):
         """Cuts in ``cut_pool`` per family."""
-        counts = dict.fromkeys((CONNECTIVITY, CONFLICT, COVER), 0)
+        counts = dict.fromkeys(FAMILIES, 0)
         for cut in self.cut_pool:
             counts[cut.family] += 1
         return counts
@@ -775,5 +782,50 @@ def solve_lp_only(inst, config=SolveConfig(), on_model=None):
     )
 
 
+def solve_root(inst, config=SolveConfig(), on_model=None):
+    """The cutting-plane pipeline's root alone, under ``config``'s families:
+    ``solve_stop`` with no search node, reported as ``bound`` with the root
+    bound as its upper bound; a root whose cuts empty the LP stays
+    infeasible."""
+    rep = solve_stop(inst, replace(config, max_nodes=0), on_model)
+    return rep if rep.status == "infeasible" else replace(rep, status="bound")
+
+
+def _floor_impact(kind):
+    """Pipeline for how much the per-arc value lower bounds (the ``floor``
+    rows) tighten the relaxation of formulation ``kind``: its upper and root
+    bound are the LP bound with those rows, its ``lp_bound`` the bound
+    without them."""
+
+    def solve_impact(inst, config=SolveConfig(), on_model=None):
+        t0 = time.monotonic()
+        pre, blocker = _screen(inst)
+        if blocker is not None:
+            return _unroutable_report(blocker, t0)
+        build = build_flow_formulation if kind == "flow" else build_arrival_formulation
+        handle = build(pre)
+        if on_model is not None:
+            on_model(handle.model)
+        start, count = handle.row_blocks["floor"]
+        bare, _ = handle.model.split_rows(range(start, start + count))
+        without = _checked(lp.solve(bare))
+        full = _checked(lp.solve(handle.model))
+        timings = {"total": time.monotonic() - t0}
+        lp_bound = without.objective if without.status == "optimal" else None
+        if full.status == "infeasible":
+            return _infeasible_report(timings, "linear relaxation infeasible", lp_bound=lp_bound)
+        bound = full.objective
+        return SolveReport("bound", -math.inf, bound, timings, lp_bound=lp_bound, root_bound=bound)
+
+    return solve_impact
+
+
 # the pipelines ``solve --mode`` and ``bench --mode`` run by name
-PIPELINES = {"lp": solve_lp_only, "cpa": solve_stop, "baseline": solve_baseline}
+PIPELINES = {
+    "lp": solve_lp_only,
+    "cpa": solve_stop,
+    "baseline": solve_baseline,
+    "root": solve_root,
+    "impact-flow": _floor_impact("flow"),
+    "impact-arrival": _floor_impact("arrival"),
+}

@@ -9,9 +9,20 @@ import numpy as np
 import pytest
 
 from orienteer.instance import StopInstance
+from orienteer.separation import CONFLICT, CONNECTIVITY, COVER, FAMILIES, Cut
 
 # vertex ids of the 6-vertex sparse example used throughout
 S, I, L, K, J, T = 0, 1, 2, 3, 4, 5
+
+# the paper's root configurations 1-5 as cut-family subsets, the
+# ``--families`` lists of ``bench --mode root``
+PAPER_CONFIGS = {
+    1: frozenset({CONNECTIVITY}),
+    2: frozenset({CONFLICT}),
+    3: frozenset({COVER}),
+    4: frozenset({CONNECTIVITY, CONFLICT}),
+    5: frozenset(FAMILIES),
+}
 
 FIGURE_ARCS = {
     (S, I): 1.0,
@@ -102,6 +113,14 @@ def make_reward_universe(n_items, rewards, fleet=2, time_limit=10.0):
         fleet_size=fleet,
         time_limit=time_limit,
     )
+
+
+def plain_cover(cut):
+    """The minimal cover inequality behind a lifted cover cut, read off its
+    ``origin[0]``: every member at coefficient 1, right-hand side one less
+    than the cover's size."""
+    cover = cut.origin[0]
+    return Cut(COVER, (), tuple((i, 1.0) for i in cover), "<=", float(len(cover) - 1))
 
 
 def point_of_routes(inst, routes):

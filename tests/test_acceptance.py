@@ -36,10 +36,12 @@ from orienteer.separation import (
 from orienteer.solver import SolveConfig, cutting_plane_phase, solve_baseline, solve_stop
 
 from conftest import (
+    PAPER_CONFIGS,
     chao_dir,
     chao_path,
     make_random_instance,
     make_reward_universe,
+    plain_cover,
     point_of_routes,
     require_chao,
 )
@@ -237,17 +239,17 @@ def test_criterion_7_lifted_cover_oracle():
                     lhs = sum(coeff.get(i + 1, 0.0) * bits[i] for i in range(n))
                     assert lhs <= cut.rhs + 1e-9
 
-        plain = separate_lifted_cover(yv, inst, tau, lift=False)
-        if plain is not None:
-            cover = plain.origin[0]
+            # the minimal cover behind the lifted cut is itself a valid cut
+            plain = plain_cover(cut)
+            cover = cut.origin[0]
             weight = sum(inst.rewards[i] for i in cover)
             assert weight > cap
             for member in cover:
                 assert weight - inst.rewards[member] <= cap
             for bits in itertools.product((0, 1), repeat=n):
                 if sum(r * b for r, b in zip(rewards, bits)) <= cap:
-                    lhs = sum(bits[i - 1] for i in cover)
-                    assert lhs <= plain.rhs + 1e-9
+                    point = {i + 1: float(b) for i, b in enumerate(bits)}
+                    assert plain.violation({}, point) <= 1e-9
     assert produced >= 50
     report(7, "lifted cover oracle", f"{produced} lifted cuts valid over full enumeration")
 
@@ -281,17 +283,17 @@ def test_criterion_9_configuration_monotonicity():
         for p in glob.glob(os.path.join(root, pattern))
     )
     means = {}
-    for mode in ("config1", "config2", "config3", "config5"):
-        rows = bench.run_bench(paths, mode, cfg)
+    for k in (1, 2, 3, 5):
+        rows = bench.run_bench(paths, "root", replace(cfg, families=PAPER_CONFIGS[k]))
         imps = [r.improvement for r in rows if r.improvement is not None]
-        assert imps, mode
-        means[mode] = sum(imps) / len(imps)
-    for single in ("config1", "config2", "config3"):
-        assert means["config5"] >= means[single] - 0.1, means
+        assert imps, k
+        means[k] = sum(imps) / len(imps)
+    for single in (1, 2, 3):
+        assert means[5] >= means[single] - 0.1, means
     report(
         9,
         "configuration monotonicity",
-        ", ".join(f"{m}: {v:.2f}%" for m, v in sorted(means.items())),
+        ", ".join(f"config{k}: {v:.2f}%" for k, v in sorted(means.items())),
     )
 
 

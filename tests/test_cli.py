@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -10,8 +9,9 @@ from orienteer.cli import main, validate_solution
 from orienteer.formulation import build_arrival_formulation, build_flow_formulation
 from orienteer.instance import parse_instance, preprocess, read_instance
 from orienteer.lp import export_lp_text
-from orienteer.separation import CONFLICT, CONNECTIVITY, COVER
+from orienteer.separation import FAMILIES
 from orienteer.solver import (
+    PIPELINES,
     SolveConfig,
     cutting_plane_phase,
     solve_baseline,
@@ -19,9 +19,16 @@ from orienteer.solver import (
     solve_stop,
 )
 
-from conftest import I, J, K, L, S, T, make_figure_instance
+from conftest import PAPER_CONFIGS, I, J, K, L, S, T, make_figure_instance
 
 FIVE = "n 5\nm 2\ntmax 20\n0.0 0.0 0\n3.0 4.0 10\n6.0 0.0 5\n3.0 -4.0 7\n10.0 0.0 0\n"
+# mandatory vertex 2 lies 30 from the origin on a budget of 20: screened
+FAR = FIVE.replace("6.0 0.0 5", "30.0 0.0 5") + "M: 2\n"
+# one vehicle; the root cuts pull the relaxation bound from 16.09 to 15
+ROOT_GAP = (
+    "n 9\nm 1\ntmax 11.7\n5.3 7.9 0\n8.5 0.9 8\n9.0 3.8 7\n6.5 4.3 7\n3.1 8.1 3\n"
+    "9.7 1.3 1\n4.3 7.6 3\n8.0 9.7 2\n4.9 0.7 0\n"
+)
 
 
 @pytest.fixture
@@ -188,7 +195,11 @@ def test_cli_dump_lp_writes_the_model_of_the_mode(five_path, tmp_path):
         "lp": build_flow_formulation(pre),
         # the baseline solves the arrival formulation with its total-time row
         "baseline": build_arrival_formulation(pre, include_total_time_row=True),
+        "root": build_flow_formulation(pre),
+        "impact-flow": build_flow_formulation(pre),
+        "impact-arrival": build_arrival_formulation(pre),
     }
+    assert want.keys() == PIPELINES.keys()
     for mode, handle in want.items():
         dump = tmp_path / f"{mode}.lp"
         assert main(["solve", five_path, "--mode", mode, "--dump-lp", str(dump)]) == 0
@@ -201,7 +212,7 @@ def test_cli_dump_lp_screens_and_builds_once(five_path, tmp_path, monkeypatch):
     calls = []
     for module in (instance, formulation):
         monkeypatch.setattr(module, "min_time_matrix", _counted(module.min_time_matrix, calls))
-    for mode in ("cpa", "baseline", "lp"):
+    for mode in PIPELINES:
         runs = []
         for extra in ([], ["--dump-lp", str(tmp_path / f"{mode}.lp")]):
             calls.clear()
@@ -219,12 +230,25 @@ def _counted(fn, calls):
 
 
 def test_cli_solve_rejects_the_bench_config_modes(five_path, capsys):
-    # config1..5 are root-loop modes of bench only
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", five_path, "--mode", "config1"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "invalid choice" in err and "config1" in err
+    # the paper's root configurations are ``--mode root --families ...`` in
+    # both commands; no configN mode is left
+    for command in ("solve", "bench"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, five_path, "--mode", "config1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "config1" in err
+
+
+def test_solve_and_bench_root_give_one_upper_bound(tmp_path, capsys):
+    path = tmp_path / "gap.txt"
+    path.write_text(ROOT_GAP)
+    assert main(["solve", str(path), "--mode", "root", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    row = bench.run_bench([str(path)], "root")[0]
+    assert payload["status"] == row.status == "bound"
+    assert payload["upper_bound"] == row.upper == pytest.approx(15.0)
+    assert payload["lp_bound"] == row.lp_bound > row.upper
 
 
 def test_cli_json_carries_the_solve_stats(five_path, tmp_path, capsys):
@@ -234,7 +258,7 @@ def test_cli_json_carries_the_solve_stats(five_path, tmp_path, capsys):
     assert main(["solve", five_path, "--json", "--time-limit", "60"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["cuts"] == rep.cut_counts
-    assert set(payload["cuts"]) == {CONNECTIVITY, CONFLICT, COVER}
+    assert list(payload["cuts"]) == list(FAMILIES)
     assert all(k in payload for k in timers) and counts.items() <= payload.items()
     assert payload["prefetched"] == 0  # the five-vertex search never branches
     rows = tmp_path / "rows.json"
@@ -344,9 +368,8 @@ def test_bench_error_rows_do_not_abort(tmp_path):
 def test_bench_lp_rows(tmp_path):
     good = tmp_path / "five.txt"
     good.write_text(FIVE)
-    # mandatory vertex 2 lies 30 from the origin on a budget of 20: screened
     far = tmp_path / "far.txt"
-    far.write_text(FIVE.replace("6.0 0.0 5", "30.0 0.0 5") + "M: 2\n")
+    far.write_text(FAR)
     rows = bench.run_bench([str(good), str(far)], "lp", SolveConfig(time_limit_s=30))
     assert bench.to_csv(rows).splitlines()[1:3] == [
         "far,,lp,infeasible,,,0.0000,0,0,0,0,,,",
@@ -404,21 +427,42 @@ def test_bench_csv_footer_matches_rows(tmp_path):
         assert any(ln.startswith(tag) for ln in footer)
 
 
-def test_bench_improvement_definition(tmp_path):
-    good = tmp_path / "ok.txt"
-    good.write_text(FIVE)
-    cfg = SolveConfig(time_limit_s=60)
-    pre, _ = preprocess(parse_instance(FIVE))
-    for mode, families in bench.CONFIG_FAMILIES.items():
-        row = bench.run_bench([str(good)], mode, cfg)[0]
-        assert row.status == "bound"
+def test_bench_improvement_definition(tmp_path, capsys):
+    path = tmp_path / "gap.txt"
+    path.write_text(ROOT_GAP)
+    pre, _ = preprocess(parse_instance(ROOT_GAP))
+    for families in PAPER_CONFIGS.values():
+        out = tmp_path / "rows.json"
+        flags = ["--mode", "root", "--families", ",".join(sorted(families)), "--time-limit", "60"]
+        assert main(["bench", str(path), *flags, "--json-out", str(out)]) == 0
+        capsys.readouterr()
+        row = json.loads(out.read_text())["rows"][0]
+        assert row["status"] == "bound"
         # the bench reads the same root loop the solver runs
-        phase = cutting_plane_phase(pre, replace(cfg, families=families))
-        assert row.upper == phase.upper_bound
-        assert row.lp_bound == phase.lp_bound
-        for fam in (CONNECTIVITY, CONFLICT, COVER):
-            assert row.cuts[fam] == sum(1 for c in phase.cuts if c.family == fam)
-        if row.improvement is not None and row.lp_bound:
-            want = 100.0 * (row.lp_bound - row.upper) / row.lp_bound
-            assert row.improvement == pytest.approx(want)
-            assert row.improvement >= -1e-9
+        phase = cutting_plane_phase(pre, SolveConfig(time_limit_s=60, families=families))
+        assert row["upper"] == phase.upper_bound
+        assert row["lp_bound"] == phase.lp_bound
+        for fam in FAMILIES:
+            assert row["cuts"][fam] == sum(1 for c in phase.cuts if c.family == fam)
+        assert set(row["cuts"]) == set(FAMILIES)
+        want = 100.0 * (row["lp_bound"] - row["upper"]) / row["lp_bound"]
+        assert row["improvement"] == pytest.approx(want)
+        assert row["improvement"] >= -1e-9
+
+
+def test_bench_infeasible_rows_carry_no_gap_and_no_improvement(tmp_path):
+    paths = []
+    for name, text in (("far", FAR), ("gap", ROOT_GAP)):
+        (tmp_path / f"{name}.txt").write_text(text)
+        paths.append(str(tmp_path / f"{name}.txt"))
+    for mode in ("root", "impact-flow", "impact-arrival"):
+        rows = bench.run_bench(paths, mode, SolveConfig(time_limit_s=60))
+        assert [r.status for r in rows] == ["infeasible", "bound"], mode
+        assert rows[0].gap == 0.0 and rows[0].improvement is None
+        assert rows[1].improvement is not None
+        lines = bench.to_csv(rows).splitlines()
+        assert lines[1] == f"far,,{mode},infeasible,,,0.0000,0,0,0,0,,,"
+        # the footer averages the bound rows alone
+        agg = bench.aggregate(rows)[0]
+        assert agg["avg_improvement"] == rows[1].improvement
+        assert lines[-1].endswith(f", avg_improvement {rows[1].improvement:.2f}%")

@@ -11,7 +11,6 @@ from orienteer.formulation import (
     FormulationError,
     build_arrival_formulation,
     build_flow_formulation,
-    expected_row_counts,
     map_solution,
     point_violations,
 )
@@ -20,15 +19,37 @@ from orienteer.instance import preprocess, read_instance
 from conftest import I, J, K, L, S, T, make_figure_instance, make_random_instance
 
 
+def expected_row_counts(inst, kind):
+    """Closed-form constraint counts implied by the vertex/arc sets; the
+    arrival kind with its total-time row."""
+    arcs = inst.arcs()
+    n_inner = len(inst.inner)
+    n_from_s = sum(1 for a in arcs if a[0] == inst.origin)
+    counts = {
+        "select": len(inst.mandatory) + 2,
+        "visit_degree": n_inner,
+        "fleet": 2,
+        "balance": n_inner,
+        "depart": n_from_s,
+        "consume": n_inner,
+    }
+    if kind == "flow":
+        counts["cap"] = len(arcs) - n_from_s
+        counts["floor"] = len(arcs)
+    else:
+        counts["cap"] = len(arcs)
+        counts["floor"] = len(arcs)
+        counts["total_time"] = 1
+    return counts
+
+
 def test_row_counts_match_closed_form(figure_instance):
     for kind, build in (
         ("flow", build_flow_formulation),
         ("arrival", lambda i: build_arrival_formulation(i, include_total_time_row=True)),
     ):
         handle = build(figure_instance)
-        want = expected_row_counts(
-            figure_instance, kind, include_total_time_row=(kind == "arrival")
-        )
+        want = expected_row_counts(figure_instance, kind)
         got = {name: cnt for name, (start, cnt) in handle.row_blocks.items()}
         assert got == want
         assert handle.model.n_rows == sum(want.values())

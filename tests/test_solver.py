@@ -38,7 +38,17 @@ from orienteer.separation import (
     FilterParams,
 )
 
-from conftest import I, J, K, L, S, T, make_figure_instance, make_random_instance
+from conftest import (
+    PAPER_CONFIGS,
+    I,
+    J,
+    K,
+    L,
+    S,
+    T,
+    make_figure_instance,
+    make_random_instance,
+)
 from test_cli_helpers import independent_route_check
 
 FAST = SolveConfig(time_limit_s=120.0)
@@ -779,11 +789,13 @@ def test_infeasible_exits_keep_their_counts():
 def test_bench_config_row_keeps_the_counts_of_an_emptied_root(tmp_path):
     path = tmp_path / "uncoverable.txt"
     path.write_text(UNCOVERABLE)
-    want = solve_stop(parse_instance(UNCOVERABLE), FAST)
-    row = bench.bench_one(str(path), "config5", FAST)
-    assert row.status == "infeasible" and row.gap == 0.0
+    cfg = replace(FAST, families=PAPER_CONFIGS[5])
+    want = solve_stop(parse_instance(UNCOVERABLE), cfg)
+    row = bench.bench_one(str(path), "root", cfg)
+    assert row.status == "infeasible" and row.gap == 0.0 and row.improvement is None
     assert row.cuts == want.cut_counts and sum(row.cuts.values()) > 0
     assert row.stats.keys() == want.stats.keys()
+    assert row.lp_bound == want.lp_bound  # the relaxation solved before the cuts emptied it
 
 
 def test_gap_conventions():
