@@ -15,6 +15,9 @@ A ``bound`` row whose report has a root bound (``root`` and the impact modes)
 carries the percentage improvement of that bound over ``lp_bound``:
 100 (lp_bound - root_bound) / lp_bound.  An infeasible row has gap 0 and no
 improvement, so the footer's average improvement is over ``bound`` rows only.
+A set with a search row (optimal or time-limit) has a footer that counts
+what was solved; a set without one, the relaxation-only modes', counts its
+``bound`` and infeasible rows instead.
 
 CSV output carries only run-to-run deterministic fields; wall times live in
 the JSON and text renderings, so identical configurations produce
@@ -111,14 +114,17 @@ def run_bench(paths, mode, config=solver.SolveConfig(), jobs=1):
 
 
 def aggregate(rows):
-    """Per-set summary: solved count, mean time over solved, gap stats over
-    unsolved, improvement stats where present."""
+    """Per-set summary: bound and infeasible counts; in a set with a search
+    row (optimal or time-limit), also the solved count (optimal and
+    infeasible) and mean time over solved, else those two are None; gap
+    stats over unsolved, improvement stats where present."""
     sets = {}
     for r in rows:
         sets.setdefault(r.set_id, []).append(r)
     out = []
     for sid in sorted(sets):
         group = sets[sid]
+        searched = any(r.status in ("optimal", "time-limit") for r in group)
         solved = [r for r in group if r.status in ("optimal", "infeasible")]
         unsolved = [r for r in group if r.status == "time-limit"]
         imps = [r.improvement for r in group if r.improvement is not None]
@@ -127,8 +133,12 @@ def aggregate(rows):
             {
                 "set": sid,
                 "total": len(group),
-                "solved": len(solved),
-                "avg_time_solved": statistics.mean([r.wall_time for r in solved]) if solved else None,
+                "bound": sum(r.status == "bound" for r in group),
+                "infeasible": sum(r.status == "infeasible" for r in group),
+                "solved": len(solved) if searched else None,
+                "avg_time_solved": (
+                    statistics.mean([r.wall_time for r in solved]) if searched and solved else None
+                ),
                 "avg_gap_unsolved": statistics.mean(gaps) if gaps else None,
                 "stdev_gap_unsolved": statistics.stdev(gaps) if len(gaps) > 1 else None,
                 "avg_improvement": statistics.mean(imps) if imps else None,
@@ -171,7 +181,7 @@ def to_csv(rows):
         )
     for agg in aggregate(rows):
         buf.write(
-            f"# set {agg['set'] or '?'}: solved {agg['solved']}/{agg['total']}"
+            f"# set {agg['set'] or '?'}: {_counts(agg, ', ')}"
             + (
                 f", avg_gap_unsolved {agg['avg_gap_unsolved']:.2f}%"
                 if agg["avg_gap_unsolved"] is not None
@@ -195,16 +205,43 @@ def to_json(rows):
     return json.dumps(payload, indent=2, default=str) + "\n"
 
 
+def _counts(agg, sep):
+    """A footer's row counts: solved in a set with a search row, else its
+    bound and infeasible rows."""
+    if agg["solved"] is not None:
+        return f"solved {agg['solved']}/{agg['total']}"
+    return sep.join(f"{key} {agg[key]}/{agg['total']}" for key in ("bound", "infeasible"))
+
+
+TEXT_HEAD = ("instance", "mode", "status", "LB", "UB", "gap%", "time(s)", "nodes", "cuts")
+
+
 def to_text(rows):
-    head = f"{'instance':<18} {'mode':<9} {'status':<10} {'LB':>10} {'UB':>10} {'gap%':>7} {'time(s)':>8} {'nodes':>7} {'cuts':>12}"
-    lines = [head, "-" * len(head)]
-    for r in rows:
-        cuts = "/".join(str(r.cuts.get(fam, 0)) for fam in FAMILIES)
-        lines.append(
-            f"{r.instance:<18} {r.mode:<9} {r.status:<10} "
-            f"{_num(r.lower) or '-':>10} {_num(r.upper) or '-':>10} "
-            f"{100.0 * r.gap:>7.2f} {r.wall_time:>8.2f} {r.nodes:>7} {cuts:>12}"
+    """Human table: each column as wide as its longest cell; the first
+    three align left, the numbers right."""
+    table = [TEXT_HEAD] + [
+        (
+            r.instance,
+            r.mode,
+            r.status,
+            _num(r.lower) or "-",
+            _num(r.upper) or "-",
+            f"{100.0 * r.gap:.2f}",
+            f"{r.wall_time:.2f}",
+            str(r.nodes),
+            "/".join(str(r.cuts.get(fam, 0)) for fam in FAMILIES),
         )
+        for r in rows
+    ]
+    widths = [max(len(cells[k]) for cells in table) for k in range(len(TEXT_HEAD))]
+    lines = [
+        " ".join(
+            cell.ljust(w) if k < 3 else cell.rjust(w)
+            for k, (cell, w) in enumerate(zip(cells, widths))
+        )
+        for cells in table
+    ]
+    lines.insert(1, "-" * len(lines[0]))
     for agg in aggregate(rows):
         t = f"{agg['avg_time_solved']:.2f}s" if agg["avg_time_solved"] is not None else "-"
         g = f"{agg['avg_gap_unsolved']:.2f}%" if agg["avg_gap_unsolved"] is not None else "-"
@@ -214,7 +251,7 @@ def to_text(rows):
         if agg["stdev_improvement"] is not None:
             i += f" (sd {agg['stdev_improvement']:.2f})"
         lines.append(
-            f"[set {agg['set'] or '?'}] solved {agg['solved']}/{agg['total']}"
+            f"[set {agg['set'] or '?'}] {_counts(agg, '  ')}"
             f"  avg time {t}  avg unsolved gap {g}  avg improvement {i}"
         )
     return "\n".join(lines) + "\n"

@@ -1,6 +1,6 @@
 """Cut families and their separation procedures.
 
-Three families of valid inequalities strengthen the formulations, all
+Four families of valid inequalities strengthen the formulations, all
 expressed on the x (arc) and y (visit) variables so they apply to either
 formulation kind:
 
@@ -9,10 +9,14 @@ formulation kind:
                       for a pair {i, j} no single route can serve, {i,j} in V
 * lifted covers:      integer-lifted cover inequalities on the reward
                       knapsack  sum p_i y_i <= floor(bound)
+* clique rows:        sum of y over K  <=  m  for a clique K of the conflict
+                      graph with more than m (the fleet size) vertices
 
-Connectivity and conflict separation solve max-flow problems on the support
-graph of the fractional point; cover separation runs greedy cover building,
-minimalization, and exact sequential up/down lifting via knapsack DP.
+The first three are the paper's.  Connectivity and conflict separation solve
+max-flow problems on the support graph of the fractional point; cover
+separation runs greedy cover building, minimalization, and exact sequential
+up/down lifting via knapsack DP; clique separation is a greedy pass over the
+conflict graph, with no max-flow.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from .maxflow import FlowNetwork, max_flow_min_cut
 
 SUPPORT_EPS = 1e-9
 
-CONNECTIVITY, CONFLICT, COVER = "connectivity", "conflict", "cover"
+CONNECTIVITY, CONFLICT, COVER, CLIQUE = "connectivity", "conflict", "cover", "clique"
 # every cut family, in the order reports, flags and tables list them
-FAMILIES = (CONNECTIVITY, CONFLICT, COVER)
+FAMILIES = (CONNECTIVITY, CONFLICT, COVER, CLIQUE)
 
 
 @dataclass(frozen=True)
@@ -43,6 +47,10 @@ class FilterParams:
 CONNECTIVITY_FILTER = FilterParams(0.05, 0.03)
 CONFLICT_FILTER = FilterParams(0.3, 0.03)
 COVER_VIOLATION = 1e-5
+# visit values above CLIQUE_SUPPORT seed and join cliques; a clique row is
+# kept when its visit sum exceeds the fleet size by more than CLIQUE_VIOLATION
+CLIQUE_SUPPORT = 1e-6
+CLIQUE_VIOLATION = 1e-3
 
 
 @dataclass(frozen=True)
@@ -274,6 +282,56 @@ def separate_conflict(xv, yv, inst, conflicts, params=CONFLICT_FILTER):
                         origin=(V, (i, j), side),
                     )
                 )
+    return cuts
+
+
+# -- clique rows --------------------------------------------------------------
+
+
+def separate_clique(yv, inst, conflicts):
+    """Greedy clique rows of the conflict graph.
+
+    No route serves two vertices of a clique K of the conflicting pairs, and
+    at most ``fleet_size`` = m routes run, so sum_{k in K} y_k <= m holds for
+    every route set; it can cut the point only when |K| > m.  The vertices
+    with y above ``CLIQUE_SUPPORT`` are ordered by decreasing y, then id.
+    From each vertex v in that order K starts as {v} and takes every other
+    vertex, scanned in the same order, that conflicts with all of K.  A K
+    with more than m vertices, not found before in this call, whose visit
+    sum exceeds m by more than ``CLIQUE_VIOLATION`` gives one row; its
+    vertex set is the cut's ``origin[0]``.
+    """
+    m = inst.fleet_size
+    adjacent = {}
+    for i, j in conflicts:
+        adjacent.setdefault(i, set()).add(j)
+        adjacent.setdefault(j, set()).add(i)
+    order = sorted(
+        (v for v in adjacent if yv.get(v, 0.0) > CLIQUE_SUPPORT), key=lambda v: (-yv[v], v)
+    )
+    cuts = []
+    seen = set()
+    for v in order:
+        clique = [v]
+        for w in order:
+            if w != v and all(w in adjacent[k] for k in clique):
+                clique.append(w)
+        members = frozenset(clique)
+        if len(clique) <= m or members in seen:
+            continue
+        seen.add(members)
+        if sum(yv[k] for k in clique) <= m + CLIQUE_VIOLATION:
+            continue
+        cuts.append(
+            Cut(
+                family=CLIQUE,
+                x_terms=(),
+                y_terms=tuple((k, 1.0) for k in sorted(clique)),
+                relation="<=",
+                rhs=float(m),
+                origin=(members,),
+            )
+        )
     return cuts
 
 

@@ -9,16 +9,17 @@ LP empties or the bound gains at most a tolerance.  Two modes share one
 branch-and-bound engine:
 
 * main pipeline: the flow formulation with its per-arc flow lower bounds.
-  Root rounds separate filtered connectivity, conflict and lifted-cover cuts
-  until a round gains at most ``PHASE_TOL``.  The search then goes on in the
-  root's own LP session, every root cut in it, and solves each node's LP
-  once, without cut rounds.
+  Root rounds separate filtered connectivity and conflict cuts, every
+  violated clique row and a lifted cover until a round gains at most
+  ``PHASE_TOL``.  The search then goes on in the root's own LP session,
+  every root cut in it, and solves each node's LP once, without cut rounds.
 
 * baseline: the arrival-time formulation with the aggregate travel-time row
   kept; node rounds append every violated connectivity cut (no filter)
-  until a round gains at most ``NODE_TOL``.  Its root LP is solved once, by
-  ``lp.solve``, whose probe settles an infeasible relaxation; the search's
-  session starts from that solve's final basis.
+  until a round gains at most ``NODE_TOL``; it never separates clique
+  rows.  Its root LP is solved once, by ``lp.solve``, whose probe settles
+  an infeasible relaxation; the search's session starts from that solve's
+  final basis.
 
 The other pipelines report a relaxation's bound only, as status ``bound``:
 ``lp`` the flow formulation's plain LP; ``root`` the main pipeline's root
@@ -97,6 +98,7 @@ from .formulation import build_arrival_formulation, build_flow_formulation
 # min_time_matrix is unused here, but perfbench/spans.py wraps solver.min_time_matrix
 from .instance import min_time_matrix, preprocess, validate_solution  # noqa: F401
 from .separation import (
+    CLIQUE,
     CONFLICT,
     CONFLICT_FILTER,
     CONNECTIVITY,
@@ -108,6 +110,7 @@ from .separation import (
     filter_cuts,
     floor_bound,
     reward_step,
+    separate_clique,
     separate_conflict,
     separate_connectivity,
     separate_lifted_cover,
@@ -256,15 +259,16 @@ def cutting_plane_phase(inst, config=SolveConfig(), conflicts=None, deadline=Non
     Starting from the full linear relaxation, cut rounds separate the
     enabled cut families against the current optimum and keep the most
     violated plus sufficiently orthogonal ones (connectivity and conflict
-    families filtered separately, at most one cover cut), until a round
-    finds nothing or improves the bound by at most ``PHASE_TOL``.  The
-    instance must already be preprocessed.  ``on_model``, when given, is
-    called with the relaxation's model before anything is solved on it.
+    families filtered separately, every clique row, at most one cover cut),
+    until a round finds nothing or improves the bound by at most
+    ``PHASE_TOL``.  The instance must already be preprocessed.
+    ``on_model``, when given, is called with the relaxation's model before
+    anything is solved on it.
     """
     handle = build_flow_formulation(inst)
     if on_model is not None:
         on_model(handle.model)
-    if conflicts is None and CONFLICT in config.families:
+    if conflicts is None and config.families & {CONFLICT, CLIQUE}:
         conflicts = build_conflict_set(inst, handle.min_times)
     session = lp.HighsSession(handle.model)
     cuts = []
@@ -278,6 +282,8 @@ def cutting_plane_phase(inst, config=SolveConfig(), conflicts=None, deadline=Non
         if CONFLICT in config.families:
             cand = separate_conflict(xv, yv, inst, conflicts)
             fresh += filter_cuts(cand, CONFLICT_FILTER, xv, yv)
+        if CLIQUE in config.families:
+            fresh += separate_clique(yv, inst, conflicts)
         if COVER in config.families:
             cover = separate_lifted_cover(yv, inst, dual_bound=sol.objective)
             if cover is not None and cover.violation(xv, yv) > COVER_VIOLATION:

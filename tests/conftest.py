@@ -9,19 +9,20 @@ import numpy as np
 import pytest
 
 from orienteer.instance import StopInstance
-from orienteer.separation import CONFLICT, CONNECTIVITY, COVER, FAMILIES, Cut
+from orienteer.separation import CONFLICT, CONNECTIVITY, COVER, Cut
 
 # vertex ids of the 6-vertex sparse example used throughout
 S, I, L, K, J, T = 0, 1, 2, 3, 4, 5
 
 # the paper's root configurations 1-5 as cut-family subsets, the
-# ``--families`` lists of ``bench --mode root``
+# ``--families`` lists of ``bench --mode root``; configuration 5 is the
+# paper's three families, without the clique rows
 PAPER_CONFIGS = {
     1: frozenset({CONNECTIVITY}),
     2: frozenset({CONFLICT}),
     3: frozenset({COVER}),
     4: frozenset({CONNECTIVITY, CONFLICT}),
-    5: frozenset(FAMILIES),
+    5: frozenset({CONNECTIVITY, CONFLICT, COVER}),
 }
 
 FIGURE_ARCS = {

@@ -372,8 +372,8 @@ def test_bench_lp_rows(tmp_path):
     far.write_text(FAR)
     rows = bench.run_bench([str(good), str(far)], "lp", SolveConfig(time_limit_s=30))
     assert bench.to_csv(rows).splitlines()[1:3] == [
-        "far,,lp,infeasible,,,0.0000,0,0,0,0,,,",
-        "five,,lp,bound,,22.000000,100.0000,0,0,0,0,22.000000,,",
+        "far,,lp,infeasible,,,0.0000,0,0,0,0,0,,,",
+        "five,,lp,bound,,22.000000,100.0000,0,0,0,0,0,22.000000,,",
     ]
 
 
@@ -427,6 +427,44 @@ def test_bench_csv_footer_matches_rows(tmp_path):
         assert any(ln.startswith(tag) for ln in footer)
 
 
+def test_relaxation_only_footers_count_bound_and_infeasible_rows(tmp_path):
+    paths = []
+    for name, text in (("far", FAR), ("gap", ROOT_GAP)):
+        (tmp_path / f"{name}.txt").write_text(text)
+        paths.append(str(tmp_path / f"{name}.txt"))
+    for mode in ("root", "lp", "impact-flow"):
+        rows = bench.run_bench(paths, mode, SolveConfig(time_limit_s=60))
+        agg = bench.aggregate(rows)[0]
+        assert (agg["bound"], agg["infeasible"], agg["solved"]) == (1, 1, None), mode
+        assert agg["avg_time_solved"] is None
+        footer = bench.to_csv(rows).splitlines()[-1]
+        assert footer.startswith("# set ?: bound 1/2, infeasible 1/2"), footer
+        assert ("avg_improvement" in footer) == (mode != "lp")
+        text = bench.to_text(rows).splitlines()[-1]
+        assert text.startswith("[set ?] bound 1/2  infeasible 1/2  avg time -"), text
+    # a set with a search row still counts what was solved
+    rows = bench.run_bench(paths, "cpa", SolveConfig(time_limit_s=60))
+    assert bench.to_csv(rows).splitlines()[-1] == "# set ?: solved 2/2"
+
+
+def test_bench_text_columns_fit_their_longest_cell():
+    cuts = dict(zip(FAMILIES, (12, 345, 6, 7890)))
+    rows = [
+        bench.BenchRow("s13_n21_m2_t20_f0.25_exhausted", "", "impact-arrival", "infeasible",
+                       None, None, 0.0, 0.01, cuts=cuts, nodes=0),
+        bench.BenchRow("p1.2.a", "1", "lp", "bound", None, 1591.07, 1.0, 12.5, nodes=123456),
+        bench.BenchRow("s00", "", "cpa", "time-limit", 165.0, 180.261349, 0.08, 3.0,
+                       cuts=dict.fromkeys(FAMILIES, 1), nodes=400),
+    ]
+    head, rule, *table = bench.to_text(rows).splitlines()[: 2 + len(rows)]
+    assert len(rule) == len(head) and {len(line) for line in table} == {len(head)}
+    for r, line in zip(rows, table):
+        for name, cell in (("mode", r.mode), ("status", r.status)):
+            assert line[head.index(name) :].startswith(cell), (name, line)
+        assert line.endswith(" " + "/".join(str(r.cuts.get(f, 0)) for f in FAMILIES))
+    assert table[0].endswith(" 12/345/6/7890") and head.endswith(" " * 9 + "cuts")
+
+
 def test_bench_improvement_definition(tmp_path, capsys):
     path = tmp_path / "gap.txt"
     path.write_text(ROOT_GAP)
@@ -461,7 +499,7 @@ def test_bench_infeasible_rows_carry_no_gap_and_no_improvement(tmp_path):
         assert rows[0].gap == 0.0 and rows[0].improvement is None
         assert rows[1].improvement is not None
         lines = bench.to_csv(rows).splitlines()
-        assert lines[1] == f"far,,{mode},infeasible,,,0.0000,0,0,0,0,,,"
+        assert lines[1] == f"far,,{mode},infeasible,,,0.0000,0,0,0,0,0,,,"
         # the footer averages the bound rows alone
         agg = bench.aggregate(rows)[0]
         assert agg["avg_improvement"] == rows[1].improvement

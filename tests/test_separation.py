@@ -14,6 +14,7 @@ from orienteer.instance import StopInstance, min_time_matrix, parse_instance, pr
 from orienteer.maxflow import FlowNetwork, max_flow_min_cut
 from orienteer.oracle import enumerate_feasible
 from orienteer.separation import (
+    CLIQUE,
     CONFLICT,
     CONFLICT_FILTER,
     CONNECTIVITY,
@@ -28,6 +29,7 @@ from orienteer.separation import (
     inner_product,
     knapsack_max,
     reward_step,
+    separate_clique,
     separate_conflict,
     separate_connectivity,
     separate_lifted_cover,
@@ -232,6 +234,50 @@ def test_conflict_guard_keeps_pair_inside_cut_side(rng):
         for cut in separate_conflict(xv, yv, pre, pairs, FilterParams(0.05, 0.03)):
             V, (a, b), side = cut.origin
             assert {a, b} <= V
+
+
+# -- clique rows ----------------------------------------------------------------
+
+
+def _clique_graph(cliques):
+    """ConflictSet whose pairs join every two vertices of each clique."""
+    pairs = {pair for members in cliques for pair in itertools.combinations(sorted(members), 2)}
+    return ConflictSet(tuple(sorted(pairs)))
+
+
+K4 = _clique_graph([(1, 2, 3, 4)])
+
+
+def test_clique_row_on_k4_above_the_fleet():
+    inst = make_reward_universe(4, [1, 1, 1, 1], fleet=3)
+    cuts = separate_clique(dict.fromkeys(range(1, 5), 0.9), inst, K4)
+    # every vertex seeds the same clique, and its row comes once
+    assert cuts == [
+        Cut(CLIQUE, (), tuple((k, 1.0) for k in (1, 2, 3, 4)), "<=", 3.0, (frozenset({1, 2, 3, 4}),))
+    ]
+
+
+def test_clique_no_larger_than_the_fleet_gives_no_row():
+    inst = make_reward_universe(4, [1, 1, 1, 1], fleet=4)
+    assert separate_clique(dict.fromkeys(range(1, 5), 0.9), inst, K4) == []
+
+
+def test_clique_row_needs_a_sum_above_the_violation():
+    inst = make_reward_universe(4, [1, 1, 1, 1], fleet=3)
+    yv = {1: 1.0, 2: 1.0, 3: 1.0, 4: 1e-3}
+    assert sum(yv.values()) == 3 + 1e-3
+    assert separate_clique(yv, inst, K4) == []
+    assert len(separate_clique({**yv, 4: 1.1e-3}, inst, K4)) == 1
+
+
+def test_clique_vertex_set_is_emitted_once():
+    # two triangles sharing vertex 3: the seeds 1, 2 and 3 grow {1, 2, 3},
+    # the seeds 4 and 5 grow {3, 4, 5}
+    inst = make_reward_universe(5, [1] * 5, fleet=2)
+    yv = {1: 0.9, 2: 0.9, 3: 0.9, 4: 0.8, 5: 0.8}
+    cuts = separate_clique(yv, inst, _clique_graph([(1, 2, 3), (3, 4, 5)]))
+    assert [cut.origin for cut in cuts] == [(frozenset({1, 2, 3}),), (frozenset({3, 4, 5}),)]
+    assert all(cut.violation({}, yv) > 0 for cut in cuts)
 
 
 # -- exact knapsack -----------------------------------------------------------

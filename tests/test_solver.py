@@ -21,7 +21,7 @@ from orienteer.instance import (
     read_instance,
     validate_solution,
 )
-from orienteer.oracle import enumerate_optimal
+from orienteer.oracle import enumerate_feasible, enumerate_optimal
 from orienteer.solver import (
     SolveConfig,
     UncertifiedSolution,
@@ -32,9 +32,11 @@ from orienteer.solver import (
     solve_stop,
 )
 from orienteer.separation import (
+    CLIQUE,
     CONFLICT,
     CONNECTIVITY,
     COVER,
+    FAMILIES,
     FilterParams,
 )
 
@@ -48,6 +50,7 @@ from conftest import (
     T,
     make_figure_instance,
     make_random_instance,
+    point_of_routes,
 )
 from test_cli_helpers import independent_route_check
 
@@ -241,6 +244,65 @@ def _agree_with_oracle(inst, label):
             assert got.lower_bound == want.total_reward, (label, solve.__name__)
         reports.append(got)
     return want, reports
+
+
+def _clustered(rng):
+    """A mandatory-heavy draw rich in conflict cliques: one or two vehicles,
+    three or four clusters of one or two vertices 4-6 away from the depot in
+    different directions, and a limit of 11-14, which lets a route reach one
+    cluster but seldom two.  About half the vertices are mandatory, so some
+    draws are infeasible."""
+    coords = [(0.0, 0.0)]
+    clusters = rng.randint(3, 4)
+    for c in range(clusters):
+        angle = 2 * math.pi * (c + rng.uniform(-0.15, 0.15)) / clusters
+        radius = rng.uniform(4, 6)
+        for _ in range(rng.randint(1, 2)):
+            coords.append(
+                (
+                    radius * math.cos(angle) + rng.uniform(-0.5, 0.5),
+                    radius * math.sin(angle) + rng.uniform(-0.5, 0.5),
+                )
+            )
+    coords.append((rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)))
+    coords = np.array(coords)
+    n = len(coords)
+    inner = frozenset(range(1, n - 1))
+    mand = frozenset(v for v in sorted(inner) if rng.random() < 0.5)
+    return StopInstance(
+        vertex_count=n,
+        origin=0,
+        destination=n - 1,
+        mandatory=mand,
+        profitable=inner - mand,
+        rewards={i: rng.randint(1, 10) for i in sorted(inner - mand)},
+        travel_time=np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)),
+        arc_mask=~np.eye(n, dtype=bool),
+        fleet_size=rng.randint(1, 2),
+        time_limit=rng.uniform(11, 14),
+        coordinates=coords,
+    )
+
+
+def test_clique_rows_agree_with_the_oracle():
+    # both pipelines meet the oracle on clique-rich draws, and every clique
+    # row the main pipeline appends holds at every feasible route set
+    emitted = []
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def check(seed):
+        inst = _clustered(random.Random(seed))
+        _, (got, _) = _agree_with_oracle(inst, seed)
+        rows = [cut for cut in got.cut_pool if cut.family == CLIQUE]
+        pre, _ = preprocess(inst)
+        for rs in enumerate_feasible(pre) if rows else ():
+            xv, yv = point_of_routes(pre, rs.routes)
+            assert all(cut.violation(xv, yv) <= 1e-6 for cut in rows), (seed, rs)
+        emitted.append(len(rows))
+
+    check()
+    assert sum(k > 0 for k in emitted) >= 5, emitted  # the draws reach the family
 
 
 def test_reduced_cost_fixing_agrees_with_the_oracle():
@@ -745,7 +807,7 @@ def test_lp_only_bound(figure_instance):
 
 
 def test_solver_reports_cut_counts(rng):
-    total = {"connectivity": 0, "conflict": 0, "cover": 0}
+    total = dict.fromkeys(FAMILIES, 0)
     for _ in range(25):
         inst = make_random_instance(rng, tightness=(0.9, 1.4))
         rep = solve_stop(inst, FAST)
