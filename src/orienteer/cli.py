@@ -9,10 +9,8 @@ import sys
 
 from . import bench as bench_mod
 from . import solver
-# Verdict is re-exported: both validator names stay importable from here
 from .instance import (
     InstanceError,
-    Verdict,
     generate_stop,
     read_instance,
     serialize_instance,

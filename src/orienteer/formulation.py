@@ -48,7 +48,6 @@ class FormulationError(ValueError):
 @dataclass
 class FormulationHandle:
     model: LpModel
-    kind: str  # 'flow' | 'arrival'
     x_index: dict
     y_index: dict
     flow_index: dict
@@ -78,7 +77,7 @@ def _prepare(inst):
     return R
 
 
-def _build(inst, kind, R, depart, consume, cap, floor):
+def _build(inst, R, depart, consume, cap, floor):
     """The model of one kind from its coefficient tables.
 
     ``depart``, ``cap`` and ``floor`` map arcs to c, in row order, for the
@@ -139,7 +138,6 @@ def _build(inst, kind, R, depart, consume, cap, floor):
 
     return FormulationHandle(
         model=model,
-        kind=kind,
         x_index=x_index,
         y_index=y_index,
         flow_index=flow_index,
@@ -162,7 +160,6 @@ def build_flow_formulation(inst):
     arcs = inst.arcs()
     return _build(
         inst,
-        "flow",
         R,
         depart={a: T - d[a] for a in arcs if a[0] == s},
         consume=(1.0, -1.0),
@@ -180,7 +177,6 @@ def build_arrival_formulation(inst, include_total_time_row=False):
     arcs = inst.arcs()
     handle = _build(
         inst,
-        "arrival",
         R,
         depart={a: d[a] for a in arcs if a[0] == s},
         consume=(-1.0, 1.0),
@@ -194,37 +190,3 @@ def build_arrival_formulation(inst, include_total_time_row=False):
             [(handle.x_index[a], float(d[a])) for a in arcs], LE, float(inst.fleet_size) * T
         )
     return handle
-
-
-def map_solution(handle, sol, target):
-    """Carry an optimal point of one formulation into the other.
-
-    Arc values translate by f_ij = T * x_ij - z_ij (both directions); x, y
-    and the idle-vehicle slack transfer verbatim.  Returns a full column
-    vector for ``target``'s model.
-    """
-    if handle.instance is not target.instance or handle.kind == target.kind:
-        raise FormulationError("need the two formulation kinds over one instance")
-    T = handle.instance.time_limit
-    out = np.zeros(target.model.n_cols)
-    for a, c in handle.x_index.items():
-        out[target.x_index[a]] = sol.x[c]
-    for i, c in handle.y_index.items():
-        out[target.y_index[i]] = sol.x[c]
-    for a, c in handle.flow_index.items():
-        out[target.flow_index[a]] = T * sol.x[handle.x_index[a]] - sol.x[c]
-    out[target.slack_index] = sol.x[handle.slack_index]
-    return out
-
-
-def point_violations(handle, point, tol=1e-6):
-    """Row and bound violations of a full column vector; empty when feasible."""
-    bad = []
-    model = handle.model
-    for j in range(model.n_cols):
-        if point[j] < model.lower[j] - tol or point[j] > model.upper[j] + tol:
-            bad.append(("bound", j, float(point[j])))
-    for ridx, row in enumerate(model.rows):
-        if not row.satisfied(point, tol):
-            bad.append(("row", ridx, float(row.activity(point))))
-    return bad

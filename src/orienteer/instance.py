@@ -18,8 +18,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-INF = math.inf
-
 
 class InstanceError(ValueError):
     """Malformed instance data or instance file."""
@@ -107,9 +105,6 @@ class MinTimeMatrix:
 
     def __post_init__(self):
         self.values.setflags(write=False)
-
-    def __getitem__(self, ij):
-        return float(self.values[ij])
 
 
 @dataclass(frozen=True)
@@ -354,7 +349,7 @@ def generate_stop(base, fraction, seed):
 def min_time_matrix(inst):
     """Floyd-Warshall over the present arcs; +inf marks unreachable pairs."""
     n = inst.vertex_count
-    dist = np.full((n, n), INF)
+    dist = np.full((n, n), math.inf)
     dist[inst.arc_mask] = inst.travel_time[inst.arc_mask]
     np.fill_diagonal(dist, 0.0)
     for k in sorted(inst.present):

@@ -96,17 +96,6 @@ class LpRow:
     relation: str
     rhs: float
 
-    def activity(self, x):
-        return float(sum(v * x[j] for j, v in zip(self.indices, self.values)))
-
-    def satisfied(self, x, tol=FEASIBILITY_TOL):
-        a = self.activity(x)
-        if self.relation == LE:
-            return a <= self.rhs + tol
-        if self.relation == GE:
-            return a >= self.rhs - tol
-        return abs(a - self.rhs) <= tol
-
 
 def row_arrays(rows):
     """(starts, indices, values, row_lower, row_upper) of ``rows`` in CSR
@@ -166,12 +155,6 @@ class LpModel:
             raise LpError("row references unknown column")
         self.rows.append(row)
         return len(self.rows) - 1
-
-    def set_objective(self, coeffs):
-        obj = [0.0] * self.n_cols
-        for j, v in coeffs:
-            obj[j] = float(v)
-        self.objective = obj
 
     def copy(self):
         out = LpModel.__new__(LpModel)
@@ -301,8 +284,8 @@ def solve(model, bounds_override=None):
     which ``HighsSession.set_basis`` takes for a session on the same model.
 
     ``bounds_override`` is an optional (n, 2) array of column bounds used in
-    place of the model's own; branch-and-bound nodes rely on it to avoid
-    copying the model for every bound fixing.
+    place of the model's own; a session's fallback relies on it to solve a
+    search node's LP without copying the model.
     """
     status_of = _hcore.HighsModelStatus
 

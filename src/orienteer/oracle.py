@@ -22,12 +22,6 @@ class RouteSet:
     total_reward: int
     durations: tuple
 
-    def visited(self):
-        out = []
-        for r in self.routes:
-            out.extend(r[1:-1])
-        return out
-
 
 def _route_canon(routes):
     return tuple(sorted(routes, key=lambda r: (r[1] if len(r) > 2 else -1, r)))

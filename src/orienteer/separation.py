@@ -57,9 +57,6 @@ CLIQUE_VIOLATION = 1e-3
 class ConflictSet:
     pairs: tuple  # ordered (i, j) tuples, i < j
 
-    def __len__(self):
-        return len(self.pairs)
-
     def __iter__(self):
         return iter(self.pairs)
 
@@ -135,7 +132,14 @@ def build_conflict_set(inst, R):
 
 
 def _support(xv):
-    return [(a, v) for a, v in xv.items() if v > SUPPORT_EPS]
+    """(tails, heads, capacities) of the arcs whose x exceeds ``SUPPORT_EPS``."""
+    tails, heads, caps = [], [], []
+    for (i, j), v in xv.items():
+        if v > SUPPORT_EPS:
+            tails.append(i)
+            heads.append(j)
+            caps.append(v)
+    return tails, heads, caps
 
 
 def _out_cut_arcs(inst, inside):
@@ -170,12 +174,8 @@ def separate_connectivity(xv, yv, inst, params=CONNECTIVITY_FILTER):
     the residual adjacency is built once per call.
     """
     t = inst.destination
-    support = _support(xv)
-    tails = [a[0] for a, _ in support]
-    heads = [a[1] for a, _ in support]
-    caps = [c for _, c in support]
     # the source moves to each v below; the origin is a valid placeholder
-    net = FlowNetwork(inst.vertex_count, inst.origin, t, tails, heads, caps)
+    net = FlowNetwork(inst.vertex_count, inst.origin, t, *_support(xv))
     cuts = []
     for v in sorted(inst.present - {t}):
         net.source = v
@@ -232,10 +232,7 @@ def separate_conflict(xv, yv, inst, conflicts, params=CONFLICT_FILTER):
     """
     n = inst.vertex_count
     big = float(inst.fleet_size)
-    support = _support(xv)
-    tails = [a[0] for a, _ in support]
-    heads = [a[1] for a, _ in support]
-    caps = [c for _, c in support]
+    tails, heads, caps = _support(xv)
     sides = []
     for side, source, side_tails, side_heads, crossing_arcs in (
         ("enter", inst.origin, tails, heads, _in_cut_arcs),

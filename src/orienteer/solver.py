@@ -527,9 +527,11 @@ def branch_and_bound(handle, session, config, deadline, separate=None):
     (``HighsSession.submit``) from that basis, and the result is collected
     when it is popped.  An unbounded node LP raises ``LpError``.  The worker
     stops however the search ends.
-    Returns (status, incumbent value, upper bound, incumbent routes, stats),
-    stats being the search's ``_search_stats`` counters, whose LP fallbacks
-    and prefetch counts are all the session's.
+    Returns (status, incumbent value, open bound, incumbent routes, stats).
+    The open bound is the best parent bound of the nodes left unsolved (the
+    dive child's or the heap top's; +inf for the unsolved first node, -inf
+    when none is left); stats are the search's ``_search_stats`` counters,
+    whose LP fallbacks and prefetch counts are all the session's.
     """
     stats = _search_stats()
     base_bounds = np.array([handle.model.lower, handle.model.upper], dtype=float).T
@@ -619,16 +621,10 @@ def branch_and_bound(handle, session, config, deadline, separate=None):
     open_bound = tree.best_open_bound()
     if dive is not None:
         open_bound = max(open_bound, dive[0])
-    if status == "time-limit":
-        upper = max(best_value, open_bound)
-        if upper == -math.inf:
-            upper = math.inf
-    else:
-        upper = best_value if best_value > -math.inf else -math.inf
     stats["lp_fallbacks"] = session.fallbacks
     stats["prefetched"] = session.prefetched
     stats["prefetch_wait_s"] = session.prefetch_wait_s
-    return status, best_value, upper, best_routes, stats
+    return status, best_value, open_bound, best_routes, stats
 
 
 # -- public pipelines --------------------------------------------------------
@@ -669,13 +665,15 @@ def _certify(inst, routes, value):
 def _search_report(inst, search, timings, cuts, lp_bound, root_bound=None):
     """Report for a finished ``branch_and_bound``: exhausted with no feasible
     point (infeasible), stopped with no incumbent, or an incumbent (proven
-    optimal, or below an upper bound capped by the root's bound, else by
-    ``lp_bound``) that first passes ``_certify`` against ``inst``.  Every
-    exit keeps the cut pool ``cuts`` and the search's stats."""
-    status, best_value, upper, routes, stats = search
+    optimal, or below an upper bound) that first passes ``_certify`` against
+    ``inst``.  A stopped search always leaves a node open, so its upper bound
+    is the larger of the incumbent and the open bound, capped by the root's
+    bound, else by ``lp_bound``.  Every exit keeps the cut pool ``cuts`` and
+    the search's stats."""
+    status, best_value, open_bound, routes, stats = search
     reason = ""
     if status == "time-limit":
-        upper = min(upper, lp_bound if root_bound is None else root_bound)
+        upper = min(max(best_value, open_bound), lp_bound if root_bound is None else root_bound)
     else:
         upper = best_value
         if best_value == -math.inf:

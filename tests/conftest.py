@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from orienteer.instance import StopInstance
+from orienteer.lp import row_arrays
 from orienteer.separation import CONFLICT, CONNECTIVITY, COVER, Cut
 
 # vertex ids of the 6-vertex sparse example used throughout
@@ -136,6 +137,27 @@ def point_of_routes(inst, routes):
         for v in route[1:-1]:
             yv[v] = 1.0
     return xv, yv
+
+
+def with_objective(model, coeffs):
+    """A copy of the LpModel ``model`` maximizing sum(v x_j) over the
+    (j, v) pairs ``coeffs``; every other column costs nothing."""
+    out = model.copy()
+    out.objective = [0.0] * out.n_cols
+    for j, v in coeffs:
+        out.objective[j] = float(v)
+    return out
+
+
+def row_violations(model, x, tol=1e-6):
+    """(row id, activity) of each row of ``model`` that the column vector
+    ``x`` misses by more than ``tol``; empty when ``x`` satisfies them all."""
+    starts, indices, values, lower, upper = row_arrays(model.rows)
+    activity = np.zeros(model.n_rows)
+    rows = np.repeat(np.arange(model.n_rows), np.diff(starts))
+    np.add.at(activity, rows, values * np.asarray(x)[indices])
+    bad = np.nonzero((activity < lower - tol) | (activity > upper + tol))[0]
+    return [(int(r), float(activity[r])) for r in bad]
 
 
 @pytest.fixture

@@ -44,6 +44,7 @@ from conftest import (
     plain_cover,
     point_of_routes,
     require_chao,
+    with_objective,
 )
 
 # published LP and root (LP+cuts) bounds for the instances first closed by
@@ -112,9 +113,8 @@ def test_criterion_2_total_time_row_redundant():
     for inst in instances:
         pre, _ = preprocess(inst)
         flow = build_flow_formulation(pre)
-        timed = flow.model.copy()
-        timed.set_objective(
-            [(col, float(pre.travel_time[a])) for a, col in flow.x_index.items()]
+        timed = with_objective(
+            flow.model, [(col, float(pre.travel_time[a])) for a, col in flow.x_index.items()]
         )
         budget = lp.solve(timed)
         if budget.status == "optimal":

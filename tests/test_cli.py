@@ -116,6 +116,10 @@ def test_cli_validate_oracle(five_path, capsys):
     assert main(["validate", five_path, "--oracle"]) == 0
     out = capsys.readouterr().out
     assert "optimum 22" in out
+    # an exhausted node budget is a refusal, never an answer
+    assert main(["validate", five_path, "--oracle", "--oracle-budget", "1"]) == 2
+    out = capsys.readouterr().out
+    assert "budget exhausted" in out and "optimum" not in out
 
 
 def test_cli_validate_routes(five_path, capsys):
@@ -402,6 +406,7 @@ def test_bench_aggregate_recomputation(tmp_path):
 def test_bench_impact_modes(tmp_path):
     good = tmp_path / "ok.txt"
     good.write_text(FIVE)
+    uppers = {}
     for mode in ("impact-flow", "impact-arrival"):
         rows = bench.run_bench([str(good)], mode, SolveConfig(time_limit_s=60))
         row = rows[0]
@@ -410,6 +415,10 @@ def test_bench_impact_modes(tmp_path):
         # adding valid lower-bound rows can only pull the bound down
         assert row.upper <= row.lp_bound + 1e-9
         assert row.improvement is not None and row.improvement >= -1e-9
+        uppers[mode] = row.upper
+    # lp and impact-flow solve the same full flow model by separate code
+    (plain,) = bench.run_bench([str(good)], "lp", SolveConfig(time_limit_s=60))
+    assert plain.upper == uppers["impact-flow"]
 
 
 def test_bench_csv_footer_matches_rows(tmp_path):

@@ -11,12 +11,52 @@ from orienteer.formulation import (
     FormulationError,
     build_arrival_formulation,
     build_flow_formulation,
-    map_solution,
-    point_violations,
 )
 from orienteer.instance import preprocess, read_instance
 
-from conftest import I, J, K, L, S, T, make_figure_instance, make_random_instance
+from conftest import (
+    I,
+    J,
+    K,
+    L,
+    S,
+    T,
+    make_figure_instance,
+    make_random_instance,
+    row_violations,
+    with_objective,
+)
+
+
+def map_solution(handle, sol, target):
+    """Carry an optimal point of one formulation into the other kind over
+    the same instance.
+
+    Arc values translate by f_ij = T * x_ij - z_ij (both directions); x, y
+    and the idle-vehicle slack transfer verbatim.  Returns a full column
+    vector for ``target``'s model.
+    """
+    T = handle.instance.time_limit
+    out = np.zeros(target.model.n_cols)
+    for a, c in handle.x_index.items():
+        out[target.x_index[a]] = sol.x[c]
+    for i, c in handle.y_index.items():
+        out[target.y_index[i]] = sol.x[c]
+    for a, c in handle.flow_index.items():
+        out[target.flow_index[a]] = T * sol.x[handle.x_index[a]] - sol.x[c]
+    out[target.slack_index] = sol.x[handle.slack_index]
+    return out
+
+
+def point_violations(handle, point, tol=1e-6):
+    """Bound and row violations of a full column vector; empty when feasible."""
+    model = handle.model
+    bad = [
+        ("bound", j, float(point[j]))
+        for j in range(model.n_cols)
+        if point[j] < model.lower[j] - tol or point[j] > model.upper[j] + tol
+    ]
+    return bad + [("row", r, a) for r, a in row_violations(model, point, tol)]
 
 
 def expected_row_counts(inst, kind):
@@ -138,9 +178,8 @@ def test_travel_time_capped_by_fleet_budget(rng):
         inst = make_random_instance(rng)
         pre, _ = preprocess(inst)
         handle = build_flow_formulation(pre)
-        model = handle.model.copy()
-        model.set_objective(
-            [(col, float(pre.travel_time[a])) for a, col in handle.x_index.items()]
+        model = with_objective(
+            handle.model, [(col, float(pre.travel_time[a])) for a, col in handle.x_index.items()]
         )
         sol = lp.solve(model)
         if sol.status == "optimal":
@@ -192,11 +231,10 @@ def test_random_vertices_map_between_formulations(rng):
         pre, _ = preprocess(inst)
         ha = build_arrival_formulation(pre)
         hf = build_flow_formulation(pre)
-        model = ha.model.copy()
         objective = [
             (col, rng.uniform(-1, 2)) for col in list(ha.x_index.values()) + list(ha.y_index.values())
         ]
-        model.set_objective(objective)
+        model = with_objective(ha.model, objective)
         sol = lp.solve(model)
         if sol.status != "optimal":
             continue

@@ -176,7 +176,7 @@ def test_generate_requires_top_instance():
 
 
 def test_min_times_figure_values(figure_instance):
-    M = min_time_matrix(figure_instance)
+    M = min_time_matrix(figure_instance).values
     # independent check: enumerate all simple paths of the 7-arc digraph
     assert M[S, T] == 2.0  # via vertex 2
     assert M[J, I] == math.inf  # nothing re-enters vertex 1

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from orienteer import lp, simplex
 
+from conftest import row_violations
+
 # lp.solve is the solver's engine; the bundled dense simplex is an
 # independent reference it is checked against
 SOLVERS = pytest.mark.parametrize("solve", (lp.solve, simplex.solve_dense), ids=("highs", "dense"))
@@ -108,8 +110,7 @@ def test_backends_agree(seed):
     assert a.status == b.status
     if a.status == "optimal":
         assert b.objective == pytest.approx(a.objective, abs=1e-6, rel=1e-6)
-        for row in model.rows:
-            assert row.satisfied(b.x, tol=1e-6)
+        assert row_violations(model, b.x, tol=1e-6) == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -81,18 +81,18 @@ def test_conflict_pairs_empty_when_limit_loose(rng):
     # conflicting forever, hence the complete graph here)
     inst = make_random_instance(rng, n_max=8)
     loose = replace(inst, time_limit=1e6)
-    assert len(build_conflict_set(loose, min_time_matrix(loose).values)) == 0
+    assert build_conflict_set(loose, min_time_matrix(loose).values).pairs == ()
 
 
 def test_conflict_pairs_empty_on_unit_complete_graph():
     inst = parse_instance("n 6\nm 2\ntmax 4\n" + "\n".join("0 0 1" for _ in range(6)))
     # all distances zero: nothing can conflict
-    assert len(build_conflict_set(inst, min_time_matrix(inst).values)) == 0
+    assert build_conflict_set(inst, min_time_matrix(inst).values).pairs == ()
     d = np.ones((6, 6))
     np.fill_diagonal(d, 0.0)
     unit = replace(inst, travel_time=d, coordinates=None)
     # any pair fits: 1 + 1 + 1 = 3 <= 4
-    assert len(build_conflict_set(unit, min_time_matrix(unit).values)) == 0
+    assert build_conflict_set(unit, min_time_matrix(unit).values).pairs == ()
 
 
 def test_conflict_pairs_soundness_on_randoms(rng):

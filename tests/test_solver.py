@@ -506,16 +506,28 @@ def test_root_loop_stops_at_the_deadline(rng):
 
 
 def test_time_limit_report_keeps_valid_bounds(rng):
-    inst = make_random_instance(rng, n_max=9, tightness=(1.8, 2.2))
-    squeezed = replace(FAST, max_nodes=1)
-    rep = solve_stop(inst, squeezed)
-    if rep.status == "time-limit":
-        want = enumerate_optimal(inst)
-        if want is not None:
-            assert rep.upper_bound >= want.total_reward - 1e-9
-            if rep.lower_bound != -math.inf:
-                assert rep.lower_bound <= want.total_reward
-        assert 0.0 <= rep.gap <= 1.0
+    # a search stopped at its node cap reports an upper bound between the
+    # optimum and the bound it starts from: the root's for cpa, the LP's for
+    # the baseline; with no node at all it reports that bound itself
+    pipelines = {"cpa": (solve_stop, "root_bound"), "baseline": (solve_baseline, "lp_bound")}
+    capped = dict.fromkeys(pipelines, 0)
+    for _ in range(300):
+        if min(capped.values()) >= 3:
+            break
+        inst = make_random_instance(rng, n_max=10, m_max=4, tightness=(1.5, 2.5))
+        for mode, (solve, start) in pipelines.items():
+            rep = solve(inst, replace(FAST, max_nodes=1))
+            if rep.status != "time-limit":
+                continue
+            capped[mode] += 1
+            want = enumerate_optimal(inst).total_reward
+            assert want - 1e-9 <= rep.upper_bound <= getattr(rep, start), mode
+            assert rep.lower_bound <= want, mode
+            assert 0.0 <= rep.gap <= 1.0
+            bare = solve(inst, replace(FAST, max_nodes=0))
+            assert bare.status == "time-limit" and bare.node_count == 0
+            assert bare.upper_bound == getattr(bare, start), mode
+    assert min(capped.values()) >= 3, capped
 
 
 def test_reported_bounds_are_ordered(rng):
