@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orienteer import lp
+from orienteer import lp, separation
 from orienteer.formulation import build_flow_formulation
 from orienteer.instance import StopInstance, min_time_matrix, parse_instance, preprocess
 from orienteer.maxflow import FlowNetwork, max_flow_min_cut
@@ -33,7 +34,10 @@ from orienteer.separation import (
     separate_conflict,
     separate_connectivity,
     separate_lifted_cover,
+    _flow_paths,
+    _support,
 )
+from orienteer.solver import SolveConfig, cutting_plane_phase
 
 from conftest import (
     I,
@@ -570,6 +574,18 @@ def _reference_connectivity(xv, yv, inst, params=CONNECTIVITY_FILTER):
     return cuts
 
 
+def _pair_network(support, inst, i, j, side):
+    """Auxiliary network of one pair and cut side: the support arcs (reversed
+    on the leave side) and the pair's two arcs into an artificial sink."""
+    n = inst.vertex_count
+    net = FlowNetwork(n + 1, inst.origin if side == "enter" else inst.destination, n)
+    for (a, b), c in support:
+        net.add_arc(*((a, b) if side == "enter" else (b, a)), c)
+    net.add_arc(i, n, float(inst.fleet_size))
+    net.add_arc(j, n, float(inst.fleet_size))
+    return net
+
+
 def _reference_conflict(xv, yv, inst, conflicts, params=CONFLICT_FILTER):
     """Conflict separation with a new auxiliary network, holding the pair's
     two sink arcs alone, for every pair and side, each flow from zero."""
@@ -581,13 +597,8 @@ def _reference_conflict(xv, yv, inst, conflicts, params=CONFLICT_FILTER):
         need = yv.get(i, 0.0) + yv.get(j, 0.0)
         if need <= params.abs_violation:
             continue
-        for side, source in (("enter", inst.origin), ("leave", inst.destination)):
-            net = FlowNetwork(n + 1, source, n)
-            for (a, b), c in support:
-                net.add_arc(*((a, b) if side == "enter" else (b, a)), c)
-            net.add_arc(i, n, float(inst.fleet_size))
-            net.add_arc(j, n, float(inst.fleet_size))
-            res = max_flow_min_cut(net)
+        for side in ("enter", "leave"):
+            res = max_flow_min_cut(_pair_network(support, inst, i, j, side))
             if res.flow_value >= need - params.abs_violation:
                 continue
             V = frozenset(range(n)) - res.source_side
@@ -661,3 +672,98 @@ def test_shared_network_separators_match_from_scratch_ones(seed):
         # Cut equality covers the origin: the side set, pair and cut side
         got = separate_conflict(xv, yv, inst, conflicts, params)
         assert got == _reference_conflict(xv, yv, inst, conflicts, params)
+
+
+# -- the flow-decomposition screen of conflict separation ----------------------
+
+
+def _float_draw(rng):
+    """``_support_draw`` with every x and y value rescaled by its own random
+    factor, so flows and thresholds sit off any grid."""
+    inst, xv, yv, conflicts = _support_draw(rng)
+    xv = {a: v * rng.uniform(0.5, 1.5) for a, v in xv.items()}
+    yv = {v: y * rng.uniform(0.5, 1.5) for v, y in yv.items()}
+    return inst, xv, yv, conflicts
+
+
+def _no_paths(*args):
+    return iter(())
+
+
+FILTERS = (FilterParams(0.0, 0.03), FilterParams(0.05, 0.03), CONFLICT_FILTER)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_flow_paths_bound_every_pair_flow(seed):
+    inst, xv, yv, _ = _float_draw(random.Random(seed))
+    n, s, t = inst.vertex_count, inst.origin, inst.destination
+    paths = list(_flow_paths(s, t, n, *_support(xv)))
+    used = Counter()
+    for path, d in paths:
+        assert path[0] == s and path[-1] == t and len(set(path)) == len(path)
+        assert d > SUPPORT_EPS
+        for arc in zip(path, path[1:]):
+            used[arc] += d
+    for arc, value in used.items():
+        assert value <= xv[arc] + 1e-12
+    support = [(a, v) for a, v in xv.items() if v > SUPPORT_EPS]
+    for i, j in itertools.combinations(sorted(inst.inner), 2):
+        carried = sum(d for path, d in paths if i in path or j in path)
+        for side in ("enter", "leave"):
+            res = max_flow_min_cut(_pair_network(support, inst, i, j, side))
+            # cut short at the pair and scaled down to at most the fleet,
+            # the paths are a flow into the two sink arcs
+            assert min(carried, inst.fleet_size) <= res.flow_value + 1e-12, (i, j, side)
+            # and each crosses a cut that holds the pair on its sink side,
+            # the only cuts the separator emits
+            if not {i, j} & res.source_side:
+                assert carried <= res.flow_value + 1e-12, (i, j, side)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_flow_path_screen_changes_no_conflict_cut(seed):
+    inst, xv, yv, conflicts = _float_draw(random.Random(seed))
+    for params in FILTERS:
+        got = separate_conflict(xv, yv, inst, conflicts, params)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(separation, "_flow_paths", _no_paths)
+            assert separate_conflict(xv, yv, inst, conflicts, params) == got
+
+
+def _chao_style(rng, n, m, tmax):
+    """Chao-layout instance: n vertices on a 20 x 20 square, ends in its
+    middle band, scores on a 5-point grid."""
+    lines = [f"n {n}", f"m {m}", f"tmax {tmax}"]
+    for v in range(n):
+        lo, hi = (7.0, 13.0) if v in (0, n - 1) else (0.0, 20.0)
+        score = 0 if v in (0, n - 1) else rng.choice((5, 10, 15, 20))
+        lines.append(f"{rng.uniform(lo, hi):.1f} {rng.uniform(lo, hi):.1f} {score}")
+    return preprocess(parse_instance("\n".join(lines) + "\n"))[0]
+
+
+def test_flow_path_screen_keeps_the_root_loop(monkeypatch):
+    rng = random.Random(22)
+    calls = Counter()
+
+    def counted(screen):
+        def run(*args, **kwargs):
+            calls[screen] += 1
+            return max_flow_min_cut(*args, **kwargs)
+
+        return run
+
+    for n, m, tmax in ((21, 2, 15), (21, 4, 20), (32, 3, 15), (32, 4, 20)):
+        inst = _chao_style(rng, n, m, tmax)
+        phases = []
+        for screen in (True, False):
+            monkeypatch.setattr(separation, "max_flow_min_cut", counted(screen))
+            monkeypatch.setattr(separation, "_flow_paths", _flow_paths if screen else _no_paths)
+            phases.append(cutting_plane_phase(inst, SolveConfig(time_limit_s=60)))
+        with_screen, without = phases
+        assert with_screen.cuts == without.cuts
+        assert with_screen.upper_bound == without.upper_bound
+        assert any(c.family == CONFLICT for c in with_screen.cuts)
+    # the screen settles pairs: fewer max-flow calls for the same cuts
+    assert calls[True] < calls[False]
