@@ -272,3 +272,70 @@ def test_lp_text_matches_golden(build):
     pre, _ = preprocess(read_instance(os.path.join(DATA, "unclassified_node_lp.txt")))
     text = lp.export_lp_text(GOLDEN_BUILDS[build](pre).model)
     assert hashlib.sha256(text.encode()).hexdigest() == UNCLASSIFIED_SHA256[build]
+
+
+# sha256 of the export_lp_text output by build for the preprocessed
+# make_random_instance(random.Random(seed), n_max=14, tightness=(1.8, 3.5)),
+# by seed: 5 to 14 vertices, 7 to 88 arcs, some with mandatory vertices
+RANDOM_SHA256 = {
+    0: {
+        "flow": "f42f65b02f813ddfe828bdf8eeb761587323fbcdb2eaee96c5e2cc962b3cf244",
+        "arrival": "f95ba3e6b0f8d3f43115cc19b93a00c26eb5a11534c39852e454e4b7e0d28727",
+        "arrival_total_time": "bc0301af4842f2bcd7c2d7388c0a8ebdc41f1b660b08016a27b70959443261c6",
+    },
+    1: {
+        "flow": "e6c0e3700133d6d228e86b462358d13ad2c3ef2b7af3e6fcff2d9a7f0bc67105",
+        "arrival": "aebb3c530835014108d9f5e5dd9e22888730bd70cbfd74b0ae8d9687eac5fb0c",
+        "arrival_total_time": "bb98c2890d2892325d4a8cc04b94dbf2ca5b5c4e5bc2a0e2da76989ab928cb52",
+    },
+    2: {
+        "flow": "ce23fdc35f4313d28975515d7dcd6622a6909603556b227b1d55650298efec92",
+        "arrival": "5afe2f74f8179e2a1d12aa08e1676be5e4477e8c4c671d509bbfbdb5aef63177",
+        "arrival_total_time": "8dcd3d379c1b429e3343e7f5e9b70c46bc7ba6725350ab772be6e8006e70164c",
+    },
+    3: {
+        "flow": "b4cc5c20381b76565719f5446263a02812493cbc6175417490fad2848e193ec4",
+        "arrival": "9294885770b78bc28bbecef8ec46ef1917e165e64545abcdd7164a218d034205",
+        "arrival_total_time": "1317e56c3c698c1f04bcf1947daa6c16c7e6209169b26b122973b0eaee64357b",
+    },
+    4: {
+        "flow": "036b950e9faf205e806d054945dfe42f1d730bea0ac63993cbd61493bac5d9e4",
+        "arrival": "657d152c6bffe19bf29c9a094e1ee36a83c97c8eb01a00c3fd02399a53cda7cf",
+        "arrival_total_time": "6d001cb139bd6d42c956cffb029dd47737f6b9bb23dd4be5aa6d0e0f59b5b1ea",
+    },
+    5: {
+        "flow": "36216c01ee051b78220d3189ba692846d8db077a8f44267522b5793d32e5b17a",
+        "arrival": "d9f9a39f5df93709143373b651f5ab83c4e61cebe14155eb5329fb5e19a79cf0",
+        "arrival_total_time": "efc2338ab331900834d68a1c0d49f4cfdcbfcbbb23250426f29ca3cf95481233",
+    },
+    6: {
+        "flow": "c84586598d2d0a583df8f3e962f119ab1e7c5c5e4c0a3cd6c71db0d05505cec9",
+        "arrival": "9f6c06be6755085bb47d50e477d09ed74877e84db2434f9ebab5ffbc5fc370a0",
+        "arrival_total_time": "a411cd2a56e21766aabd7326a172fc3261920c417ab3f0e2f8bad668074ca15e",
+    },
+    7: {
+        "flow": "a68fbba4145e6de89067dd8959a3be4c93f3ae4332342d4b0bb8006e5813f1ee",
+        "arrival": "20e5f56135520860e7e620a8761e273e2d6f28b6e03aaa0e9741c6bbb024b5dd",
+        "arrival_total_time": "160faa45e481fdfff4f27ef2010befac60304df11a126779d9cda0e5464aec38",
+    },
+    8: {
+        "flow": "44e4e5d5631d70d7dd358862478c30068d9c4252e944bd38b9e5d871dc1ac704",
+        "arrival": "0314f25b41791b44b34f261cf15ad87a5347270cfd10cda354ebe2a34098a048",
+        "arrival_total_time": "ef1396f97b222540a0a7d9893a5bb6b1f942f7749fe481e686b3f2132af1cae6",
+    },
+    9: {
+        "flow": "902a87c393e8a04c90fcf22c08278b6a16b7b8d73572416c4fb57baa2deea304",
+        "arrival": "a248db21650c0a687200adb082bf5c1936562981588db5f66c970c05f88d4fd7",
+        "arrival_total_time": "d3e573683f7b573499211406062aa43ccc92d66fa93c7cbaa71b6a1165fa0ce5",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(RANDOM_SHA256))
+def test_lp_text_of_random_builds_pinned(seed):
+    # every row block of the three builds, on instances with partial arc
+    # sets, mandatory vertices and rewards of zero
+    pre, _ = preprocess(make_random_instance(random.Random(seed), n_max=14, tightness=(1.8, 3.5)))
+    for build, want in RANDOM_SHA256[seed].items():
+        text = lp.export_lp_text(GOLDEN_BUILDS[build](pre).model)
+        assert hashlib.sha256(text.encode()).hexdigest() == want, build

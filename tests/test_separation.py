@@ -161,6 +161,44 @@ def test_connectivity_cut_arcs_cover_whole_graph_not_support():
     assert {a for a, _ in cut.x_terms} == expected_arcs
 
 
+def _crossing_scan(mask, inside, leaving):
+    """Present arcs leaving (``leaving``) or entering ``inside``, scanned
+    vertex by vertex of ``inside`` in ascending order, then by the other end."""
+    n = len(mask)
+    if leaving:
+        return [(i, j) for i in sorted(inside) for j in range(n) if mask[i][j] and j not in inside]
+    return [(i, j) for j in sorted(inside) for i in range(n) if mask[i][j] and i not in inside]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 12), data=st.data())
+def test_crossing_arcs_match_per_vertex_scan(n, data):
+    # the cut's terms, hence its sums and the filter's decisions, follow
+    # this order, so it must hold exactly, for any arc set and vertex set
+    bits = data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    mask = np.array(bits, dtype=bool).reshape(n, n)
+    np.fill_diagonal(mask, False)
+    d = np.ones((n, n))
+    np.fill_diagonal(d, 0.0)
+    inner = frozenset(range(1, n - 1))
+    inst = StopInstance(
+        vertex_count=n,
+        origin=0,
+        destination=n - 1,
+        mandatory=frozenset(),
+        profitable=inner,
+        rewards={i: 1 for i in inner},
+        travel_time=d,
+        arc_mask=mask,
+        fleet_size=1,
+        time_limit=1.0,
+    )
+    for _ in range(3):  # several sets against one instance
+        inside = data.draw(st.frozensets(st.integers(0, n - 1)))
+        assert separation._out_cut_arcs(inst, inside) == _crossing_scan(mask, inside, True)
+        assert separation._in_cut_arcs(inst, inside) == _crossing_scan(mask, inside, False)
+
+
 # -- conflict cuts ------------------------------------------------------------
 
 
