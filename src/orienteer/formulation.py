@@ -25,20 +25,24 @@ The arrival kind may add one ``total_time`` row, sum d_ij x_ij <= m T.
 The y variables stay materialized (never substituted out) because the cut
 families are expressed on them, which keeps cuts sparse.
 
-Row ordering is fixed and documented in ``FormulationHandle.row_blocks`` so
-constraint counts and LP exports are deterministic.
+The emitter builds no row object: columns join the model a block at a time,
+and each row block is computed over the instance's arc arrays
+(``StopInstance.arc_arrays``) as (row, column, value) entry arrays, put in
+CSR form by ``lp.rows_from_entries`` and appended to the model's row store
+in one checked append.  Row ordering is fixed and documented in
+``FormulationHandle.row_blocks`` so constraint counts and LP exports are
+deterministic.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .instance import min_time_matrix
-from .lp import EQ, GE, LE, LpModel
+from .lp import EQ, GE, LE, LpModel, rows_from_entries
 
 
 class FormulationError(ValueError):
@@ -77,75 +81,118 @@ def _prepare(inst):
     return R
 
 
+def _rows(count, parts, relation, rhs):
+    """A block of ``count`` rows ``relation rhs`` from entry parts (rows,
+    columns, value), each part's value one number or one per entry."""
+    rows, cols, vals = zip(*parts)
+    vals = [np.broadcast_to(v, len(r)) for r, v in zip(rows, vals)]
+    return rows_from_entries(
+        count, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), relation, rhs
+    )
+
+
 def _build(inst, R, depart, consume, cap, floor):
     """The model of one kind from its coefficient tables.
 
-    ``depart``, ``cap`` and ``floor`` map arcs to c, in row order, for the
-    rows v = c x, v <= c x and v >= c x over each arc's value column v;
-    ``consume`` holds the signs of the values entering and leaving a vertex.
+    ``depart``, ``cap`` and ``floor`` are pairs (arc ids, c), the ids
+    ascending in arc order, for the rows v = c x, v <= c x and v >= c x over
+    each arc's value column v; ``consume`` holds the signs of the values
+    entering and leaving a vertex.  Each row block is emitted as arrays of
+    (row, column, value) entries, sorted into CSR form, and all blocks join
+    the model in one append.
     """
     s, t = inst.origin, inst.destination
-    d = inst.travel_time
-    arcs = inst.arcs()
+    tails, heads, d, _ = _arc_tables(inst)
+    n_arcs = len(tails)
+    present = sorted(inst.present)
     inner = sorted(inst.inner)
-    out_arcs = defaultdict(list)
-    in_arcs = defaultdict(list)
-    for (i, j) in arcs:
-        out_arcs[i].append((i, j))
-        in_arcs[j].append((i, j))
 
     model = LpModel()
-    x_index = {a: model.add_column(0.0, 1.0, 0.0) for a in arcs}
-    y_index = {}
-    for i in sorted(inst.present):
-        y_index[i] = model.add_column(0.0, 1.0, float(inst.rewards.get(i, 0)))
-    flow_index = {a: model.add_column(0.0, math.inf, 0.0) for a in arcs}
+    zeros, ones = np.zeros(n_arcs), np.ones(n_arcs)
+    xs = model.add_columns(zeros, ones, zeros)
+    ys = model.add_columns(
+        np.zeros(len(present)), np.ones(len(present)), [float(inst.rewards.get(i, 0)) for i in present]
+    )
+    fs = model.add_columns(zeros, np.full(n_arcs, math.inf), zeros)
     slack_index = model.add_column(0.0, float(inst.fleet_size), 0.0)
+    arcs = inst.arcs()
+    x_index = dict(zip(arcs, xs))
+    y_index = dict(zip(present, ys))
+    flow_index = dict(zip(arcs, fs))
+    x_col, f_col = np.arange(xs.start, xs.stop), np.arange(fs.start, fs.stop)
+    y_col = np.full(inst.vertex_count, -1)
+    y_col[present] = ys
 
-    blocks = {}
-
-    def block(name, rows):
-        start = model.n_rows
-        for coeffs, relation, rhs in rows:
-            model.add_row(coeffs, relation, rhs)
-        blocks[name] = (start, model.n_rows - start)
-
-    def x_sum(arc_list, sign=1.0):
-        return [(x_index[a], sign) for a in arc_list]
+    # the row of each inner vertex in the per-vertex blocks, -1 elsewhere
+    k = len(inner)
+    pos = np.full(inst.vertex_count, -1)
+    pos[inner] = np.arange(k)
+    out_row, in_row = pos[tails], pos[heads]
+    leaves, enters = out_row >= 0, in_row >= 0  # arcs out of / into an inner vertex
+    out_row, in_row = out_row[leaves], in_row[enters]
 
     def value_rows(table, relation):
-        return [([(flow_index[a], 1.0), (x_index[a], -c)], relation, 0.0) for a, c in table.items()]
+        ids, c = table
+        rows = np.arange(len(ids))
+        return _rows(len(ids), [(rows, x_col[ids], -c), (rows, f_col[ids], 1.0)], relation, 0.0)
 
-    m = float(inst.fleet_size)
     sign_in, sign_out = consume
-    block("select", [([(y_index[i], 1.0)], EQ, 1.0) for i in sorted(inst.mandatory) + [s, t]])
-    block("visit_degree", [(x_sum(out_arcs[i]) + [(y_index[i], -1.0)], EQ, 0.0) for i in inner])
-    block(
-        "fleet",
-        [(x_sum(ends[v]) + [(slack_index, 1.0)], EQ, m) for ends, v in ((out_arcs, s), (in_arcs, t))],
-    )
-    block("balance", [(x_sum(out_arcs[i]) + x_sum(in_arcs[i], -1.0), EQ, 0.0) for i in inner])
-    block("depart", value_rows(depart, EQ))
-    consume_rows = []
-    for i in inner:
-        coeffs = [(flow_index[a], sign_in) for a in in_arcs[i]]
-        coeffs += [(flow_index[a], sign_out) for a in out_arcs[i]]
-        coeffs += [(x_index[a], -float(d[a])) for a in out_arcs[i]]
-        consume_rows.append((coeffs, EQ, 0.0))
-    block("consume", consume_rows)
-    block("cap", value_rows(cap, LE))
-    block("floor", value_rows(floor, GE))
+    chosen = sorted(inst.mandatory) + [s, t]
+    from_s, to_t = tails == s, heads == t
+    blocks = {
+        "select": _rows(len(chosen), [(np.arange(len(chosen)), y_col[chosen], 1.0)], EQ, 1.0),
+        "visit_degree": _rows(
+            k, [(out_row, x_col[leaves], 1.0), (np.arange(k), y_col[inner], -1.0)], EQ, 0.0
+        ),
+        "fleet": _rows(
+            2,
+            [
+                (np.zeros(from_s.sum(), int), x_col[from_s], 1.0),
+                (np.ones(to_t.sum(), int), x_col[to_t], 1.0),
+                (np.arange(2), np.full(2, slack_index), 1.0),
+            ],
+            EQ,
+            float(inst.fleet_size),
+        ),
+        "balance": _rows(k, [(out_row, x_col[leaves], 1.0), (in_row, x_col[enters], -1.0)], EQ, 0.0),
+        "depart": value_rows(depart, EQ),
+        "consume": _rows(
+            k,
+            [
+                (in_row, f_col[enters], sign_in),
+                (out_row, f_col[leaves], sign_out),
+                (out_row, x_col[leaves], -d[leaves]),
+            ],
+            EQ,
+            0.0,
+        ),
+        "cap": value_rows(cap, LE),
+        "floor": value_rows(floor, GE),
+    }
+    model.add_rows(list(blocks.values()))
 
+    row_blocks = {}
+    start = 0
+    for name, block in blocks.items():
+        row_blocks[name] = (start, len(block))
+        start += len(block)
     return FormulationHandle(
         model=model,
         x_index=x_index,
         y_index=y_index,
         flow_index=flow_index,
         slack_index=slack_index,
-        row_blocks=blocks,
+        row_blocks=row_blocks,
         instance=inst,
         min_times=R,
     )
+
+
+def _arc_tables(inst):
+    """(tails, heads, travel times) of the present arcs in arc order, and
+    the ids of the arcs leaving the origin."""
+    tails, heads, _ = inst.arc_arrays
+    return tails, heads, inst.travel_time[tails, heads], np.flatnonzero(tails == inst.origin)
 
 
 def build_flow_formulation(inst):
@@ -156,15 +203,17 @@ def build_flow_formulation(inst):
     the bench's impact modes drop the block to measure what it adds.
     """
     R = _prepare(inst)
-    d, T, s, t = inst.travel_time, inst.time_limit, inst.origin, inst.destination
-    arcs = inst.arcs()
+    T, s, t = inst.time_limit, inst.origin, inst.destination
+    tails, heads, d, from_s = _arc_tables(inst)
+    ids = np.arange(len(tails))
+    rest = np.flatnonzero(tails != s)
     return _build(
         inst,
         R,
-        depart={a: T - d[a] for a in arcs if a[0] == s},
+        depart=(from_s, T - d[from_s]),
         consume=(1.0, -1.0),
-        cap={a: T - R[s, a[0]] - d[a] for a in arcs if a[0] != s},
-        floor={a: R[a[1], t] for a in arcs},
+        cap=(rest, T - R[s, tails[rest]] - d[rest]),
+        floor=(ids, R[heads, t]),
     )
 
 
@@ -173,20 +222,20 @@ def build_arrival_formulation(inst, include_total_time_row=False):
     sum(d_ij x_ij) <= m*T, which is implied but kept by the baseline solver.
     """
     R = _prepare(inst)
-    d, T, s, t = inst.travel_time, inst.time_limit, inst.origin, inst.destination
-    arcs = inst.arcs()
+    T, s, t = inst.time_limit, inst.origin, inst.destination
+    tails, heads, d, from_s = _arc_tables(inst)
+    ids = np.arange(len(tails))
     handle = _build(
         inst,
         R,
-        depart={a: d[a] for a in arcs if a[0] == s},
+        depart=(from_s, d[from_s]),
         consume=(-1.0, 1.0),
-        cap={a: T - R[a[1], t] for a in arcs},
-        floor={a: R[s, a[0]] + d[a] for a in arcs},
+        cap=(ids, T - R[heads, t]),
+        floor=(ids, R[s, tails] + d),
     )
     if include_total_time_row:
         model = handle.model
         handle.row_blocks["total_time"] = (model.n_rows, 1)
-        model.add_row(
-            [(handle.x_index[a], float(d[a])) for a in arcs], LE, float(inst.fleet_size) * T
-        )
+        x_cols = np.fromiter(handle.x_index.values(), dtype=np.int64, count=len(ids))
+        model.add_rows(_rows(1, [(np.zeros(len(ids), int), x_cols, d)], LE, float(inst.fleet_size) * T))
     return handle

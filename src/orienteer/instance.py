@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -91,9 +92,21 @@ class StopInstance:
     def present(self):
         return frozenset(range(self.vertex_count)) - self.removed
 
+    @cached_property
+    def arc_arrays(self):
+        """(tails, heads, by_head) of the present arcs: tails and heads in
+        (tail, head) order, the order of ``arcs()``, and the permutation of
+        that order that lists them in (head, tail) order.  Built on first
+        use and kept; a reduced instance is a new object with its own."""
+        tails, heads = np.nonzero(self.arc_mask)
+        by_head = np.lexsort((tails, heads))
+        for a in (tails, heads, by_head):
+            a.setflags(write=False)
+        return tails, heads, by_head
+
     def arcs(self):
         """Present arcs in lexicographic (tail, head) order."""
-        tails, heads = np.nonzero(self.arc_mask)
+        tails, heads, _ = self.arc_arrays
         return list(zip(tails.tolist(), heads.tolist()))
 
 

@@ -1,8 +1,13 @@
 """Sparse LP container and the HiGHS engine behind it.
 
-Models are built column-by-column and row-by-row, support cheap copies and
-row appends (the cutting-plane loop lives on those), and are solved by the
-HiGHS engine bundled with scipy (>= 1.15), used in one of two ways:
+A model holds its columns as lists and its rows in one CSR store, a
+``Rows`` block: the arrays HiGHS takes, which no row object stands between.
+Rows arrive as whole blocks (a formulation emits each of its row blocks as
+arrays) or as one-row blocks from ``make_row`` (a cut); ``LpModel.add_rows``
+checks every block against what ``make_row`` checks per row and replaces the
+store by a grown copy, so a block once handed out never changes.  Models
+support cheap copies, which share the store, and are solved by the HiGHS
+engine bundled with scipy (>= 1.15), used in one of two ways:
 
 * ``solve``        - one-shot solve on a fresh engine: optimal, infeasible or
                      unbounded, or ``LpError`` when HiGHS cannot tell and a
@@ -14,17 +19,17 @@ HiGHS engine bundled with scipy (>= 1.15), used in one of two ways:
                      engine solves submitted LPs in one worker thread while
                      the caller goes on with the first
 
-``_engine`` is the one place a model becomes an engine, and ``row_arrays``
-the one place rows become sparse arrays.  The objective sense is always
-maximize.
+``_engine`` is the one place a model becomes an engine, and the store feeds
+it, ``HighsSession.add_rows``, the worker, ``LpModel.split_rows`` and
+``export_lp_text`` as it is.  The objective sense is always maximize.
 
 The worker's results do not depend on thread timing: its jobs run one at a
 time in the order they were submitted, on an engine that only they touch,
 and none is cancelled while the session's caller may still collect one; so
 what the second engine has solved before each job, which HiGHS results do
 depend on, is fixed by the call sequence alone.  The worker calls engine
-methods and ``row_arrays`` only; classifying its results and any fallback
-stay on the calling thread.
+methods and slices the row block it was handed, nothing else; classifying
+its results and any fallback stay on the calling thread.
 
 The engine is scipy's extension module ``scipy.optimize._highspy._core``.
 ``_load_highs`` loads it without running ``scipy.optimize``'s package init
@@ -90,78 +95,203 @@ class LpError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LpRow:
-    indices: tuple
-    values: tuple
-    relation: str
-    rhs: float
+class Rows:
+    """Rows in CSR form: row k holds ``indices/values[starts[k]:starts[k + 1]]``,
+    its columns strictly ascending, and ranges over [lower[k], upper[k]];
+    a ``<=`` row has lower -inf, a ``>=`` row upper +inf, an ``=`` row both
+    at its right-hand side.  No method writes into the arrays: a block
+    handed to another thread stays as it was while the model grows."""
+
+    starts: np.ndarray  # int32, one more than the rows, from 0
+    indices: np.ndarray  # int32
+    values: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def __len__(self):
+        return len(self.lower)
+
+    def slice(self, first, last):
+        """Rows ``first`` up to ``last`` (exclusive) as a block of their own."""
+        a, b = self.starts[first], self.starts[last]
+        return Rows(
+            self.starts[first : last + 1] - a,
+            self.indices[a:b],
+            self.values[a:b],
+            self.lower[first:last],
+            self.upper[first:last],
+        )
+
+    def take(self, keep):
+        """The rows whose entry in the boolean array ``keep`` is set."""
+        lengths = np.diff(self.starts)
+        entries = np.repeat(keep, lengths)
+        return Rows(
+            _starts(lengths[keep]),
+            self.indices[entries],
+            self.values[entries],
+            self.lower[keep],
+            self.upper[keep],
+        )
 
 
-def row_arrays(rows):
-    """(starts, indices, values, row_lower, row_upper) of ``rows`` in CSR
-    form: row k holds ``indices/values[starts[k]:starts[k + 1]]`` and ranges
-    over [row_lower[k], row_upper[k]]."""
-    lengths = np.fromiter((len(r.indices) for r in rows), dtype=np.int32, count=len(rows))
-    starts = np.zeros(len(rows) + 1, dtype=np.int32)
+def _starts(lengths):
+    starts = np.zeros(len(lengths) + 1, dtype=np.int32)
     np.cumsum(lengths, out=starts[1:])
-    nnz = int(starts[-1])
-    indices = np.fromiter((j for r in rows for j in r.indices), dtype=np.int32, count=nnz)
-    values = np.fromiter((v for r in rows for v in r.values), dtype=float, count=nnz)
-    row_lower = np.array([-math.inf if r.relation == LE else r.rhs for r in rows], dtype=float)
-    row_upper = np.array([math.inf if r.relation == GE else r.rhs for r in rows], dtype=float)
-    return starts, indices, values, row_lower, row_upper
+    return starts
+
+
+NO_ROWS = Rows(
+    np.zeros(1, dtype=np.int32),
+    np.zeros(0, dtype=np.int32),
+    np.zeros(0),
+    np.zeros(0),
+    np.zeros(0),
+)
+
+
+def stack_rows(blocks):
+    """One block holding the rows of ``blocks`` in order."""
+    if len(blocks) == 1:
+        return blocks[0]
+    if not blocks:
+        return NO_ROWS
+    # each block's row ends, shifted by the entries of the blocks before it
+    shifts = np.cumsum([0] + [len(b.indices) for b in blocks[:-1]])
+    ends = np.concatenate([b.starts[1:] for b in blocks])
+    ends += np.repeat(shifts, [len(b) for b in blocks]).astype(np.int32)
+    return Rows(
+        np.concatenate([NO_ROWS.starts, ends]),
+        np.concatenate([b.indices for b in blocks]),
+        np.concatenate([b.values for b in blocks]),
+        np.concatenate([b.lower for b in blocks]),
+        np.concatenate([b.upper for b in blocks]),
+    )
+
+
+def rows_from_entries(count, row, col, val, relation, rhs):
+    """A block of ``count`` rows ``relation rhs`` (``rhs`` one value or one
+    per row) from the entries (row, col, val) of equal-length arrays, in
+    any order; each row's entries end up in column order."""
+    order = np.lexsort((col, row))
+    rhs = np.array(np.broadcast_to(np.asarray(rhs, dtype=float), (count,)))
+    lower, upper = row_bounds(relation, rhs)
+    return Rows(
+        _starts(np.bincount(row, minlength=count)),
+        col[order].astype(np.int32),
+        np.asarray(val, dtype=float)[order],
+        lower,
+        upper,
+    )
+
+
+def row_bounds(relation, rhs):
+    """(lower, upper) of a row ``relation rhs``; ``rhs`` may be an array."""
+    if relation == LE:
+        return np.full_like(rhs, -math.inf), rhs
+    if relation == GE:
+        return rhs, np.full_like(rhs, math.inf)
+    return rhs, rhs
 
 
 def make_row(coeffs, relation, rhs):
+    """A one-row block from (column, value) pairs, sorted by column."""
     if relation not in (LE, EQ, GE):
         raise LpError(f"unknown relation {relation!r}")
     pairs = sorted((int(j), float(v)) for j, v in coeffs)
-    idx = tuple(j for j, _ in pairs)
+    idx = [j for j, _ in pairs]
     if len(set(idx)) != len(idx):
         raise LpError("duplicate column in row")
-    vals = tuple(v for _, v in pairs)
+    vals = [v for _, v in pairs]
     for v in vals:
         if not math.isfinite(v):
             raise LpError("non-finite row coefficient")
-    if math.isnan(rhs):
-        raise LpError("NaN rhs")
-    return LpRow(idx, vals, relation, float(rhs))
+    if not math.isfinite(rhs):
+        raise LpError("non-finite rhs")
+    rhs = float(rhs)
+    return Rows(
+        np.array((0, len(idx)), dtype=np.int32),
+        np.array(idx, dtype=np.int32),
+        np.array(vals, dtype=float),
+        np.array((-math.inf if relation == LE else rhs,)),
+        np.array((math.inf if relation == GE else rhs,)),
+    )
+
+
+def _validated(rows, n_cols):
+    """``rows`` (a block or a list of blocks) as one block, after the checks
+    ``make_row`` makes per row, on all rows at once: columns known and
+    strictly ascending within each row (so none twice), coefficients and
+    right-hand sides finite, each row one of the three relations."""
+    block = rows if isinstance(rows, Rows) else stack_rows(rows)
+    idx, starts = block.indices, block.starts
+    if len(idx) and (idx.min() < 0 or idx.max() >= n_cols):
+        raise LpError("row references unknown column")
+    # (row, column) keys rise strictly exactly when no row repeats a column
+    keys = np.repeat(np.arange(len(block)) * n_cols, starts[1:] - starts[:-1]) + idx
+    if (keys[1:] <= keys[:-1]).any():
+        raise LpError("duplicate column in row")
+    if not np.isfinite(block.values).all():
+        raise LpError("non-finite row coefficient")
+    lower, upper = block.lower, block.upper
+    rhs = np.where(lower == -math.inf, upper, lower)
+    if not np.isfinite(rhs).all():
+        raise LpError("non-finite rhs")
+    if not ((upper == rhs) | (upper == math.inf)).all():
+        raise LpError("row is not of the form <=, = or >= a right-hand side")
+    return block
 
 
 class LpModel:
-    """Maximization LP with bounded columns and sparse rows."""
+    """Maximization LP with bounded columns and sparse rows, the rows in one
+    CSR block (``rows``) that each append replaces by a grown copy."""
 
     def __init__(self):
         self.lower = []
         self.upper = []
         self.objective = []
-        self.rows = []
+        self.rows = NO_ROWS
 
     # -- construction --------------------------------------------------
 
     def add_column(self, lower=0.0, upper=math.inf, objective=0.0):
-        if math.isnan(lower) or math.isnan(upper) or not math.isfinite(objective):
+        return self.add_columns([lower], [upper], [objective]).start
+
+    def add_columns(self, lower, upper, objective):
+        """Append one column per entry of the equal-length arrays; returns
+        the range of their ids."""
+        lower, upper = np.asarray(lower, dtype=float), np.asarray(upper, dtype=float)
+        objective = np.asarray(objective, dtype=float)
+        if np.isnan(lower).any() or np.isnan(upper).any() or not np.isfinite(objective).all():
             raise LpError("bad column data")
-        if lower > upper:
-            raise LpError(f"lower bound {lower} above upper bound {upper}")
-        self.lower.append(float(lower))
-        self.upper.append(float(upper))
-        self.objective.append(float(objective))
-        return len(self.lower) - 1
+        if (lower > upper).any():
+            k = int(np.argmax(lower > upper))
+            raise LpError(f"lower bound {lower[k]} above upper bound {upper[k]}")
+        first = self.n_cols
+        self.lower.extend(lower.tolist())
+        self.upper.extend(upper.tolist())
+        self.objective.extend(objective.tolist())
+        return range(first, self.n_cols)
 
     def add_row(self, coeffs, relation=None, rhs=None):
-        row = coeffs if isinstance(coeffs, LpRow) else make_row(coeffs, relation, rhs)
-        if row.indices and row.indices[-1] >= len(self.lower):
-            raise LpError("row references unknown column")
-        self.rows.append(row)
-        return len(self.rows) - 1
+        """Append one row, given as a one-row block or as (column, value)
+        pairs with its relation and right-hand side; returns its id."""
+        self.add_rows(coeffs if isinstance(coeffs, Rows) else make_row(coeffs, relation, rhs))
+        return self.n_rows - 1
+
+    def add_rows(self, rows):
+        """Append a block, or a list of blocks, after ``make_row``'s checks;
+        returns the block appended."""
+        block = _validated(rows, self.n_cols)
+        self.rows = stack_rows([self.rows, block]) if len(self.rows) else block
+        return block
 
     def copy(self):
         out = LpModel.__new__(LpModel)
         out.lower = list(self.lower)
         out.upper = list(self.upper)
         out.objective = list(self.objective)
-        out.rows = list(self.rows)
+        out.rows = self.rows
         return out
 
     @property
@@ -175,10 +305,11 @@ class LpModel:
     def split_rows(self, picked):
         """(copy of the model without the rows numbered in ``picked``, those
         rows in model order)."""
-        picked = set(picked)
+        mask = np.zeros(self.n_rows, dtype=bool)
+        mask[list(picked)] = True
         rest = self.copy()
-        rest.rows = [r for i, r in enumerate(self.rows) if i not in picked]
-        return rest, [r for i, r in enumerate(self.rows) if i in picked]
+        rest.rows = self.rows.take(~mask)
+        return rest, self.rows.take(mask)
 
 
 @dataclass
@@ -198,7 +329,7 @@ def _engine(model, bounds=None, cost=None):
     quiet and on one thread.  ``bounds`` is an optional (n, 2) array of column
     bounds in place of the model's own; ``cost`` replaces the engine's
     objective, which is minimized (the model's negated by default)."""
-    starts, indices, values, row_lower, row_upper = row_arrays(model.rows)
+    rows = model.rows
     lp_obj = _hcore.HighsLp()
     lp_obj.num_col_ = model.n_cols
     lp_obj.num_row_ = model.n_rows
@@ -209,12 +340,12 @@ def _engine(model, bounds=None, cost=None):
     else:
         lp_obj.col_lower_ = np.ascontiguousarray(bounds[:, 0])
         lp_obj.col_upper_ = np.ascontiguousarray(bounds[:, 1])
-    lp_obj.row_lower_ = row_lower
-    lp_obj.row_upper_ = row_upper
+    lp_obj.row_lower_ = rows.lower
+    lp_obj.row_upper_ = rows.upper
     lp_obj.a_matrix_.format_ = _hcore.MatrixFormat.kRowwise
-    lp_obj.a_matrix_.start_ = starts
-    lp_obj.a_matrix_.index_ = indices
-    lp_obj.a_matrix_.value_ = values
+    lp_obj.a_matrix_.start_ = rows.starts
+    lp_obj.a_matrix_.index_ = rows.indices
+    lp_obj.a_matrix_.value_ = rows.values
     return _engine_of(lp_obj)
 
 
@@ -230,8 +361,9 @@ def _engine_of(lp_obj):
 
 
 def _append_rows(engine, rows):
-    starts, indices, values, row_lower, row_upper = row_arrays(rows)
-    status = engine.addRows(len(rows), row_lower, row_upper, len(indices), starts[:-1], indices, values)
+    status = engine.addRows(
+        len(rows), rows.lower, rows.upper, len(rows.indices), rows.starts[:-1], rows.indices, rows.values
+    )
     if status != _hcore.HighsStatus.kOk:
         raise LpError("engine rejected appended rows")
 
@@ -376,9 +508,9 @@ class HighsSession:
         self._twin_rows = 0
 
     def add_rows(self, rows):
-        _append_rows(self._h, rows)
-        for row in rows:
-            self._model.add_row(row)
+        """Append a block of rows, or a list of blocks, to the model and the
+        engine; ``LpModel.add_rows`` checks them first."""
+        _append_rows(self._h, self._model.add_rows(rows))
 
     def basis(self):
         """(the engine's basis as HiGHS holds it, the row count then): a copy
@@ -418,17 +550,19 @@ class HighsSession:
             self._twin = _engine_of(self._h.getLp())
             self._twin_rows = self._model.n_rows
             self._worker = ThreadPoolExecutor(max_workers=1)
-        return self._worker.submit(self._prefetch, saved, bounds, self._model.n_rows)
+        return self._worker.submit(self._prefetch, saved, bounds, self._model.rows)
 
-    def _prefetch(self, saved, bounds, n_rows):
+    def _prefetch(self, saved, bounds, rows):
         """The worker's job: (model status, None when the engine raised; the
         ``_optimum`` pair or None; the final basis as ``basis`` gives it;
-        ``saved``).  Engine calls and array copies only: everything else
-        stays on the session's own thread."""
+        ``saved``).  ``rows`` is the model's row block at submission, which
+        later appends replace but never change.  Engine calls and array
+        copies only: everything else stays on the session's own thread."""
         h = self._twin
+        n_rows = len(rows)
         try:
             if self._twin_rows < n_rows:
-                _append_rows(h, self._model.rows[self._twin_rows : n_rows])
+                _append_rows(h, rows.slice(self._twin_rows, n_rows))
                 self._twin_rows = n_rows
             _set_bounds(h, self._all_cols, bounds)
             _set_basis(h, saved, n_rows)
@@ -485,12 +619,15 @@ def export_lp_text(model, name="model"):
     ]
     out[-1] += "".join(terms) if terms else " 0 x0"
     out.append("Subject To")
-    rel = {LE: "<=", GE: ">=", EQ: "="}
-    for i, r in enumerate(model.rows):
+    rows = model.rows
+    starts, indices, values = rows.starts.tolist(), rows.indices.tolist(), rows.values.tolist()
+    for i, (lo, up) in enumerate(zip(rows.lower.tolist(), rows.upper.tolist())):
         body = "".join(
-            f" {'+' if v >= 0 else '-'} {abs(v):.17g} x{j}" for j, v in zip(r.indices, r.values)
+            f" {'+' if v >= 0 else '-'} {abs(v):.17g} x{j}"
+            for j, v in zip(indices[starts[i] : starts[i + 1]], values[starts[i] : starts[i + 1]])
         )
-        out.append(f" r{i}:{body} {rel[r.relation]} {r.rhs:.17g}")
+        rel, rhs = (LE, up) if lo == -math.inf else (GE, lo) if up == math.inf else (EQ, lo)
+        out.append(f" r{i}:{body} {rel} {rhs:.17g}")
     out.append("Bounds")
     for j, (lo, up) in enumerate(zip(model.lower, model.upper)):
         lo_s = "-inf" if math.isinf(lo) else f"{lo:.17g}"

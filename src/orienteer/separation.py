@@ -171,22 +171,27 @@ def _flow_paths(source, sink, node_count, tails, heads, caps):
         yield [tails[e] for e in reversed(arcs)] + [sink], d
 
 
+def _inside(inst, vertices):
+    """Boolean mask of ``vertices`` over the vertex ids."""
+    mask = np.zeros(inst.vertex_count, dtype=bool)
+    mask[np.fromiter(vertices, dtype=np.intp, count=len(vertices))] = True
+    return mask
+
+
 def _out_cut_arcs(inst, inside):
-    out = []
-    mask = inst.arc_mask
-    for i in sorted(inside):
-        row = np.nonzero(mask[i])[0]
-        out.extend((i, int(j)) for j in row if j not in inside)
-    return out
+    """Present arcs leaving the vertex set ``inside``, in (tail, head) order."""
+    tails, heads, _ = inst.arc_arrays
+    mask = _inside(inst, inside)
+    cross = mask[tails] & ~mask[heads]
+    return list(zip(tails[cross].tolist(), heads[cross].tolist()))
 
 
 def _in_cut_arcs(inst, inside):
-    into = []
-    mask = inst.arc_mask
-    for j in sorted(inside):
-        col = np.nonzero(mask[:, j])[0]
-        into.extend((int(i), j) for i in col if i not in inside)
-    return into
+    """Present arcs entering the vertex set ``inside``, in (head, tail) order."""
+    tails, heads, by_head = inst.arc_arrays
+    mask = _inside(inst, inside)
+    cross = by_head[(~mask[tails] & mask[heads])[by_head]]
+    return list(zip(tails[cross].tolist(), heads[cross].tolist()))
 
 
 # -- connectivity cuts -------------------------------------------------------
@@ -530,12 +535,17 @@ def _as_vector(cut):
     return vec
 
 
-def inner_product(cut_a, cut_b):
-    va, vb = _as_vector(cut_a), _as_vector(cut_b)
+def _cosine(va, norm_a, vb, norm_b):
+    """Cosine of two ``_as_vector`` maps with their norms; the dot product
+    sums over the smaller map, in its order."""
     if len(vb) < len(va):
         va, vb = vb, va
     dot = sum(c * vb.get(k, 0.0) for k, c in va.items())
-    return dot / (cut_a.norm() * cut_b.norm())
+    return dot / (norm_a * norm_b)
+
+
+def inner_product(cut_a, cut_b):
+    return _cosine(_as_vector(cut_a), cut_a.norm(), _as_vector(cut_b), cut_b.norm())
 
 
 def filter_cuts(candidates, params, xv, yv):
@@ -543,11 +553,15 @@ def filter_cuts(candidates, params, xv, yv):
     orthogonal to it; applied per family, never across families."""
     if not candidates:
         return []
-    best = max(range(len(candidates)), key=lambda k: (candidates[k].distance(xv, yv), -k))
-    chosen = [candidates[best]]
+    norms = [cut.norm() for cut in candidates]
+    # the key is each cut's ``distance``, its violation over its norm
+    best = max(range(len(candidates)), key=lambda k: (candidates[k].violation(xv, yv) / norms[k], -k))
+    top = candidates[best]
+    top_vector = _as_vector(top)
+    chosen = [top]
     for k, cut in enumerate(candidates):
         if k == best:
             continue
-        if inner_product(cut, candidates[best]) <= params.max_inner_product:
+        if _cosine(_as_vector(cut), norms[k], top_vector, norms[best]) <= params.max_inner_product:
             chosen.append(cut)
     return chosen

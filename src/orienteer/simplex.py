@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .lp import EQ, GE, LE, FEASIBILITY_TOL, OPTIMALITY_TOL, LpError, LpSolution
+from .lp import FEASIBILITY_TOL, OPTIMALITY_TOL, LpError, LpSolution
 
 AT_LOWER, AT_UPPER, BASIC, FREE = 0, 1, 2, 3
 
@@ -38,16 +38,15 @@ class _Tableau:
         else:
             lower[:n] = model.lower
             upper[:n] = model.upper
-        for i, row in enumerate(model.rows):
-            self.A[i, list(row.indices)] = row.values
-            self.A[i, n + i] = 1.0
-            self.b[i] = row.rhs
-            if row.relation == LE:
-                lower[n + i], upper[n + i] = 0.0, math.inf
-            elif row.relation == GE:
-                lower[n + i], upper[n + i] = -math.inf, 0.0
-            else:
-                lower[n + i], upper[n + i] = 0.0, 0.0
+        rows = model.rows
+        self.A[np.repeat(np.arange(m), np.diff(rows.starts)), rows.indices] = rows.values
+        self.A[np.arange(m), n + np.arange(m)] = 1.0
+        # row i reads a x + s_i = b_i, its slack s_i in [0, inf) for <=,
+        # (-inf, 0] for >= and [0, 0] for =
+        le, ge = rows.lower == -math.inf, rows.upper == math.inf
+        self.b[:] = np.where(le, rows.upper, rows.lower)
+        lower[n:] = np.where(ge, -math.inf, 0.0)
+        upper[n:] = np.where(le, math.inf, 0.0)
         self.lower, self.upper = lower, upper
         self.c = np.zeros(n + m)
         self.c[:n] = model.objective

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from orienteer.instance import StopInstance
-from orienteer.lp import row_arrays
 from orienteer.separation import CONFLICT, CONNECTIVITY, COVER, Cut
 
 # vertex ids of the 6-vertex sparse example used throughout
@@ -152,11 +151,11 @@ def with_objective(model, coeffs):
 def row_violations(model, x, tol=1e-6):
     """(row id, activity) of each row of ``model`` that the column vector
     ``x`` misses by more than ``tol``; empty when ``x`` satisfies them all."""
-    starts, indices, values, lower, upper = row_arrays(model.rows)
+    r = model.rows
     activity = np.zeros(model.n_rows)
-    rows = np.repeat(np.arange(model.n_rows), np.diff(starts))
-    np.add.at(activity, rows, values * np.asarray(x)[indices])
-    bad = np.nonzero((activity < lower - tol) | (activity > upper + tol))[0]
+    rows = np.repeat(np.arange(model.n_rows), np.diff(r.starts))
+    np.add.at(activity, rows, r.values * np.asarray(x)[r.indices])
+    bad = np.nonzero((activity < r.lower - tol) | (activity > r.upper + tol))[0]
     return [(int(r), float(activity[r])) for r in bad]
 
 

@@ -12,7 +12,7 @@ from orienteer.formulation import (
     build_arrival_formulation,
     build_flow_formulation,
 )
-from orienteer.instance import preprocess, read_instance
+from orienteer.instance import StopInstance, preprocess, read_instance
 
 from conftest import (
     I,
@@ -339,3 +339,29 @@ def test_lp_text_of_random_builds_pinned(seed):
     for build, want in RANDOM_SHA256[seed].items():
         text = lp.export_lp_text(GOLDEN_BUILDS[build](pre).model)
         assert hashlib.sha256(text.encode()).hexdigest() == want, build
+
+
+def test_build_rejects_a_non_finite_coefficient():
+    # vertex 2 is entered but cannot reach the destination, and the model is
+    # built without preprocessing: its arc's floor coefficient R_2t is +inf,
+    # which the row store refuses as make_row would
+    n = 4
+    d = np.ones((n, n))
+    np.fill_diagonal(d, 0.0)
+    mask = np.zeros((n, n), dtype=bool)
+    for a, b in ((0, 1), (1, 3), (0, 2)):
+        mask[a, b] = True
+    inst = StopInstance(
+        vertex_count=n,
+        origin=0,
+        destination=3,
+        mandatory=frozenset(),
+        profitable=frozenset({1, 2}),
+        rewards={1: 1, 2: 1},
+        travel_time=d,
+        arc_mask=mask,
+        fleet_size=1,
+        time_limit=5.0,
+    )
+    with pytest.raises(lp.LpError, match="non-finite row coefficient"):
+        build_flow_formulation(inst)

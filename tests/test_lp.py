@@ -79,6 +79,76 @@ def test_model_validation():
         m.add_row([(x, 1.0)], "<~", 1.0)
 
 
+def _one_row(idx, vals, lower, upper):
+    """A one-row block built directly, past ``make_row``'s checks."""
+    return lp.Rows(
+        np.array([0, len(idx)], dtype=np.int32),
+        np.array(idx, dtype=np.int32),
+        np.array(vals, dtype=float),
+        np.array([lower]),
+        np.array([upper]),
+    )
+
+
+# one-row blocks with one fault each, for a model of two columns
+FAULTY_ROWS = {
+    "duplicate column": _one_row([1, 1], [1.0, 2.0], -math.inf, 1.0),
+    "unsorted columns": _one_row([1, 0], [1.0, 2.0], -math.inf, 1.0),
+    "infinite coefficient": _one_row([0, 1], [1.0, math.inf], -math.inf, 1.0),
+    "NaN coefficient": _one_row([0], [math.nan], -math.inf, 1.0),
+    "infinite rhs": _one_row([0], [1.0], -math.inf, math.inf),
+    "NaN rhs": _one_row([0], [1.0], math.nan, math.nan),
+    "ranged row": _one_row([0], [1.0], 0.0, 1.0),
+    "unknown column": _one_row([0, 2], [1.0, 1.0], -math.inf, 1.0),
+    "negative column": _one_row([-1, 0], [1.0, 1.0], -math.inf, 1.0),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTY_ROWS))
+def test_row_store_rejects_what_make_row_rejects(fault):
+    # a block appended to a model (how a formulation builds one) or to a
+    # session is checked as a whole, alone or stacked behind good rows
+    model = lp.LpModel()
+    model.add_columns([0.0, 0.0], [1.0, 1.0], [1.0, 1.0])
+    good = lp.make_row([(0, 1.0), (1, 1.0)], "<=", 1.5)
+    bad = FAULTY_ROWS[fault]
+    for rows in (bad, [good, bad], [bad, good]):
+        with pytest.raises(lp.LpError):
+            model.copy().add_rows(rows)
+    session = lp.HighsSession(model)
+    with pytest.raises(lp.LpError):
+        session.add_rows([good, bad])
+    assert model.n_rows == 0
+    assert session.solve().objective == pytest.approx(2.0)
+
+
+def test_make_row_checks_each_row():
+    with pytest.raises(lp.LpError, match="duplicate"):
+        lp.make_row([(1, 1.0), (1, 2.0)], "<=", 1.0)
+    with pytest.raises(lp.LpError, match="coefficient"):
+        lp.make_row([(0, math.inf)], "<=", 1.0)
+    for rhs in (math.inf, -math.inf, math.nan):
+        with pytest.raises(lp.LpError, match="rhs"):
+            lp.make_row([(0, 1.0)], ">=", rhs)
+    model = lp.LpModel()
+    model.add_column()
+    with pytest.raises(lp.LpError, match="unknown column"):
+        model.add_row([(1, 1.0)], "=", 0.0)
+
+
+def test_row_store_keeps_rows_that_restart_their_columns():
+    # columns only rise within a row; the next row may start anywhere
+    model = lp.LpModel()
+    model.add_columns([0.0] * 3, [1.0] * 3, [1.0] * 3)
+    model.add_rows([lp.make_row([(1, 1.0), (2, 1.0)], "<=", 1.0), lp.make_row([(0, 1.0), (1, 1.0)], "<=", 1.0)])
+    model.add_row([(2, 1.0)], ">=", 0.5)
+    assert model.n_rows == 3
+    assert lp.solve(model).objective == pytest.approx(2.0)
+    rest, picked = model.split_rows([1])
+    assert (rest.n_rows, len(picked)) == (2, 1)
+    assert picked.indices.tolist() == [0, 1] and rest.rows.indices.tolist() == [1, 2, 2]
+
+
 def _random_model(seed, n_max=7, m_max=8):
     rng = random.Random(seed)
     n = rng.randint(1, n_max)
@@ -311,14 +381,11 @@ def test_optimum_satisfies_rows(solve):
     sol = solve(model)
     if sol.status != "optimal":
         pytest.skip("seed produced a degenerate model")
-    for row in model.rows:
-        manual = sum(v * sol.x[j] for j, v in zip(row.indices, row.values))
-        if row.relation == "<=":
-            assert manual <= row.rhs + 1e-7
-        elif row.relation == ">=":
-            assert manual >= row.rhs - 1e-7
-        else:
-            assert manual == pytest.approx(row.rhs, abs=1e-7)
+    rows = model.rows
+    for k in range(model.n_rows):
+        span = slice(rows.starts[k], rows.starts[k + 1])
+        manual = sum(v * sol.x[j] for j, v in zip(rows.indices[span], rows.values[span]))
+        assert rows.lower[k] - 1e-7 <= manual <= rows.upper[k] + 1e-7
 
 
 def test_export_lp_text_round():

@@ -235,14 +235,8 @@ def test_conflict_cut_closes_the_halves_point(figure_instance):
     # pin the fractional point into the user-cut relaxation: feasible before
     # the cut, infeasible after
     handle = build_flow_formulation(figure_instance)
-    model = lp.LpModel()
-    for lo, up, obj in zip(handle.model.lower, handle.model.upper, handle.model.objective):
-        model.add_column(lo, up, obj)
     start, count = handle.row_blocks["floor"]
-    soft = set(range(start, start + count))
-    for ridx, row in enumerate(handle.model.rows):
-        if ridx not in soft:
-            model.add_row(row)
+    model, _ = handle.model.split_rows(range(start, start + count))
     xv, yv = HALVES_POINT
     for a, col in handle.x_index.items():
         model.lower[col] = model.upper[col] = xv[a]
