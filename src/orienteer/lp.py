@@ -170,28 +170,18 @@ def stack_rows(blocks):
 
 
 def rows_from_entries(count, row, col, val, relation, rhs):
-    """A block of ``count`` rows ``relation rhs`` (``rhs`` one value or one
-    per row) from the entries (row, col, val) of equal-length arrays, in
-    any order; each row's entries end up in column order."""
+    """A block of ``count`` rows ``relation rhs`` from the entries (row, col,
+    val) of equal-length arrays, in any order; each row's entries end up in
+    column order."""
     order = np.lexsort((col, row))
-    rhs = np.array(np.broadcast_to(np.asarray(rhs, dtype=float), (count,)))
-    lower, upper = row_bounds(relation, rhs)
+    rhs = np.full(count, float(rhs))
     return Rows(
         _starts(np.bincount(row, minlength=count)),
         col[order].astype(np.int32),
         np.asarray(val, dtype=float)[order],
-        lower,
-        upper,
+        np.full(count, -math.inf) if relation == LE else rhs,
+        np.full(count, math.inf) if relation == GE else rhs,
     )
-
-
-def row_bounds(relation, rhs):
-    """(lower, upper) of a row ``relation rhs``; ``rhs`` may be an array."""
-    if relation == LE:
-        return np.full_like(rhs, -math.inf), rhs
-    if relation == GE:
-        return rhs, np.full_like(rhs, math.inf)
-    return rhs, rhs
 
 
 def make_row(coeffs, relation, rhs):
