@@ -553,15 +553,13 @@ def filter_cuts(candidates, params, xv, yv):
     orthogonal to it; applied per family, never across families."""
     if not candidates:
         return []
-    norms = [cut.norm() for cut in candidates]
-    # the key is each cut's ``distance``, its violation over its norm
-    best = max(range(len(candidates)), key=lambda k: (candidates[k].violation(xv, yv) / norms[k], -k))
+    best = max(range(len(candidates)), key=lambda k: (candidates[k].distance(xv, yv), -k))
     top = candidates[best]
-    top_vector = _as_vector(top)
+    top_vector, top_norm = _as_vector(top), top.norm()
     chosen = [top]
     for k, cut in enumerate(candidates):
         if k == best:
             continue
-        if _cosine(_as_vector(cut), norms[k], top_vector, norms[best]) <= params.max_inner_product:
+        if _cosine(_as_vector(cut), cut.norm(), top_vector, top_norm) <= params.max_inner_product:
             chosen.append(cut)
     return chosen
