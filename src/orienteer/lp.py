@@ -94,7 +94,7 @@ class LpError(RuntimeError):
     """Numeric failure or malformed model; never silently swallowed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Rows:
     """Rows in CSR form: row k holds ``indices/values[starts[k]:starts[k + 1]]``,
     its columns strictly ascending, and ranges over [lower[k], upper[k]];
