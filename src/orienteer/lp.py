@@ -49,7 +49,7 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,13 +100,16 @@ class Rows:
     its columns strictly ascending, and ranges over [lower[k], upper[k]];
     a ``<=`` row has lower -inf, a ``>=`` row upper +inf, an ``=`` row both
     at its right-hand side.  No method writes into the arrays: a block
-    handed to another thread stays as it was while the model grows."""
+    handed to another thread stays as it was while the model grows.
+    ``checked`` marks a block ``make_row`` built, which an append checks for
+    its columns' range only."""
 
     starts: np.ndarray  # int32, one more than the rows, from 0
     indices: np.ndarray  # int32
     values: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    checked: bool = field(default=False, repr=False)
 
     def __len__(self):
         return len(self.lower)
@@ -205,18 +208,21 @@ def make_row(coeffs, relation, rhs):
         np.array(vals, dtype=float),
         np.array((-math.inf if relation == LE else rhs,)),
         np.array((math.inf if relation == GE else rhs,)),
+        checked=True,
     )
 
 
-def _validated(rows, n_cols):
-    """``rows`` (a block or a list of blocks) as one block, after the checks
-    ``make_row`` makes per row, on all rows at once: columns known and
-    strictly ascending within each row (so none twice), coefficients and
-    right-hand sides finite, each row one of the three relations."""
-    block = rows if isinstance(rows, Rows) else stack_rows(rows)
+def _check(block, n_cols, full):
+    """Raise ``LpError`` unless every row of ``block`` references known
+    columns only and, when ``full``, passes the checks ``make_row`` makes per
+    row, made on all rows at once: columns strictly ascending within each
+    row (so none twice), coefficients and right-hand sides finite, each row
+    one of the three relations."""
     idx, starts = block.indices, block.starts
     if len(idx) and (idx.min() < 0 or idx.max() >= n_cols):
         raise LpError("row references unknown column")
+    if not full:
+        return
     # (row, column) keys rise strictly exactly when no row repeats a column
     keys = np.repeat(np.arange(len(block)) * n_cols, starts[1:] - starts[:-1]) + idx
     if (keys[1:] <= keys[:-1]).any():
@@ -229,7 +235,6 @@ def _validated(rows, n_cols):
         raise LpError("non-finite rhs")
     if not ((upper == rhs) | (upper == math.inf)).all():
         raise LpError("row is not of the form <=, = or >= a right-hand side")
-    return block
 
 
 class LpModel:
@@ -270,10 +275,15 @@ class LpModel:
         return self.n_rows - 1
 
     def add_rows(self, rows):
-        """Append a block, or a list of blocks, after ``make_row``'s checks;
-        returns the block appended."""
-        block = _validated(rows, self.n_cols)
-        self.rows = stack_rows([self.rows, block]) if len(self.rows) else block
+        """Append a block, or a list of blocks, after ``make_row``'s checks,
+        which a block ``make_row`` built had there; returns the block
+        appended."""
+        blocks = [rows] if isinstance(rows, Rows) else rows
+        first = self.n_rows
+        grown = stack_rows([self.rows, *blocks]) if first else stack_rows(blocks)
+        block = grown.slice(first, len(grown)) if first else grown
+        _check(block, self.n_cols, full=not all(b.checked for b in blocks))
+        self.rows = grown
         return block
 
     def copy(self):
@@ -319,6 +329,11 @@ def _engine(model, bounds=None, cost=None):
     quiet and on one thread.  ``bounds`` is an optional (n, 2) array of column
     bounds in place of the model's own; ``cost`` replaces the engine's
     objective, which is minimized (the model's negated by default)."""
+    return _engine_of(_highs_lp(model, bounds, cost))
+
+
+def _highs_lp(model, bounds=None, cost=None):
+    """``model`` as the ``HighsLp`` that ``_engine`` passes to its engine."""
     rows = model.rows
     lp_obj = _hcore.HighsLp()
     lp_obj.num_col_ = model.n_cols
@@ -336,7 +351,7 @@ def _engine(model, bounds=None, cost=None):
     lp_obj.a_matrix_.start_ = rows.starts
     lp_obj.a_matrix_.index_ = rows.indices
     lp_obj.a_matrix_.value_ = rows.values
-    return _engine_of(lp_obj)
+    return lp_obj
 
 
 def _engine_of(lp_obj):
@@ -345,9 +360,14 @@ def _engine_of(lp_obj):
     h = _hcore._Highs()
     h.setOptionValue("output_flag", False)
     h.setOptionValue("threads", 1)
-    if h.passModel(lp_obj) != _hcore.HighsStatus.kOk:
-        raise LpError("engine rejected the model")
+    _pass_model(h, lp_obj)
     return h
+
+
+def _pass_model(engine, lp_obj):
+    """Replace the engine's model, and all it derived from it, by ``lp_obj``."""
+    if engine.passModel(lp_obj) != _hcore.HighsStatus.kOk:
+        raise LpError("engine rejected the model")
 
 
 def _append_rows(engine, rows):
@@ -363,11 +383,15 @@ def _set_bounds(engine, cols, bounds):
     engine.changeColsBounds(len(cols), cols, lower, np.ascontiguousarray(bounds[:, 1]))
 
 
-def _set_basis(engine, saved, n_rows):
+def _set_basis(engine, saved, n_rows, clear):
     """Restart ``engine``, which holds ``n_rows`` rows, from the basis
     ``saved`` (a ``HighsSession.basis`` pair), the rows it does not cover
-    basic.  A grown basis is a new object: ``saved`` may be in another
-    thread's hands, so it is never changed."""
+    basic; with ``clear``, from a cleared solver, so that what the engine
+    solved before cannot show in what it solves next.  A grown basis is a
+    new object: ``saved`` may be in another thread's hands, so it is never
+    changed."""
+    if clear:
+        engine.clearSolver()
     basis, covered = saved
     if covered < n_rows:
         grown = _hcore.HighsBasis()
@@ -453,6 +477,32 @@ def incremental_available():
     return True
 
 
+def _solve_from(engine, cols, saved, bounds, n_rows, clear):
+    """(model status, None when the engine raised; the ``_optimum`` pair or
+    None; the final basis as ``HighsSession.basis`` gives it) of the LP
+    ``engine`` holds, ``n_rows`` rows, under the column bounds ``bounds``
+    restarted from the basis ``saved`` (cleared first with ``clear``).
+    Engine calls and array copies only: the worker thread runs it too."""
+    try:
+        _set_bounds(engine, cols, bounds)
+        _set_basis(engine, saved, n_rows, clear)
+        engine.run()
+        status = engine.getModelStatus()
+    except Exception:
+        return None, None, None
+    optimum = _optimum(engine) if status == _hcore.HighsModelStatus.kOptimal else None
+    return status, optimum, (engine.getBasis(), n_rows)
+
+
+@dataclass(frozen=True, eq=False)
+class Job:
+    """An LP ``HighsSession.submit`` handed to the worker: the future of the
+    worker's result and the basis the LP restarts from."""
+
+    future: Future
+    saved: tuple
+
+
 class HighsSession:
     """Stateful LP session with warm-started re-solves.
 
@@ -473,11 +523,11 @@ class HighsSession:
 
     ``submit`` hands an LP (column bounds and a start basis) to a second
     engine, which a worker thread runs while the session's own engine goes
-    on; ``collect`` waits for it and returns its LpSolution, counted in
-    ``prefetched`` when the worker's result settles it and timed in
-    ``prefetch_wait_s``.  The first ``submit`` copies the engine's LP into
-    the second engine (``getLp``), and each job first appends the rows the
-    model gained before its submission.  ``close`` stops the worker.
+    on; ``collect`` returns its LpSolution, counted in ``prefetched`` when
+    the worker's result settles it, and times its wait for the worker in
+    ``prefetch_wait_s``.  ``close`` stops the worker.  How the results stay
+    free of thread timing, in a session ``freeze`` has frozen and in one it
+    has not, the module docstring says.
 
     HiGHS with presolve may report a feasible LP with an unbounded objective
     as infeasible, and the session trusts that verdict.  It is exact for LPs
@@ -490,16 +540,25 @@ class HighsSession:
         self._bounds = None  # the last override: the engine keeps column bounds
         self.fallbacks = 0
         self.prefetched = 0
+        self.stolen = 0
         self.prefetch_wait_s = 0.0
+        self._frozen = False  # no more rows; restarts clear; jobs may be taken back
         self._h = _engine(model)
         self._all_cols = np.arange(model.n_cols, dtype=np.int32)
         self._worker = None  # the thread running submitted jobs, one at a time
         self._twin = None  # the engine only those jobs touch, and its row count
         self._twin_rows = 0
 
+    def freeze(self):
+        """Take no more rows: ``add_rows`` raises from here on, and ``collect``
+        and ``drop`` may cancel a job the worker has not started."""
+        self._frozen = True
+
     def add_rows(self, rows):
         """Append a block of rows, or a list of blocks, to the model and the
         engine; ``LpModel.add_rows`` checks them first."""
+        if self._frozen:
+            raise LpError("a frozen session takes no rows")
         _append_rows(self._h, self._model.add_rows(rows))
 
     def basis(self):
@@ -510,8 +569,9 @@ class HighsSession:
 
     def set_basis(self, saved):
         """Start the next solve from what ``basis`` returned; rows appended
-        since then enter basic.  Raises ``LpError`` when HiGHS rejects it."""
-        _set_basis(self._h, saved, self._model.n_rows)
+        since then enter basic.  A frozen session clears the engine's solver
+        first.  Raises ``LpError`` when HiGHS rejects it."""
+        _set_basis(self._h, saved, self._model.n_rows, self._frozen)
 
     def solve(self, bounds_override=None):
         """LpSolution with status optimal, infeasible or unbounded; column
@@ -532,41 +592,55 @@ class HighsSession:
         return solve(self._model, self._bounds)
 
     def submit(self, saved, bounds):
-        """Future of the worker's job: the LP of the model as it is now,
-        under the column bounds ``bounds`` (left unchanged from here on),
-        restarted from the basis ``saved``.  The first call builds the
-        second engine and starts the worker."""
+        """``Job`` for the LP of the model as it is now, under the column
+        bounds ``bounds`` (left unchanged from here on), restarted from the
+        basis ``saved``.  The first call builds the second engine and starts
+        the worker; in a frozen session it builds the second engine from the
+        row store and passes the store to the session's own engine too, which
+        then restarts from its current basis."""
         if self._worker is None:
-            self._twin = _engine_of(self._h.getLp())
+            if self._frozen:
+                current = self.basis()
+                _pass_model(self._h, _highs_lp(self._model))
+                if self._bounds is not None:
+                    _set_bounds(self._h, self._all_cols, self._bounds)
+                self.set_basis(current)
+                self._twin = _engine(self._model)
+            else:
+                self._twin = _engine_of(self._h.getLp())
             self._twin_rows = self._model.n_rows
             self._worker = ThreadPoolExecutor(max_workers=1)
-        return self._worker.submit(self._prefetch, saved, bounds, self._model.rows)
+        return Job(self._worker.submit(self._prefetch, saved, bounds, self._model.rows), saved)
 
     def _prefetch(self, saved, bounds, rows):
-        """The worker's job: (model status, None when the engine raised; the
-        ``_optimum`` pair or None; the final basis as ``basis`` gives it;
-        ``saved``).  ``rows`` is the model's row block at submission, which
-        later appends replace but never change.  Engine calls and array
-        copies only: everything else stays on the session's own thread."""
-        h = self._twin
+        """The worker's job, a ``_solve_from`` result on the second engine.
+        ``rows`` is the model's row block at submission, which later appends
+        replace but never change."""
         n_rows = len(rows)
-        try:
-            if self._twin_rows < n_rows:
-                _append_rows(h, rows.slice(self._twin_rows, n_rows))
-                self._twin_rows = n_rows
-            _set_bounds(h, self._all_cols, bounds)
-            _set_basis(h, saved, n_rows)
-            h.run()
-            status = h.getModelStatus()
-        except Exception:
-            return None, None, None, saved
-        optimum = _optimum(h) if status == _hcore.HighsModelStatus.kOptimal else None
-        return status, optimum, (h.getBasis(), n_rows), saved
+        if self._twin_rows < n_rows:
+            try:
+                _append_rows(self._twin, rows.slice(self._twin_rows, n_rows))
+            except Exception:
+                return None, None, None
+            self._twin_rows = n_rows
+        return _solve_from(self._twin, self._all_cols, saved, bounds, n_rows, self._frozen)
+
+    def _restart(self, saved, bounds):
+        """Put the column bounds ``bounds`` in force, then restart from the
+        basis ``saved``, as a worker's job starts."""
+        self._bounds = bounds
+        _set_bounds(self._h, self._all_cols, bounds)
+        self.set_basis(saved)
 
     def collect(self, job, bounds):
         """LpSolution of the LP a ``submit`` returned ``job`` for, under the
         column bounds ``bounds`` it was submitted with and with every row the
         model holds now.
+
+        A frozen session takes back a job the worker has not started, and
+        counts it in ``stolen``: its own engine, built from the same row
+        store and cleared alike, gives the worker's result bit for bit.  A
+        job that has started is waited for.
 
         An infeasible result stands, since rows appended since can only cut
         more.  An optimal one stands when no row was appended since; else
@@ -574,22 +648,33 @@ class HighsSession:
         Any other result is dropped, and the engine solves the LP from the
         submitted basis.  After an optimal result the engine holds the LP's
         bounds and final basis, so a solve that follows goes on from them."""
-        started = time.monotonic()
-        status, optimum, final, saved = job.result()
-        self.prefetch_wait_s += time.monotonic() - started
+        taken = self._frozen and job.future.cancel()
+        if taken:
+            self.stolen += 1
+            n_rows = self._model.n_rows
+            status, optimum, final = _solve_from(self._h, self._all_cols, job.saved, bounds, n_rows, True)
+        else:
+            started = time.monotonic()
+            status, optimum, final = job.future.result()
+            self.prefetch_wait_s += time.monotonic() - started
         if status == _hcore.HighsModelStatus.kInfeasible:
-            self.prefetched += 1
+            self.prefetched += not taken
             return LpSolution("infeasible", -math.inf, None)
         if status != _hcore.HighsModelStatus.kOptimal:
-            self.set_basis(saved)
-            return self.solve(bounds)
-        self.set_basis(final)
+            self._restart(job.saved, bounds)
+            return self.solve()
+        self._restart(final, bounds)
         if final[1] < self._model.n_rows:
-            return self.solve(bounds)
-        self._bounds = bounds
-        _set_bounds(self._h, self._all_cols, bounds)
-        self.prefetched += 1
+            return self.solve()
+        self.prefetched += not taken
         return _verdict(status, self._model.objective, lambda: optimum)
+
+    def drop(self, job):
+        """Cancel ``job`` if the worker has not started it and the session is
+        frozen.  A session that is not frozen runs every job: what its
+        second engine solved before a job shows in the job's result."""
+        if self._frozen:
+            job.future.cancel()
 
     def close(self):
         """Stop the worker, its unstarted jobs dropped and its running one

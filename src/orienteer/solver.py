@@ -88,7 +88,6 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from concurrent.futures import Future
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -160,6 +159,7 @@ def _search_stats():
         "reduced_cost_fixed": 0,
         "lp_fallbacks": 0,
         "prefetched": 0,
+        "stolen": 0,
         "prefetch_wait_s": 0.0,
     }
 
@@ -535,6 +535,8 @@ def branch_and_bound(handle, session, config, deadline, separate=None):
     """
     stats = _search_stats()
     base_bounds = np.array([handle.model.lower, handle.model.upper], dtype=float).T
+    if separate is None:
+        session.freeze()  # no row comes after the root's: jobs may be taken back
 
     order = _branch_order(handle)
     step = reward_step(handle.instance.rewards)
@@ -562,11 +564,13 @@ def branch_and_bound(handle, session, config, deadline, separate=None):
                 and parent_bound < math.inf
                 and floor_bound(parent_bound + INTEGER_TOL, step) <= best_value
             ):
+                if isinstance(start, lp.Job):
+                    session.drop(start)
                 continue
             stats["nodes"] += 1
 
             bounds = _node_bounds(base_bounds, fixings)
-            if isinstance(start, Future):
+            if isinstance(start, lp.Job):
                 sol = session.collect(start, bounds)
             else:
                 if start is not None:
@@ -623,6 +627,7 @@ def branch_and_bound(handle, session, config, deadline, separate=None):
         open_bound = max(open_bound, dive[0])
     stats["lp_fallbacks"] = session.fallbacks
     stats["prefetched"] = session.prefetched
+    stats["stolen"] = session.stolen
     stats["prefetch_wait_s"] = session.prefetch_wait_s
     return status, best_value, open_bound, best_routes, stats
 

@@ -25,6 +25,14 @@ PAPER_CONFIGS = {
     5: frozenset({CONNECTIVITY, CONFLICT, COVER}),
 }
 
+# a Chao-style instance whose search branches: two vehicles, 12 scored stops
+BRANCHING = (
+    "n 14\nm 2\ntmax 15\n4.9 2.3 0\n1.1 8.0 10\n8.7 13.6 20\n0.6 6.5 15\n3.6 8.3 10\n"
+    "12.4 1.9 10\n9.5 8.7 15\n8.7 6.0 10\n0.7 12.9 15\n6.3 8.1 20\n4.6 12.2 30\n"
+    "1.5 8.6 15\n5.6 8.2 15\n0.9 0.9 0\n"
+)
+
+
 FIGURE_ARCS = {
     (S, I): 1.0,
     (S, L): 1.0,

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import threading
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orienteer import lp, simplex
+from orienteer.instance import parse_instance, preprocess
+from orienteer.solver import cutting_plane_phase
 
-from conftest import row_violations
+from conftest import BRANCHING, row_violations
 
 # lp.solve is the solver's engine; the bundled dense simplex is an
 # independent reference it is checked against
@@ -299,6 +302,115 @@ def test_worker_results_agree_with_stateless_solve(seed):
                 assert session._h.getInfo().simplex_iteration_count == 0
     finally:
         session.close()
+
+
+def _taken_back_and_run(session, saved, bounds, others):
+    """(the LP of ``submit(saved, bounds)`` as the session's engine solves it
+    when ``collect`` takes the job back after solving ``others``, as the
+    worker's engine solves it; each a (solution, simplex iterations) pair).
+    The worker is held with a first copy of the job, so the second is still
+    queued when it is collected."""
+    started, release = threading.Event(), threading.Event()
+    prefetch = session._prefetch
+    solve_from = lp._solve_from
+    iterations = {}
+
+    def held(*args):
+        started.set()
+        release.wait(timeout=60)
+        return prefetch(*args)
+
+    def counted(engine, *args):
+        out = solve_from(engine, *args)
+        iterations[engine is session._h] = engine.getInfo().simplex_iteration_count
+        return out
+
+    session._prefetch = held
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_solve_from", counted)
+        try:
+            on_worker = session.submit(saved, bounds)
+            assert started.wait(timeout=60)
+            queued = session.submit(saved, bounds)
+            for other in others:
+                session.solve(other)
+            stolen = session.stolen
+            mine = session.collect(queued, bounds)
+            assert session.stolen == stolen + 1
+        finally:
+            release.set()
+        theirs = session.collect(on_worker, bounds)
+    del session._prefetch
+    return (mine, iterations[True]), (theirs, iterations[False])
+
+
+def _assert_taken_back_alike(session, box, rng):
+    """Freeze ``session`` and check three jobs from its current basis, each
+    under a ``box()`` of column bounds and taken back after solving one to
+    three other boxes: ``collect`` gives the worker's solution, bit for bit,
+    in as many simplex iterations."""
+    session.freeze()
+    saved = session.basis()
+    for _ in range(3):
+        bounds, others = box(), [box() for _ in range(rng.randint(1, 3))]
+        (mine, mine_iters), (theirs, their_iters) = _taken_back_and_run(session, saved, bounds, others)
+        assert mine.status == theirs.status
+        assert mine_iters == their_iters
+        if mine.status == "optimal":
+            assert mine.objective == theirs.objective
+            assert np.array_equal(mine.x, theirs.x) and np.array_equal(mine.dual, theirs.dual)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_frozen_engines_solve_a_job_to_the_same_bits(seed):
+    # rows appended before the freeze and solves on the session's engine
+    # since leave no trace in a job the session takes back
+    rng = random.Random(seed)
+    model = _bounded_model(rng, n_max=25, m_max=20)
+    session = lp.HighsSession(model)
+    session.solve()
+    try:
+        for _ in range(rng.randint(1, 3)):
+            session.add_rows([_random_inequality(rng, model.n_cols) for _ in range(rng.randint(1, 4))])
+            session.solve(_random_box(rng, model))
+        _assert_taken_back_alike(session, lambda: _random_box(rng, model), rng)
+    finally:
+        session.close()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_frozen_root_session_solves_a_node_to_the_same_bits(seed):
+    # the cpa search's case: the root session, its cuts appended in rounds,
+    # and node LPs that fix a few binary columns; the simplex paths of such
+    # degenerate LPs depend on the engine's history unless it is cleared
+    phase = cutting_plane_phase(preprocess(parse_instance(BRANCHING))[0])
+    session, handle = phase.session, phase.handle
+    base = np.array([handle.model.lower, handle.model.upper], dtype=float).T
+    binary = sorted(handle.x_index.values()) + sorted(handle.y_index.values())
+    rng = random.Random(seed)
+
+    def box():
+        bounds = base.copy()
+        for col in rng.sample(binary, 3):
+            bounds[col] = rng.randint(0, 1)
+        return bounds
+
+    try:
+        session.solve(box())
+        _assert_taken_back_alike(session, box, rng)
+    finally:
+        session.close()
+
+
+def test_frozen_session_takes_no_rows():
+    model = _single_bound_model()
+    session = lp.HighsSession(model)
+    session.freeze()
+    with pytest.raises(lp.LpError, match="frozen"):
+        session.add_rows([lp.make_row([(0, 1.0)], "<=", 2.0)])
+    assert model.n_rows == 1
+    assert session.solve().objective == pytest.approx(3.0)
 
 
 def test_rejected_basis_raises():

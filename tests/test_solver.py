@@ -41,6 +41,7 @@ from orienteer.separation import (
 )
 
 from conftest import (
+    BRANCHING,
     PAPER_CONFIGS,
     I,
     J,
@@ -599,14 +600,6 @@ def test_fallbacks_count_every_session_solve_once(rng, monkeypatch):
         assert rep.stats["lp_fallbacks"] == len(solves) >= 1, pipeline.__name__
 
 
-# a Chao-style instance whose search branches: two vehicles, 12 scored stops
-BRANCHING = (
-    "n 14\nm 2\ntmax 15\n4.9 2.3 0\n1.1 8.0 10\n8.7 13.6 20\n0.6 6.5 15\n3.6 8.3 10\n"
-    "12.4 1.9 10\n9.5 8.7 15\n8.7 6.0 10\n0.7 12.9 15\n6.3 8.1 20\n4.6 12.2 30\n"
-    "1.5 8.6 15\n5.6 8.2 15\n0.9 0.9 0\n"
-)
-
-
 def test_main_pipeline_searches_in_the_root_session(monkeypatch):
     # the search goes on in the root's session: one session per solve (its
     # worker's engine lives inside it), one LP per node on one of the two
@@ -631,9 +624,10 @@ def test_main_pipeline_searches_in_the_root_session(monkeypatch):
     rep = solve_stop(parse_instance(BRANCHING), FAST)
     assert rep.node_count > 1 and len(opened) == 1
     # node solves set column bounds; root solves keep those in force; the
-    # worker settles the rest of the nodes' LPs
+    # worker settles the rest of the nodes' LPs, but for those the search
+    # took back from it unstarted
     assert rep.stats["prefetched"] >= 1
-    assert len(solves) + rep.stats["prefetched"] == rep.node_count
+    assert len(solves) + rep.stats["prefetched"] + rep.stats["stolen"] == rep.node_count
     assert solves[0] == 0
 
 
@@ -678,19 +672,58 @@ def test_baseline_search_starts_from_the_root_basis(monkeypatch):
     assert _without_timers(seeded) == _without_timers(unseeded)
 
 
+# the counters that depend on thread timing: seconds, and which of the two
+# engines settled a popped node's LP
+TIMED_STATS = ("heuristic_s", "prefetch_wait_s", "prefetched", "stolen")
+
+
 def _without_timers(rep):
-    stats = {k: v for k, v in rep.stats.items() if k not in ("heuristic_s", "prefetch_wait_s")}
+    stats = {k: v for k, v in rep.stats.items() if k not in TIMED_STATS}
     return replace(rep, timings={}, stats=stats)
 
 
 @pytest.mark.parametrize("pipeline", [solve_stop, solve_baseline])
 def test_worker_leaves_the_report_repeatable(pipeline):
-    # the worker's jobs run in submission order on one engine, so nothing
-    # but the timers depends on when they finish
+    # a cpa job the worker has not started is solved on the search's own
+    # engine, which gives the worker's result bit for bit; the baseline's
+    # jobs run in submission order on the worker's one engine; so nothing
+    # but the timers and the counts of who solved what depends on when the
+    # jobs finish
     inst = parse_instance(BRANCHING)
     first, second = pipeline(inst, FAST), pipeline(inst, FAST)
     assert first.stats["prefetched"] >= 1
     assert _without_timers(first) == _without_timers(second)
+
+
+def _slow_worker(monkeypatch, delay):
+    """Each job of a session's worker sleeps ``delay`` seconds first."""
+    prefetch = lp.HighsSession._prefetch
+
+    def slowed(self, *args):
+        time.sleep(delay)
+        return prefetch(self, *args)
+
+    monkeypatch.setattr(lp.HighsSession, "_prefetch", slowed)
+
+
+def test_reports_do_not_depend_on_the_worker_speed(monkeypatch):
+    # a slower worker leaves more cpa jobs unstarted, for the search to take
+    # back, and more running, to wait for; the baseline waits for every job
+    rng = random.Random("worker-speed")
+    draws = (_chao_style(rng, GRID_REWARDS["times-5"]) for _ in range(100))
+    branching = [i for i in draws if solve_stop(i, FAST).node_count >= 10][:3]
+    instances = [parse_instance(BRANCHING)] + branching
+    assert len(instances) == 4
+    reports = {}
+    for delay in (0.0, 0.003, 0.02):
+        with monkeypatch.context() as patched:
+            _slow_worker(patched, delay)
+            reports[delay] = [(solve_stop(i, FAST), solve_baseline(i, FAST)) for i in instances]
+    fast = [tuple(map(_without_timers, pair)) for pair in reports[0.0]]
+    for delay in (0.003, 0.02):
+        assert [tuple(map(_without_timers, pair)) for pair in reports[delay]] == fast, delay
+    assert sum(cpa.stats["stolen"] for cpa, _ in reports[0.02]) >= 1
+    assert all(base.stats["stolen"] == 0 for pair in reports.values() for _, base in pair)
 
 
 def test_no_thread_outlives_a_solve(monkeypatch):
