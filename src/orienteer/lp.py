@@ -480,12 +480,13 @@ def incremental_available():
 def _solve_from(engine, cols, saved, bounds, n_rows, clear):
     """(model status, None when the engine raised; the ``_optimum`` pair or
     None; the final basis as ``HighsSession.basis`` gives it) of the LP
-    ``engine`` holds, ``n_rows`` rows, under the column bounds ``bounds``
-    restarted from the basis ``saved`` (cleared first with ``clear``).
-    Engine calls and array copies only: the worker thread runs it too."""
+    ``engine`` holds, ``n_rows`` rows, restarted from the basis ``saved``
+    (cleared first with ``clear``) under the column bounds ``bounds``: the
+    calls ``HighsSession.restart`` makes.  Engine calls and array copies
+    only, for the worker thread."""
     try:
-        _set_bounds(engine, cols, bounds)
         _set_basis(engine, saved, n_rows, clear)
+        _set_bounds(engine, cols, bounds)
         engine.run()
         status = engine.getModelStatus()
     except Exception:
@@ -625,48 +626,52 @@ class HighsSession:
             self._twin_rows = n_rows
         return _solve_from(self._twin, self._all_cols, saved, bounds, n_rows, self._frozen)
 
-    def _restart(self, saved, bounds):
-        """Put the column bounds ``bounds`` in force, then restart from the
-        basis ``saved``, as a worker's job starts."""
-        self._bounds = bounds
-        _set_bounds(self._h, self._all_cols, bounds)
+    def restart(self, saved, bounds):
+        """LpSolution of the model's LP restarted from the basis ``saved``
+        under the column bounds ``bounds``, which stay in force: ``set_basis``
+        then ``solve``.  A frozen session then restarts its engine from the
+        final basis of an optimum, where collecting a worker's result for the
+        LP leaves it; so neither the solution nor what the engine solves next
+        depends on what it solved before."""
         self.set_basis(saved)
+        sol = self.solve(bounds)
+        if self._frozen and self._h.getModelStatus() == _hcore.HighsModelStatus.kOptimal:
+            self.set_basis(self.basis())
+        return sol
 
     def collect(self, job, bounds):
         """LpSolution of the LP a ``submit`` returned ``job`` for, under the
         column bounds ``bounds`` it was submitted with and with every row the
         model holds now.
 
-        A frozen session takes back a job the worker has not started, and
-        counts it in ``stolen``: its own engine, built from the same row
-        store and cleared alike, gives the worker's result bit for bit.  A
-        job that has started is waited for.
+        A frozen session takes back a job the worker has not started, counts
+        it in ``stolen`` and ``restart``s its LP: its own engine, built from
+        the same row store and cleared alike, gives the worker's result bit
+        for bit.  A job that has started is waited for.
 
         An infeasible result stands, since rows appended since can only cut
         more.  An optimal one stands when no row was appended since; else
         the engine restarts from the job's final basis and solves again.
-        Any other result is dropped, and the engine solves the LP from the
+        Any other result is dropped, and the engine restarts the LP from the
         submitted basis.  After an optimal result the engine holds the LP's
         bounds and final basis, so a solve that follows goes on from them."""
-        taken = self._frozen and job.future.cancel()
-        if taken:
+        if self._frozen and job.future.cancel():
             self.stolen += 1
-            n_rows = self._model.n_rows
-            status, optimum, final = _solve_from(self._h, self._all_cols, job.saved, bounds, n_rows, True)
-        else:
-            started = time.monotonic()
-            status, optimum, final = job.future.result()
-            self.prefetch_wait_s += time.monotonic() - started
+            return self.restart(job.saved, bounds)
+        started = time.monotonic()
+        status, optimum, final = job.future.result()
+        self.prefetch_wait_s += time.monotonic() - started
         if status == _hcore.HighsModelStatus.kInfeasible:
-            self.prefetched += not taken
+            self.prefetched += 1
             return LpSolution("infeasible", -math.inf, None)
         if status != _hcore.HighsModelStatus.kOptimal:
-            self._restart(job.saved, bounds)
-            return self.solve()
-        self._restart(final, bounds)
+            return self.restart(job.saved, bounds)
+        self._bounds = bounds
+        _set_bounds(self._h, self._all_cols, bounds)
+        self.set_basis(final)
         if final[1] < self._model.n_rows:
             return self.solve()
-        self.prefetched += not taken
+        self.prefetched += 1
         return _verdict(status, self._model.objective, lambda: optimum)
 
     def drop(self, job):

@@ -572,9 +572,9 @@ def branch_and_bound(handle, session, config, deadline, separate=None):
             bounds = _node_bounds(base_bounds, fixings)
             if isinstance(start, lp.Job):
                 sol = session.collect(start, bounds)
+            elif start is not None:
+                sol = session.restart(start, bounds)
             else:
-                if start is not None:
-                    session.set_basis(start)
                 sol = session.solve(bounds)
             sol = _checked(sol)
             if sol.status == "optimal" and separate is not None:

@@ -311,37 +311,36 @@ def _taken_back_and_run(session, saved, bounds, others):
     The worker is held with a first copy of the job, so the second is still
     queued when it is collected."""
     started, release = threading.Event(), threading.Event()
-    prefetch = session._prefetch
-    solve_from = lp._solve_from
+    prefetch, solve = session._prefetch, session.solve
     iterations = {}
 
     def held(*args):
         started.set()
         release.wait(timeout=60)
-        return prefetch(*args)
-
-    def counted(engine, *args):
-        out = solve_from(engine, *args)
-        iterations[engine is session._h] = engine.getInfo().simplex_iteration_count
+        out = prefetch(*args)
+        iterations["worker"] = session._twin.getInfo().simplex_iteration_count
         return out
 
-    session._prefetch = held
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "_solve_from", counted)
-        try:
-            on_worker = session.submit(saved, bounds)
-            assert started.wait(timeout=60)
-            queued = session.submit(saved, bounds)
-            for other in others:
-                session.solve(other)
-            stolen = session.stolen
-            mine = session.collect(queued, bounds)
-            assert session.stolen == stolen + 1
-        finally:
-            release.set()
-        theirs = session.collect(on_worker, bounds)
-    del session._prefetch
-    return (mine, iterations[True]), (theirs, iterations[False])
+    def counted(*args):
+        sol = solve(*args)
+        iterations["session"] = session._h.getInfo().simplex_iteration_count
+        return sol
+
+    session._prefetch, session.solve = held, counted
+    try:
+        on_worker = session.submit(saved, bounds)
+        assert started.wait(timeout=60)
+        queued = session.submit(saved, bounds)
+        for other in others:
+            session.solve(other)
+        stolen = session.stolen
+        mine = session.collect(queued, bounds)
+        assert session.stolen == stolen + 1
+    finally:
+        release.set()
+    theirs = session.collect(on_worker, bounds)
+    del session._prefetch, session.solve
+    return (mine, iterations["session"]), (theirs, iterations["worker"])
 
 
 def _assert_taken_back_alike(session, box, rng):

@@ -624,10 +624,9 @@ def test_main_pipeline_searches_in_the_root_session(monkeypatch):
     rep = solve_stop(parse_instance(BRANCHING), FAST)
     assert rep.node_count > 1 and len(opened) == 1
     # node solves set column bounds; root solves keep those in force; the
-    # worker settles the rest of the nodes' LPs, but for those the search
-    # took back from it unstarted
+    # worker settles the rest of the nodes' LPs
     assert rep.stats["prefetched"] >= 1
-    assert len(solves) + rep.stats["prefetched"] + rep.stats["stolen"] == rep.node_count
+    assert len(solves) + rep.stats["prefetched"] == rep.node_count
     assert solves[0] == 0
 
 
@@ -706,19 +705,42 @@ def _slow_worker(monkeypatch, delay):
     monkeypatch.setattr(lp.HighsSession, "_prefetch", slowed)
 
 
+def _open_draw(rng):
+    """A Chao-style draw with 21 vertices on a 20 x 20 square, two or three
+    vehicles, a time limit of 15-25 and rewards 5-50: about one in four
+    branches past ten nodes."""
+    n = 21
+    coords = np.array([[rng.uniform(0, 20), rng.uniform(0, 20)] for _ in range(n)])
+    inner = frozenset(range(1, n - 1))
+    return StopInstance(
+        vertex_count=n,
+        origin=0,
+        destination=n - 1,
+        mandatory=frozenset(),
+        profitable=inner,
+        rewards={i: 5 * rng.randint(1, 10) for i in sorted(inner)},
+        travel_time=np.sqrt(((coords[:, None, :] - coords[None, :, :]) ** 2).sum(axis=2)),
+        arc_mask=~np.eye(n, dtype=bool),
+        fleet_size=rng.randint(2, 3),
+        time_limit=rng.uniform(15, 25),
+        coordinates=coords,
+    )
+
+
 def test_reports_do_not_depend_on_the_worker_speed(monkeypatch):
     # a slower worker leaves more cpa jobs unstarted, for the search to take
     # back, and more running, to wait for; the baseline waits for every job
+    config = SolveConfig(time_limit_s=120.0, max_nodes=60)
     rng = random.Random("worker-speed")
-    draws = (_chao_style(rng, GRID_REWARDS["times-5"]) for _ in range(100))
-    branching = [i for i in draws if solve_stop(i, FAST).node_count >= 10][:3]
+    draws = (_open_draw(rng) for _ in range(40))
+    branching = [i for i in draws if solve_stop(i, config).node_count >= 10][:3]
     instances = [parse_instance(BRANCHING)] + branching
     assert len(instances) == 4
     reports = {}
     for delay in (0.0, 0.003, 0.02):
         with monkeypatch.context() as patched:
             _slow_worker(patched, delay)
-            reports[delay] = [(solve_stop(i, FAST), solve_baseline(i, FAST)) for i in instances]
+            reports[delay] = [(solve_stop(i, config), solve_baseline(i, config)) for i in instances]
     fast = [tuple(map(_without_timers, pair)) for pair in reports[0.0]]
     for delay in (0.003, 0.02):
         assert [tuple(map(_without_timers, pair)) for pair in reports[delay]] == fast, delay
