@@ -4,8 +4,9 @@ A model holds its columns as lists and its rows in one CSR store, a
 ``Rows`` block: the arrays HiGHS takes, which no row object stands between.
 Rows arrive as whole blocks (a formulation emits each of its row blocks as
 arrays) or as one-row blocks from ``make_row`` (a cut); ``LpModel.add_rows``
-checks every block against what ``make_row`` checks per row and replaces the
-store by a grown copy, so a block once handed out never changes.  Models
+checks every other block against what ``make_row`` checks per row, and the
+columns of all, and replaces the store by a grown copy, so a block once
+handed out never changes.  Models
 support cheap copies, which share the store, and are solved by the HiGHS
 engine bundled with scipy (>= 1.15), used in one of two ways:
 
@@ -19,17 +20,34 @@ engine bundled with scipy (>= 1.15), used in one of two ways:
                      engine solves submitted LPs in one worker thread while
                      the caller goes on with the first
 
-``_engine`` is the one place a model becomes an engine, and the store feeds
-it, ``HighsSession.add_rows``, the worker, ``LpModel.split_rows`` and
+``_highs_lp`` is the one place a model becomes an LP for an engine (a fresh
+one from ``_engine``, or a frozen session's own), and the store feeds it,
+``HighsSession.add_rows``, the worker, ``LpModel.split_rows`` and
 ``export_lp_text`` as it is.  The objective sense is always maximize.
 
-The worker's results do not depend on thread timing: its jobs run one at a
-time in the order they were submitted, on an engine that only they touch,
-and none is cancelled while the session's caller may still collect one; so
-what the second engine has solved before each job, which HiGHS results do
-depend on, is fixed by the call sequence alone.  The worker calls engine
-methods and slices the row block it was handed, nothing else; classifying
-its results and any fallback stay on the calling thread.
+A HiGHS result depends on what its engine solved before, and a session
+keeps the worker's results free of thread timing in one of two ways.
+
+* A session that may still gain rows runs its jobs one at a time in the
+  order they were submitted, on an engine only they touch, and cancels none
+  while its caller may still collect one: what the second engine solved
+  before each job is then fixed by the call sequence alone.
+* A session its caller has frozen (``HighsSession.freeze``: no more rows)
+  makes that history not matter.  At its first ``submit`` it builds both
+  engines from the row store (an engine that had rows appended keeps other
+  scale factors), and every restart from a saved basis clears the engine's
+  solver first (``clearSolver``): in ``set_basis``, in the worker's job and
+  in ``collect``.  Two engines built alike then solve one (basis, bounds)
+  LP to the same bits, simplex iterations included, whatever either solved
+  before, and ``restart`` leaves the session's engine where collecting a
+  job's result does.  So ``collect`` takes back a job the worker has not
+  started and restarts its LP on the session's own engine, and ``drop``
+  cancels the job of an LP no longer wanted; which engine solves a job
+  depends on timing, its result does not.
+
+The worker calls engine methods and slices the row block it was handed,
+nothing else; classifying its results and any fallback stay on the calling
+thread.
 
 The engine is scipy's extension module ``scipy.optimize._highspy._core``.
 ``_load_highs`` loads it without running ``scipy.optimize``'s package init
@@ -595,20 +613,16 @@ class HighsSession:
     def submit(self, saved, bounds):
         """``Job`` for the LP of the model as it is now, under the column
         bounds ``bounds`` (left unchanged from here on), restarted from the
-        basis ``saved``.  The first call builds the second engine and starts
-        the worker; in a frozen session it builds the second engine from the
-        row store and passes the store to the session's own engine too, which
-        then restarts from its current basis."""
+        basis ``saved``.  The first call builds the second engine from the
+        row store and starts the worker; in a frozen session it passes the
+        store to the session's own engine too, which then restarts from its
+        current basis."""
         if self._worker is None:
             if self._frozen:
                 current = self.basis()
-                _pass_model(self._h, _highs_lp(self._model))
-                if self._bounds is not None:
-                    _set_bounds(self._h, self._all_cols, self._bounds)
+                _pass_model(self._h, _highs_lp(self._model, self._bounds))
                 self.set_basis(current)
-                self._twin = _engine(self._model)
-            else:
-                self._twin = _engine_of(self._h.getLp())
+            self._twin = _engine(self._model)
             self._twin_rows = self._model.n_rows
             self._worker = ThreadPoolExecutor(max_workers=1)
         return Job(self._worker.submit(self._prefetch, saved, bounds, self._model.rows), saved)

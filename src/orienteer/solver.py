@@ -63,11 +63,22 @@ thread goes on with the dive.  When the child is popped,
 baseline has appended cuts since, re-solves on the main engine from the
 worker's final basis; a dive from it goes on from that basis.  Any other
 child popped restarts its LP on the main engine from the stored basis
-(``HighsSession.set_basis``).  Every submitted job runs, in the order of
-submission, on the one worker engine, so what that engine solved before a
-job, which HiGHS results depend on, is fixed by the search itself: node
-counts and bounds do not depend on thread timing.  The worker stops when the
-search ends, however it ends.
+(``HighsSession.restart``).
+
+Node counts and bounds do not depend on thread timing, by one of two routes.
+The main pipeline's search appends no rows, so it freezes its session
+(``HighsSession.freeze``): at its first job both engines are built anew
+from its row store, every restart from a stored basis clears the engine
+first, and a node's LP comes out the same on either engine.  So
+``collect`` takes back a job the worker has not started and solves it on the
+main engine, and a popped node never queues behind jobs it does not need; a
+node pruned when popped has its job cancelled (``HighsSession.drop``).
+Which engine solves a job depends on timing, no result does, and neither
+does ``PREFETCH_PER_DIVE`` change one.  The baseline's node cut rounds
+append rows after jobs were submitted, so its session is not frozen: every
+job runs, in the order of submission, on the one worker engine, and what
+that engine solved before a job is fixed by the search itself.  The worker
+stops when the search ends, however it ends.
 
 Every pipeline ends in one ``SolveReport``.  Its ``stats`` are the counters
 ``branch_and_bound`` keeps (``_search_stats``), its LP fallbacks those of
@@ -124,7 +135,8 @@ HEURISTIC_EVERY = 10  # the LP-guided heuristic runs at the first node and every
 # waiting children per dive whose LPs go to the worker engine: the nodes popped
 # later are mostly the first few siblings of a dive, and the worker's restarts
 # take more iterations than the dive's own solves, so jobs for the deeper ones
-# would queue up ahead of the next pop
+# would queue up ahead of the next pop.  It changes no cpa result (the main
+# engine takes back what the worker has not started), only the baseline's
 PREFETCH_PER_DIVE = 8
 Y_SUPPORT = 1e-6  # visit values above this count as chosen by the LP
 POLISH_PASSES = 2  # 2-opt then reinsertion rounds after the construction
@@ -147,7 +159,10 @@ def _search_stats():
     heuristic's seconds, incumbents and candidates the route validator
     turned down, binary columns fixed by reduced cost, LPs the session
     settled with the stateless solve, popped nodes whose LP the worker's
-    result settled, and the seconds the search waited for the worker.
+    result settled, popped nodes whose job the main engine took back from
+    the worker unstarted, and the seconds the search waited for the worker.
+    The seconds, ``prefetched`` and ``stolen`` depend on thread timing; the
+    other counts do not.
     ``pool_activated`` stays 0: the search keeps every row in its LP, and the
     key is kept for its readers."""
     return {
@@ -525,13 +540,15 @@ def branch_and_bound(handle, session, config, deadline, separate=None):
     the heap keeps this node's final basis; for the first
     ``PREFETCH_PER_DIVE`` of a dive its LP goes to the session's worker
     (``HighsSession.submit``) from that basis, and the result is collected
-    when it is popped.  An unbounded node LP raises ``LpError``.  The worker
-    stops however the search ends.
+    when it is popped, or the job cancelled when the node is pruned then.
+    With no ``separate`` the search freezes the session, so that collecting
+    may take a job back from the worker.  An unbounded node LP raises
+    ``LpError``.  The worker stops however the search ends.
     Returns (status, incumbent value, open bound, incumbent routes, stats).
     The open bound is the best parent bound of the nodes left unsolved (the
     dive child's or the heap top's; +inf for the unsolved first node, -inf
     when none is left); stats are the search's ``_search_stats`` counters,
-    whose LP fallbacks and prefetch counts are all the session's.
+    whose LP fallbacks and prefetch and steal counts are all the session's.
     """
     stats = _search_stats()
     base_bounds = np.array([handle.model.lower, handle.model.upper], dtype=float).T
