@@ -20,8 +20,8 @@ engine bundled with scipy (>= 1.15), used in one of two ways:
                      engine solves submitted LPs in one worker thread while
                      the caller goes on with the first
 
-``_highs_lp`` is the one place a model becomes an LP for an engine (a fresh
-one from ``_engine``, or a frozen session's own), and the store feeds it,
+``_pass_model`` is the one place a model becomes an engine's LP (a fresh
+engine's from ``_engine``, or a frozen session's own), and the store feeds it,
 ``HighsSession.add_rows``, the worker, ``LpModel.split_rows`` and
 ``export_lp_text`` as it is.  The objective sense is always maximize.
 
@@ -347,11 +347,16 @@ def _engine(model, bounds=None, cost=None):
     quiet and on one thread.  ``bounds`` is an optional (n, 2) array of column
     bounds in place of the model's own; ``cost`` replaces the engine's
     objective, which is minimized (the model's negated by default)."""
-    return _engine_of(_highs_lp(model, bounds, cost))
+    h = _hcore._Highs()
+    h.setOptionValue("output_flag", False)
+    h.setOptionValue("threads", 1)
+    _pass_model(h, model, bounds, cost)
+    return h
 
 
-def _highs_lp(model, bounds=None, cost=None):
-    """``model`` as the ``HighsLp`` that ``_engine`` passes to its engine."""
+def _pass_model(engine, model, bounds=None, cost=None):
+    """Replace the engine's LP, and all it derived from it, by ``model``
+    under ``bounds`` and ``cost`` as ``_engine`` takes them."""
     rows = model.rows
     lp_obj = _hcore.HighsLp()
     lp_obj.num_col_ = model.n_cols
@@ -369,21 +374,6 @@ def _highs_lp(model, bounds=None, cost=None):
     lp_obj.a_matrix_.start_ = rows.starts
     lp_obj.a_matrix_.index_ = rows.indices
     lp_obj.a_matrix_.value_ = rows.values
-    return lp_obj
-
-
-def _engine_of(lp_obj):
-    """A fresh quiet HiGHS engine on one thread holding the ``HighsLp``
-    ``lp_obj``."""
-    h = _hcore._Highs()
-    h.setOptionValue("output_flag", False)
-    h.setOptionValue("threads", 1)
-    _pass_model(h, lp_obj)
-    return h
-
-
-def _pass_model(engine, lp_obj):
-    """Replace the engine's model, and all it derived from it, by ``lp_obj``."""
     if engine.passModel(lp_obj) != _hcore.HighsStatus.kOk:
         raise LpError("engine rejected the model")
 
@@ -620,7 +610,7 @@ class HighsSession:
         if self._worker is None:
             if self._frozen:
                 current = self.basis()
-                _pass_model(self._h, _highs_lp(self._model, self._bounds))
+                _pass_model(self._h, self._model, self._bounds)
                 self.set_basis(current)
             self._twin = _engine(self._model)
             self._twin_rows = self._model.n_rows

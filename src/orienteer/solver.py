@@ -135,8 +135,9 @@ HEURISTIC_EVERY = 10  # the LP-guided heuristic runs at the first node and every
 # waiting children per dive whose LPs go to the worker engine: the nodes popped
 # later are mostly the first few siblings of a dive, and the worker's restarts
 # take more iterations than the dive's own solves, so jobs for the deeper ones
-# would queue up ahead of the next pop.  It changes no cpa result (the main
-# engine takes back what the worker has not started), only the baseline's
+# would queue up ahead of the next pop.  It changes no cpa result: a frozen
+# session solves a node's LP to the same bits, and leaves its engine in the
+# same state, whether the LP was submitted or not; only the baseline's
 PREFETCH_PER_DIVE = 8
 Y_SUPPORT = 1e-6  # visit values above this count as chosen by the LP
 POLISH_PASSES = 2  # 2-opt then reinsertion rounds after the construction
