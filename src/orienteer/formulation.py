@@ -114,7 +114,7 @@ def _build(inst, R, depart, consume, cap, floor):
         np.zeros(len(present)), np.ones(len(present)), [float(inst.rewards.get(i, 0)) for i in present]
     )
     fs = model.add_columns(zeros, np.full(n_arcs, math.inf), zeros)
-    slack_index = model.add_column(0.0, float(inst.fleet_size), 0.0)
+    slack_index = model.add_columns([0.0], [float(inst.fleet_size)], [0.0]).start
     arcs = inst.arcs()
     x_index = dict(zip(arcs, xs))
     y_index = dict(zip(present, ys))

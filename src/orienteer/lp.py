@@ -1,14 +1,13 @@
 """Sparse LP container and the HiGHS engine behind it.
 
-A model holds its columns as lists and its rows in one CSR store, a
-``Rows`` block: the arrays HiGHS takes, which no row object stands between.
-Rows arrive as whole blocks (a formulation emits each of its row blocks as
-arrays) or as one-row blocks from ``make_row`` (a cut); ``LpModel.add_rows``
-checks every other block against what ``make_row`` checks per row, and the
-columns of all, and replaces the store by a grown copy, so a block once
-handed out never changes.  Models
-support cheap copies, which share the store, and are solved by the HiGHS
-engine bundled with scipy (>= 1.15), used in one of two ways:
+A model is one array store: its columns read-only float arrays and its rows
+one CSR block, ``Rows``, the arrays HiGHS takes.  Columns and rows arrive as
+blocks: a formulation emits its blocks as arrays, a cut is a one-row block
+from ``make_row``.  ``LpModel.add_rows`` checks every other block against
+what ``make_row`` checks per row, and the columns of all.  Every append
+replaces what it grows by a grown copy, so an array once handed out never
+changes and copies share them.  Models are solved by the HiGHS engine
+bundled with scipy (>= 1.15), used in one of two ways:
 
 * ``solve``        - one-shot solve on a fresh engine: optimal, infeasible or
                      unbounded, or ``LpError`` when HiGHS cannot tell and a
@@ -21,9 +20,11 @@ engine bundled with scipy (>= 1.15), used in one of two ways:
                      the caller goes on with the first
 
 ``_pass_model`` is the one place a model becomes an engine's LP (a fresh
-engine's from ``_engine``, or a frozen session's own), and the store feeds it,
-``HighsSession.add_rows``, the worker, ``LpModel.split_rows`` and
-``export_lp_text`` as it is.  The objective sense is always maximize.
+engine's from ``_engine``, or a frozen session's own), and it takes a model
+and nothing else: an LP under other column bounds is the model's
+``with_bounds`` copy.  The store feeds it, ``HighsSession.add_rows``, the
+worker, ``LpModel.split_rows`` and ``export_lp_text`` as it is.  The
+objective sense is always maximize.
 
 A HiGHS result depends on what its engine solved before, and a session
 keeps the worker's results free of thread timing in one of two ways.
@@ -255,20 +256,23 @@ def _check(block, n_cols, full):
         raise LpError("row is not of the form <=, = or >= a right-hand side")
 
 
+def _read_only(array):
+    """``array``, marked read-only."""
+    array.flags.writeable = False
+    return array
+
+
 class LpModel:
-    """Maximization LP with bounded columns and sparse rows, the rows in one
-    CSR block (``rows``) that each append replaces by a grown copy."""
+    """Maximization LP with bounded columns and sparse rows.  The columns are
+    read-only float arrays (``lower``, ``upper``, ``objective``) and the rows
+    one CSR block (``rows``); each append replaces what it grows by a grown
+    copy, so copies share all four."""
 
     def __init__(self):
-        self.lower = []
-        self.upper = []
-        self.objective = []
+        self.lower = self.upper = self.objective = _read_only(np.zeros(0))
         self.rows = NO_ROWS
 
     # -- construction --------------------------------------------------
-
-    def add_column(self, lower=0.0, upper=math.inf, objective=0.0):
-        return self.add_columns([lower], [upper], [objective]).start
 
     def add_columns(self, lower, upper, objective):
         """Append one column per entry of the equal-length arrays; returns
@@ -281,16 +285,10 @@ class LpModel:
             k = int(np.argmax(lower > upper))
             raise LpError(f"lower bound {lower[k]} above upper bound {upper[k]}")
         first = self.n_cols
-        self.lower.extend(lower.tolist())
-        self.upper.extend(upper.tolist())
-        self.objective.extend(objective.tolist())
+        self.lower = _read_only(np.concatenate((self.lower, lower)))
+        self.upper = _read_only(np.concatenate((self.upper, upper)))
+        self.objective = _read_only(np.concatenate((self.objective, objective)))
         return range(first, self.n_cols)
-
-    def add_row(self, coeffs, relation=None, rhs=None):
-        """Append one row, given as a one-row block or as (column, value)
-        pairs with its relation and right-hand side; returns its id."""
-        self.add_rows(coeffs if isinstance(coeffs, Rows) else make_row(coeffs, relation, rhs))
-        return self.n_rows - 1
 
     def add_rows(self, rows):
         """Append a block, or a list of blocks, after ``make_row``'s checks,
@@ -306,10 +304,15 @@ class LpModel:
 
     def copy(self):
         out = LpModel.__new__(LpModel)
-        out.lower = list(self.lower)
-        out.upper = list(self.upper)
-        out.objective = list(self.objective)
-        out.rows = self.rows
+        out.lower, out.upper, out.objective, out.rows = self.lower, self.upper, self.objective, self.rows
+        return out
+
+    def with_bounds(self, bounds):
+        """A copy whose column bounds are the columns of the (n, 2) array
+        ``bounds``, unchecked: the LP a session holds under those bounds."""
+        out = self.copy()
+        out.lower = _read_only(bounds[:, 0].copy())
+        out.upper = _read_only(bounds[:, 1].copy())
         return out
 
     @property
@@ -342,32 +345,27 @@ class LpSolution:
     basis: tuple | None = field(default=None, repr=False, compare=False)
 
 
-def _engine(model, bounds=None, cost=None):
+def _engine(model, cost=None):
     """A fresh HiGHS engine holding ``model`` (rows in model order, as CSR),
-    quiet and on one thread.  ``bounds`` is an optional (n, 2) array of column
-    bounds in place of the model's own; ``cost`` replaces the engine's
-    objective, which is minimized (the model's negated by default)."""
+    quiet and on one thread.  ``cost`` replaces the engine's objective,
+    which is minimized (the model's negated by default)."""
     h = _hcore._Highs()
     h.setOptionValue("output_flag", False)
     h.setOptionValue("threads", 1)
-    _pass_model(h, model, bounds, cost)
+    _pass_model(h, model, cost)
     return h
 
 
-def _pass_model(engine, model, bounds=None, cost=None):
+def _pass_model(engine, model, cost=None):
     """Replace the engine's LP, and all it derived from it, by ``model``
-    under ``bounds`` and ``cost`` as ``_engine`` takes them."""
+    under ``cost`` as ``_engine`` takes it."""
     rows = model.rows
     lp_obj = _hcore.HighsLp()
     lp_obj.num_col_ = model.n_cols
     lp_obj.num_row_ = model.n_rows
-    lp_obj.col_cost_ = -np.asarray(model.objective) if cost is None else cost
-    if bounds is None:
-        lp_obj.col_lower_ = np.asarray(model.lower)
-        lp_obj.col_upper_ = np.asarray(model.upper)
-    else:
-        lp_obj.col_lower_ = np.ascontiguousarray(bounds[:, 0])
-        lp_obj.col_upper_ = np.ascontiguousarray(bounds[:, 1])
+    lp_obj.col_cost_ = -model.objective if cost is None else cost
+    lp_obj.col_lower_ = model.lower
+    lp_obj.col_upper_ = model.upper
     lp_obj.row_lower_ = rows.lower
     lp_obj.row_upper_ = rows.upper
     lp_obj.a_matrix_.format_ = _hcore.MatrixFormat.kRowwise
@@ -431,20 +429,17 @@ def _verdict(status, objective, optimum):
     return None
 
 
-def solve(model, bounds_override=None):
+def solve(model):
     """Solve to proven optimality (or infeasible/unbounded status) on fresh
     engines; raises ``LpError`` when HiGHS cannot classify an LP that has a
     feasible point.  An optimal solution carries the engine's final basis,
     which ``HighsSession.set_basis`` takes for a session on the same model.
-
-    ``bounds_override`` is an optional (n, 2) array of column bounds used in
-    place of the model's own; a session's fallback relies on it to solve a
-    search node's LP without copying the model.
+    Other column bounds come from ``LpModel.with_bounds``.
     """
     status_of = _hcore.HighsModelStatus
 
     def attempt(cost=None, presolve=True):
-        h = _engine(model, bounds_override, cost)
+        h = _engine(model, cost)
         if not presolve:
             h.setOptionValue("presolve", "off")
         h.run()
@@ -546,7 +541,8 @@ class HighsSession:
 
     def __init__(self, model):
         self._model = model
-        self._bounds = None  # the last override: the engine keeps column bounds
+        # the column bounds the engine holds: the last override, else the model's
+        self._bounds = np.column_stack((model.lower, model.upper))
         self.fallbacks = 0
         self.prefetched = 0
         self.stolen = 0
@@ -585,10 +581,9 @@ class HighsSession:
     def solve(self, bounds_override=None):
         """LpSolution with status optimal, infeasible or unbounded; column
         bounds from ``bounds_override`` stay in force for later calls."""
-        if bounds_override is not None:
-            self._bounds = bounds_override
         try:
             if bounds_override is not None:
+                self._bounds = bounds_override
                 _set_bounds(self._h, self._all_cols, bounds_override)
             self._h.run()
             status = self._h.getModelStatus()
@@ -598,7 +593,7 @@ class HighsSession:
         if sol is not None:
             return sol
         self.fallbacks += 1
-        return solve(self._model, self._bounds)
+        return solve(self._model.with_bounds(self._bounds))
 
     def submit(self, saved, bounds):
         """``Job`` for the LP of the model as it is now, under the column
@@ -610,7 +605,7 @@ class HighsSession:
         if self._worker is None:
             if self._frozen:
                 current = self.basis()
-                _pass_model(self._h, self._model, self._bounds)
+                _pass_model(self._h, self._model.with_bounds(self._bounds))
                 self.set_basis(current)
             self._twin = _engine(self._model)
             self._twin_rows = self._model.n_rows
@@ -698,7 +693,7 @@ def export_lp_text(model, name="model"):
     out = [f"\\ {name}", "Maximize", " obj:"]
     terms = [
         f" {'+' if v >= 0 else '-'} {abs(v):.17g} x{j}"
-        for j, v in enumerate(model.objective)
+        for j, v in enumerate(model.objective.tolist())
         if v != 0.0
     ]
     out[-1] += "".join(terms) if terms else " 0 x0"
@@ -713,7 +708,7 @@ def export_lp_text(model, name="model"):
         rel, rhs = (LE, up) if lo == -math.inf else (GE, lo) if up == math.inf else (EQ, lo)
         out.append(f" r{i}:{body} {rel} {rhs:.17g}")
     out.append("Bounds")
-    for j, (lo, up) in enumerate(zip(model.lower, model.upper)):
+    for j, (lo, up) in enumerate(zip(model.lower.tolist(), model.upper.tolist())):
         lo_s = "-inf" if math.isinf(lo) else f"{lo:.17g}"
         up_s = "+inf" if math.isinf(up) else f"{up:.17g}"
         out.append(f" {lo_s} <= x{j} <= {up_s}")

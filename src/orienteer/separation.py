@@ -544,10 +544,6 @@ def _cosine(va, norm_a, vb, norm_b):
     return dot / (norm_a * norm_b)
 
 
-def inner_product(cut_a, cut_b):
-    return _cosine(_as_vector(cut_a), cut_a.norm(), _as_vector(cut_b), cut_b.norm())
-
-
 def filter_cuts(candidates, params, xv, yv):
     """Most-violated cut by hyperplane distance, plus candidates nearly
     orthogonal to it; applied per family, never across families."""

@@ -25,19 +25,15 @@ BLAND_AFTER = 400  # consecutive non-improving pivots
 
 
 class _Tableau:
-    def __init__(self, model, bounds_override=None):
+    def __init__(self, model):
         n, m = model.n_cols, model.n_rows
         self.n, self.m = n, m
         self.A = np.zeros((m, n + m))
         self.b = np.empty(m)
         lower = np.empty(n + m)
         upper = np.empty(n + m)
-        if bounds_override is not None:
-            lower[:n] = [lo for lo, _ in bounds_override]
-            upper[:n] = [up for _, up in bounds_override]
-        else:
-            lower[:n] = model.lower
-            upper[:n] = model.upper
+        lower[:n] = model.lower
+        upper[:n] = model.upper
         rows = model.rows
         self.A[np.repeat(np.arange(m), np.diff(rows.starts)), rows.indices] = rows.values
         self.A[np.arange(m), n + np.arange(m)] = 1.0
@@ -227,9 +223,9 @@ def _primal_simplex(t, tol=OPTIMALITY_TOL):
     raise LpError("primal simplex iteration limit hit")
 
 
-def solve_dense(model, bounds_override=None):
+def solve_dense(model):
     """Two-phase bounded simplex from the all-slack basis."""
-    t = _Tableau(model, bounds_override)
+    t = _Tableau(model)
     verdict = _dual_simplex(t, np.zeros_like(t.c))  # pure feasibility phase
     if verdict == "infeasible":
         return LpSolution("infeasible", -math.inf, None)

@@ -552,7 +552,7 @@ def branch_and_bound(handle, session, config, deadline, separate=None):
     whose LP fallbacks and prefetch and steal counts are all the session's.
     """
     stats = _search_stats()
-    base_bounds = np.array([handle.model.lower, handle.model.upper], dtype=float).T
+    base_bounds = np.column_stack((handle.model.lower, handle.model.upper))
     if separate is None:
         session.freeze()  # no row comes after the root's: jobs may be taken back
 

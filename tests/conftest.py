@@ -2,6 +2,7 @@
 and discovery of the public benchmark files (optional, large tests skip
 without them)."""
 
+import math
 import os
 import random
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from orienteer.instance import StopInstance
+from orienteer.lp import Rows, make_row
 from orienteer.separation import CONFLICT, CONNECTIVITY, COVER, Cut
 
 # vertex ids of the 6-vertex sparse example used throughout
@@ -146,13 +148,28 @@ def point_of_routes(inst, routes):
     return xv, yv
 
 
+def add_column(model, lower=0.0, upper=math.inf, objective=0.0):
+    """Append one column to the LpModel ``model``; returns its id."""
+    return model.add_columns([lower], [upper], [objective]).start
+
+
+def add_row(model, coeffs, relation=None, rhs=None):
+    """Append one row to the LpModel ``model``, given as a one-row block or
+    as (column, value) pairs with its relation and right-hand side; returns
+    its id."""
+    model.add_rows(coeffs if isinstance(coeffs, Rows) else make_row(coeffs, relation, rhs))
+    return model.n_rows - 1
+
+
 def with_objective(model, coeffs):
     """A copy of the LpModel ``model`` maximizing sum(v x_j) over the
     (j, v) pairs ``coeffs``; every other column costs nothing."""
-    out = model.copy()
-    out.objective = [0.0] * out.n_cols
+    cost = np.zeros(model.n_cols)
     for j, v in coeffs:
-        out.objective[j] = float(v)
+        cost[j] = float(v)
+    cost.flags.writeable = False
+    out = model.copy()
+    out.objective = cost
     return out
 
 

@@ -210,10 +210,10 @@ def test_map_solution_zero_arc_forces_zero_flow(figure_instance):
 def test_depart_flow_value(figure_instance):
     # an origin arc set to one must carry exactly the limit minus its length
     hf = build_flow_formulation(figure_instance)
-    model = hf.model.copy()
+    bounds = np.column_stack((hf.model.lower, hf.model.upper))
     x_sl = hf.x_index[(S, L)]
-    model.lower[x_sl] = 1.0
-    sol = lp.solve(model)
+    bounds[x_sl, 0] = 1.0
+    sol = lp.solve(hf.model.with_bounds(bounds))
     assert sol.status == "optimal"
     f_sl = sol.x[hf.flow_index[(S, L)]]
     want = figure_instance.time_limit - figure_instance.travel_time[S, L]

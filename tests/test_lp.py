@@ -15,7 +15,7 @@ from orienteer import lp, simplex
 from orienteer.instance import parse_instance, preprocess
 from orienteer.solver import cutting_plane_phase
 
-from conftest import BRANCHING, row_violations
+from conftest import BRANCHING, add_column, add_row, row_violations
 
 # lp.solve is the solver's engine; the bundled dense simplex is an
 # independent reference it is checked against
@@ -24,8 +24,8 @@ SOLVERS = pytest.mark.parametrize("solve", (lp.solve, simplex.solve_dense), ids=
 
 def _single_bound_model():
     m = lp.LpModel()
-    x = m.add_column(0.0, 10.0, 1.0)
-    m.add_row([(x, 1.0)], "<=", 3.0)
+    x = add_column(m, 0.0, 10.0, 1.0)
+    add_row(m, [(x, 1.0)], "<=", 3.0)
     return m
 
 
@@ -39,16 +39,16 @@ def test_single_constraint(solve):
 @SOLVERS
 def test_contradictory_rows(solve):
     m = lp.LpModel()
-    x = m.add_column(0.0, 10.0, 1.0)
-    m.add_row([(x, 1.0)], ">=", 5.0)
-    m.add_row([(x, 1.0)], "<=", 3.0)
+    x = add_column(m, 0.0, 10.0, 1.0)
+    add_row(m, [(x, 1.0)], ">=", 5.0)
+    add_row(m, [(x, 1.0)], "<=", 3.0)
     assert solve(m).status == "infeasible"
 
 
 @SOLVERS
 def test_unbounded(solve):
     m = lp.LpModel()
-    m.add_column(0.0, math.inf, 1.0)
+    add_column(m, 0.0, math.inf, 1.0)
     assert solve(m).status == "unbounded"
 
 
@@ -56,7 +56,7 @@ def test_append_rows_is_pure():
     # rows appended to a copy leave the original as it was
     m = _single_bound_model()
     bigger = m.copy()
-    bigger.add_row([(0, 1.0)], "<=", 1.0)
+    add_row(bigger, [(0, 1.0)], "<=", 1.0)
     assert m.n_rows == 1 and bigger.n_rows == 2
     assert lp.solve(m).objective == pytest.approx(3.0)
     assert lp.solve(bigger).objective == pytest.approx(1.0)
@@ -72,14 +72,14 @@ def test_append_zero_rows_identity():
 def test_model_validation():
     m = lp.LpModel()
     with pytest.raises(lp.LpError):
-        m.add_column(2.0, 1.0)
-    x = m.add_column(0.0, 1.0)
+        add_column(m, 2.0, 1.0)
+    x = add_column(m, 0.0, 1.0)
     with pytest.raises(lp.LpError):
-        m.add_row([(x + 5, 1.0)], "<=", 1.0)
+        add_row(m, [(x + 5, 1.0)], "<=", 1.0)
     with pytest.raises(lp.LpError):
-        m.add_row([(x, math.nan)], "<=", 1.0)
+        add_row(m, [(x, math.nan)], "<=", 1.0)
     with pytest.raises(lp.LpError):
-        m.add_row([(x, 1.0)], "<~", 1.0)
+        add_row(m, [(x, 1.0)], "<~", 1.0)
 
 
 def _one_row(idx, vals, lower, upper):
@@ -134,9 +134,9 @@ def test_make_row_checks_each_row():
         with pytest.raises(lp.LpError, match="rhs"):
             lp.make_row([(0, 1.0)], ">=", rhs)
     model = lp.LpModel()
-    model.add_column()
+    add_column(model)
     with pytest.raises(lp.LpError, match="unknown column"):
-        model.add_row([(1, 1.0)], "=", 0.0)
+        add_row(model, [(1, 1.0)], "=", 0.0)
 
 
 def test_row_store_keeps_rows_that_restart_their_columns():
@@ -144,12 +144,42 @@ def test_row_store_keeps_rows_that_restart_their_columns():
     model = lp.LpModel()
     model.add_columns([0.0] * 3, [1.0] * 3, [1.0] * 3)
     model.add_rows([lp.make_row([(1, 1.0), (2, 1.0)], "<=", 1.0), lp.make_row([(0, 1.0), (1, 1.0)], "<=", 1.0)])
-    model.add_row([(2, 1.0)], ">=", 0.5)
+    add_row(model, [(2, 1.0)], ">=", 0.5)
     assert model.n_rows == 3
     assert lp.solve(model).objective == pytest.approx(2.0)
     rest, picked = model.split_rows([1])
     assert (rest.n_rows, len(picked)) == (2, 1)
     assert picked.indices.tolist() == [0, 1] and rest.rows.indices.tolist() == [1, 2, 2]
+
+
+def test_appends_leave_earlier_copies_and_splits_unchanged():
+    # an append replaces each array it grows by a grown copy, so a copy or a
+    # split taken before sees none of it
+    model = lp.LpModel()
+    model.add_columns([0.0, -1.0], [1.0, 2.0], [1.0, 3.0])
+    model.add_rows([lp.make_row([(0, 1.0), (1, 1.0)], "<=", 1.5), lp.make_row([(1, 1.0)], ">=", -0.5)])
+    copy = model.copy()
+    rest, picked = model.split_rows([0])
+
+    def state():
+        models = [(m.lower, m.upper, m.objective, m.rows.indices, m.rows.upper) for m in (copy, rest)]
+        return [a.tolist() for arrays in models for a in arrays] + [picked.indices.tolist()]
+
+    before = state()
+    model.add_columns([0.0], [4.0], [2.0])
+    model.add_rows(lp.make_row([(0, 1.0), (2, 1.0)], "<=", 3.0))
+    assert (model.n_cols, model.n_rows) == (3, 3)
+    assert state() == before
+    assert lp.solve(copy).objective == pytest.approx(4.5)  # x = (0, 1.5)
+
+
+def test_columns_are_read_only():
+    model = _single_bound_model()
+    for m in (model, model.copy(), model.with_bounds(np.array([[0.0, 2.0]]))):
+        for column in (m.lower, m.upper, m.objective):
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+    assert (model.lower.tolist(), model.upper.tolist(), model.objective.tolist()) == ([0.0], [10.0], [1.0])
 
 
 def _random_model(seed, n_max=7, m_max=8):
@@ -167,10 +197,10 @@ def _random_model(seed, n_max=7, m_max=8):
         else:
             lo = rng.uniform(-5, 2)
             up = lo + rng.uniform(0, 6)
-        model.add_column(lo, up, rng.uniform(-3, 3))
+        add_column(model, lo, up, rng.uniform(-3, 3))
     for _ in range(rng.randint(0, m_max)):
         coeffs = [(j, rng.uniform(-4, 4)) for j in range(n) if rng.random() < 0.7]
-        model.add_row(coeffs or [(rng.randrange(n), 1.0)], rng.choice(["<=", ">=", "="]), rng.uniform(-6, 6))
+        add_row(model, coeffs or [(rng.randrange(n), 1.0)], rng.choice(["<=", ">=", "="]), rng.uniform(-6, 6))
     return model
 
 
@@ -197,7 +227,7 @@ def test_appending_rows_never_raises_objective(seed):
     grown = model.copy()
     for _ in range(rng.randint(1, 3)):
         coeffs = [(j, rng.uniform(-2, 3)) for j in range(model.n_cols) if rng.random() < 0.8]
-        grown.add_row(coeffs or [(0, 1.0)], "<=", rng.uniform(-0.5, 6))
+        add_row(grown, coeffs or [(0, 1.0)], "<=", rng.uniform(-0.5, 6))
     after = lp.solve(grown)
     if after.status == "optimal":
         assert after.objective <= base.objective + 1e-9
@@ -207,9 +237,9 @@ def _bounded_model(rng, n_max=7, m_max=8):
     model = lp.LpModel()
     for _ in range(rng.randint(1, n_max)):
         lo = rng.uniform(-5, 2)
-        model.add_column(lo, lo + rng.uniform(0, 6), rng.uniform(-3, 3))
+        add_column(model, lo, lo + rng.uniform(0, 6), rng.uniform(-3, 3))
     for _ in range(rng.randint(0, m_max)):
-        model.add_row(_random_inequality(rng, model.n_cols))
+        add_row(model, _random_inequality(rng, model.n_cols))
     return model
 
 
@@ -233,7 +263,7 @@ def test_session_agrees_with_stateless_solve(seed):
             bounds[j, 0] = rng.uniform(lo, up)
             bounds[j, 1] = rng.uniform(bounds[j, 0], up)
         got = session.solve(bounds)
-        want = lp.solve(model, bounds)
+        want = lp.solve(model.with_bounds(bounds))
         assert got.status == want.status
         if want.status == "optimal":
             assert got.objective == pytest.approx(want.objective, abs=1e-6, rel=1e-6)
@@ -253,6 +283,22 @@ def _random_box(rng, model):
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10**9))
+def test_model_with_bounds_solves_as_a_session_under_them(seed):
+    # the one way a fresh engine gets other column bounds: a model copy
+    rng = random.Random(seed)
+    model = _bounded_model(rng)
+    own = np.column_stack((model.lower, model.upper))
+    bounds = _random_box(rng, model)
+    want = lp.HighsSession(model).solve(bounds)
+    got = lp.solve(model.with_bounds(bounds))
+    assert got.status == want.status
+    if want.status == "optimal":
+        assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
+    assert np.array_equal(np.column_stack((model.lower, model.upper)), own)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10**9))
 def test_session_restarts_from_a_saved_basis(seed):
     # a basis saved before rows were appended and other bounds were solved
     # still restarts the engine to the right optimum
@@ -268,7 +314,7 @@ def test_session_restarts_from_a_saved_basis(seed):
         bounds = _random_box(rng, model)
         session.set_basis(basis)
         got = session.solve(bounds)
-        want = lp.solve(model, bounds)
+        want = lp.solve(model.with_bounds(bounds))
         assert got.status == want.status
         if want.status == "optimal":
             assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
@@ -292,7 +338,7 @@ def test_worker_results_agree_with_stateless_solve(seed):
                 session.add_rows([_random_inequality(rng, model.n_cols)])
         for job, bounds in jobs:
             got = session.collect(job, bounds)
-            want = lp.solve(model, bounds)
+            want = lp.solve(model.with_bounds(bounds))
             assert got.status == want.status
             if want.status == "optimal":
                 assert got.objective == pytest.approx(want.objective, rel=1e-9, abs=1e-9)
@@ -417,7 +463,7 @@ def test_rejected_basis_raises():
     session = lp.HighsSession(_single_bound_model())
     session.solve()
     wider = _single_bound_model()
-    wider.add_column(0.0, 1.0, 1.0)
+    add_column(wider, 0.0, 1.0, 1.0)
     other = lp.HighsSession(wider)
     other.solve()
     with pytest.raises(lp.LpError, match="rejected the basis"):
@@ -506,7 +552,7 @@ def test_export_lp_text_round():
 
 def test_bounds_override():
     model = _single_bound_model()
-    sol = lp.solve(model, bounds_override=np.array([[0.0, 2.0]]))
+    sol = lp.solve(model.with_bounds(np.array([[0.0, 2.0]])))
     assert sol.objective == pytest.approx(2.0)
 
 
@@ -532,14 +578,14 @@ def test_unclassified_infeasible_lp_is_infeasible(monkeypatch):
     # the zero-cost probe still proves that no point exists
     build = lp._engine
 
-    def engine(model, bounds=None, cost=None):
-        h = build(model, bounds, cost)
+    def engine(model, cost=None):
+        h = build(model, cost)
         return h if cost is not None else UnknownStatus(h)
 
     monkeypatch.setattr(lp, "_engine", engine)
     m = lp.LpModel()
-    x = m.add_column(0.0, 1.0, 1.0)
-    m.add_row([(x, 1.0)], ">=", 2.0)
+    x = add_column(m, 0.0, 1.0, 1.0)
+    add_row(m, [(x, 1.0)], ">=", 2.0)
     assert lp.solve(m).status == "infeasible"
     with pytest.raises(lp.LpError, match="model status Unknown"):
         lp.solve(_single_bound_model())  # feasible: the probe cannot settle it
@@ -561,7 +607,7 @@ def test_reduced_costs_bound_every_column_move():
                     continue
                 moved = box.copy()
                 moved[j] = box[j, end] + step
-                forced = lp.solve(model, bounds_override=moved)
+                forced = lp.solve(model.with_bounds(moved))
                 if forced.status == "optimal":
                     assert forced.objective <= sol.objective + step * sol.dual[j] + 1e-6
                     checked += sol.dual[j] != 0.0

@@ -27,7 +27,6 @@ from orienteer.separation import (
     build_conflict_set,
     filter_cuts,
     floor_bound,
-    inner_product,
     knapsack_max,
     reward_step,
     separate_clique,
@@ -46,6 +45,7 @@ from conftest import (
     L,
     S,
     T,
+    add_row,
     make_figure_instance,
     make_random_instance,
     make_reward_universe,
@@ -238,10 +238,12 @@ def test_conflict_cut_closes_the_halves_point(figure_instance):
     start, count = handle.row_blocks["floor"]
     model, _ = handle.model.split_rows(range(start, start + count))
     xv, yv = HALVES_POINT
+    pins = np.column_stack((model.lower, model.upper))
     for a, col in handle.x_index.items():
-        model.lower[col] = model.upper[col] = xv[a]
+        pins[col] = xv[a]
     for v, col in handle.y_index.items():
-        model.lower[col] = model.upper[col] = yv[v]
+        pins[col] = yv[v]
+    model = model.with_bounds(pins)
     assert lp.solve(model).status == "optimal"
 
     cut = Cut(
@@ -252,7 +254,7 @@ def test_conflict_cut_closes_the_halves_point(figure_instance):
         rhs=0.0,
     )
     pinned = model.copy()
-    pinned.add_row(cut.to_row(handle))
+    add_row(pinned, cut.to_row(handle))
     assert lp.solve(pinned).status == "infeasible"
 
 
@@ -523,6 +525,13 @@ def test_filter_drops_duplicates():
     cut = _toy_cut([(0, 1)], y=((1, -1.0),))
     twin = _toy_cut([(0, 1)], y=((1, -1.0),))
     assert filter_cuts([cut, twin], FilterParams(0.05, 0.03), xv, yv) == [cut]
+
+
+def inner_product(cut_a, cut_b):
+    """Cosine of two cuts' coefficient vectors, as ``filter_cuts`` scores it."""
+    return separation._cosine(
+        separation._as_vector(cut_a), cut_a.norm(), separation._as_vector(cut_b), cut_b.norm()
+    )
 
 
 def test_filter_keeps_orthogonal_supports():

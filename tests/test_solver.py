@@ -641,9 +641,9 @@ def test_baseline_search_starts_from_the_root_basis(monkeypatch):
     session_solve = lp.HighsSession.solve
     set_basis = lp.HighsSession.set_basis
 
-    def counted_lp_solve(model, bounds_override=None):
+    def counted_lp_solve(model):
         stateless.append(model)
-        return lp_solve(model, bounds_override)
+        return lp_solve(model)
 
     def counted_solve(self, bounds_override=None):
         sol = session_solve(self, bounds_override)
