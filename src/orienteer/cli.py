@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import bench as bench_mod
@@ -117,11 +118,16 @@ def _cmd_generate(args):
 
 
 def _collect_paths(args):
+    """The instance paths, each ``.manifest`` or ``.list`` file replaced by
+    its entries: one per line, relative to the list file's directory, lines
+    that are blank or start with ``#`` after indentation skipped."""
     paths = []
     for entry in args.instances:
         if entry.endswith(".manifest") or entry.endswith(".list"):
             with open(entry) as fh:
-                paths.extend(ln.strip() for ln in fh if ln.strip() and not ln.startswith("#"))
+                lines = [ln.strip() for ln in fh]
+            here = os.path.dirname(entry)
+            paths.extend(os.path.join(here, ln) for ln in lines if ln and not ln.startswith("#"))
         else:
             paths.append(entry)
     return paths

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 
 import pytest
 
@@ -333,6 +334,19 @@ def test_cli_bench_manifest_and_empty(tmp_path, capsys):
     assert main(["bench", str(manifest), "--mode", "lp"]) == 0
     out = capsys.readouterr().out
     assert "instance" in out  # header only
+
+
+def test_cli_bench_manifest_entries_are_relative_to_it(tmp_path, monkeypatch, capsys):
+    # an entry stored beside its manifest is found from another directory,
+    # and an indented comment is no entry
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "s00_n21_m2_t15_f0_free.txt").write_text(FIVE)
+    (sub / "all.manifest").write_text("s00_n21_m2_t15_f0_free.txt\n  # indented comment\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["bench", os.path.join("sub", "all.manifest"), "--mode", "lp"]) == 0
+    rows = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("s00_")]
+    assert len(rows) == 1 and "error" not in rows[0]
 
 
 def test_cli_bench_parallel_matches_serial(five_path, tmp_path):
