@@ -144,18 +144,6 @@ class Rows:
             self.upper[first:last],
         )
 
-    def take(self, keep):
-        """The rows whose entry in the boolean array ``keep`` is set."""
-        lengths = np.diff(self.starts)
-        entries = np.repeat(keep, lengths)
-        return Rows(
-            _starts(lengths[keep]),
-            self.indices[entries],
-            self.values[entries],
-            self.lower[keep],
-            self.upper[keep],
-        )
-
 
 def _starts(lengths):
     starts = np.zeros(len(lengths) + 1, dtype=np.int32)
@@ -323,14 +311,13 @@ class LpModel:
     def n_rows(self):
         return len(self.rows)
 
-    def split_rows(self, picked):
-        """(copy of the model without the rows numbered in ``picked``, those
-        rows in model order)."""
-        mask = np.zeros(self.n_rows, dtype=bool)
-        mask[list(picked)] = True
+    def split_rows(self, first, count):
+        """(copy of the model without rows ``first`` up to ``first + count``,
+        those rows as a block of their own)."""
         rest = self.copy()
-        rest.rows = self.rows.take(~mask)
-        return rest, self.rows.take(mask)
+        last = first + count
+        rest.rows = stack_rows([self.rows.slice(0, first), self.rows.slice(last, self.n_rows)])
+        return rest, self.rows.slice(first, last)
 
 
 @dataclass

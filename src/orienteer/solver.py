@@ -25,7 +25,8 @@ The other pipelines report a relaxation's bound only, as status ``bound``:
 ``lp`` the flow formulation's plain LP; ``root`` the main pipeline's root
 loop under the configured families, its bound against the plain LP's in
 ``lp_bound``; ``impact-flow`` and ``impact-arrival`` a formulation's LP with
-its per-arc value lower bounds, against the same without them.
+its per-arc value lower bounds, against the same without them.  ``lp`` and
+the two impact modes are one pipeline body (``_relaxation``).
 
 Both searches prune on the reward grid: every objective value is a multiple
 of g = gcd(rewards), so a node is dropped once its bound, rounded down to a
@@ -135,9 +136,14 @@ HEURISTIC_EVERY = 10  # the LP-guided heuristic runs at the first node and every
 # waiting children per dive whose LPs go to the worker engine: the nodes popped
 # later are mostly the first few siblings of a dive, and the worker's restarts
 # take more iterations than the dive's own solves, so jobs for the deeper ones
-# would queue up ahead of the next pop.  It changes no cpa result: a frozen
-# session solves a node's LP to the same bits, and leaves its engine in the
-# same state, whether the LP was submitted or not; only the baseline's
+# would queue up ahead of the next pop.  A cap of 1 or more changes no cpa
+# result: a frozen session solves a node's LP to the same bits, and leaves its
+# engine in the same state, whether the LP was submitted or not.  On the seed
+# 1-3 cpa-solve corpora at the 400-node cap, caps 1, 2, 8 and 1000 give the
+# same cpa reports (504/983/1,330 nodes).  At 0 nothing is submitted, so the
+# frozen session's engine is never rebuilt from its row store, and the cpa
+# trees differ (501/919/1,251 nodes).  The baseline's trees depend on the cap
+# (seed 1: 879/874/874 nodes at caps 2/8/1000).
 PREFETCH_PER_DIVE = 8
 Y_SUPPORT = 1e-6  # visit values above this count as chosen by the LP
 POLISH_PASSES = 2  # 2-opt then reinsertion rounds after the construction
@@ -244,11 +250,11 @@ def _checked(sol):
     return sol
 
 
-def _cut_rounds(session, sol, separate, tol, bounds=None, deadline=None):
+def _cut_rounds(session, sol, separate, tol, deadline=None):
     """Rounds from the optimum ``sol`` of the LP in ``session``: check
     ``deadline``, append the rows ``separate(sol)`` returns in one call and
-    re-solve under ``bounds`` (None: those in force), until ``separate``
-    returns nothing, the LP is infeasible or a round gains at most ``tol``.
+    re-solve under the bounds in force, until ``separate`` returns nothing,
+    the LP is infeasible or a round gains at most ``tol``.
     Returns (status, last solution, least objective seen, rounds); status is
     bound, infeasible or time-limit."""
     best = sol.objective
@@ -259,7 +265,7 @@ def _cut_rounds(session, sol, separate, tol, bounds=None, deadline=None):
             return "bound", sol, best, rounds
         rounds += 1
         session.add_rows(rows)
-        sol = _checked(session.solve(bounds))
+        sol = _checked(session.solve())
         if sol.status == "infeasible":
             return "infeasible", sol, best, rounds
         gain = best - sol.objective
@@ -596,7 +602,7 @@ def branch_and_bound(handle, session, config, deadline, separate=None):
                 sol = session.solve(bounds)
             sol = _checked(sol)
             if sol.status == "optimal" and separate is not None:
-                sol = _cut_rounds(session, sol, separate, NODE_TOL, bounds)[1]
+                sol = _cut_rounds(session, sol, separate, NODE_TOL)[1]
             if sol.status == "infeasible":
                 continue
             if stats["nodes"] == 1 or stats["nodes"] % HEURISTIC_EVERY == 0:
@@ -787,28 +793,6 @@ def solve_baseline(inst, config=SolveConfig(), on_model=None):
     return _search_report(inst, search, timings, added, lp_bound)
 
 
-def solve_lp_only(inst, config=SolveConfig(), on_model=None):
-    """Bound from the plain relaxation (flow kind, hard flow lower bounds)."""
-    t0 = time.monotonic()
-    pre, blocker = _screen(inst)
-    if blocker is not None:
-        return _unroutable_report(blocker, t0)
-    handle = build_flow_formulation(pre)
-    if on_model is not None:
-        on_model(handle.model)
-    sol = _checked(lp.solve(handle.model))
-    t_total = time.monotonic() - t0
-    if sol.status == "infeasible":
-        return _infeasible_report({"total": t_total}, "linear relaxation infeasible")
-    return SolveReport(
-        status="bound",
-        lower_bound=-math.inf,
-        upper_bound=sol.objective,
-        timings={"total": t_total},
-        lp_bound=sol.objective,
-    )
-
-
 def solve_root(inst, config=SolveConfig(), on_model=None):
     """The cutting-plane pipeline's root alone, under ``config``'s families:
     ``solve_stop`` with no search node, reported as ``bound`` with the root
@@ -818,13 +802,15 @@ def solve_root(inst, config=SolveConfig(), on_model=None):
     return rep if rep.status == "infeasible" else replace(rep, status="bound")
 
 
-def _floor_impact(kind):
-    """Pipeline for how much the per-arc value lower bounds (the ``floor``
-    rows) tighten the relaxation of formulation ``kind``: its upper and root
-    bound are the LP bound with those rows, its ``lp_bound`` the bound
-    without them."""
+def _relaxation(kind, drop=None):
+    """Pipeline for the LP bound of formulation ``kind``, reported as its
+    upper bound.  With no ``drop`` that is also its ``lp_bound``; with the
+    name of a row block (``floor``: the per-arc value lower bounds) the
+    bound is the ``root_bound`` too, and ``lp_bound`` the bound without
+    that block (None when that LP is infeasible), so that the pair shows
+    how much the block tightens the relaxation."""
 
-    def solve_impact(inst, config=SolveConfig(), on_model=None):
+    def solve_relaxation(inst, config=SolveConfig(), on_model=None):
         t0 = time.monotonic()
         pre, blocker = _screen(inst)
         if blocker is not None:
@@ -833,19 +819,22 @@ def _floor_impact(kind):
         handle = build(pre)
         if on_model is not None:
             on_model(handle.model)
-        start, count = handle.row_blocks["floor"]
-        bare, _ = handle.model.split_rows(range(start, start + count))
+        bare = handle.model if drop is None else handle.model.split_rows(*handle.row_blocks[drop])[0]
         without = _checked(lp.solve(bare))
-        full = _checked(lp.solve(handle.model))
+        full = without if drop is None else _checked(lp.solve(handle.model))
         timings = {"total": time.monotonic() - t0}
         lp_bound = without.objective if without.status == "optimal" else None
         if full.status == "infeasible":
             return _infeasible_report(timings, "linear relaxation infeasible", lp_bound=lp_bound)
         bound = full.objective
-        return SolveReport("bound", -math.inf, bound, timings, lp_bound=lp_bound, root_bound=bound)
+        root_bound = None if drop is None else bound
+        return SolveReport("bound", -math.inf, bound, timings, lp_bound=lp_bound, root_bound=root_bound)
 
-    return solve_impact
+    return solve_relaxation
 
+
+# the plain relaxation: the flow kind with its hard flow lower bounds
+solve_lp_only = _relaxation("flow")
 
 # the pipelines ``solve --mode`` and ``bench --mode`` run by name
 PIPELINES = {
@@ -853,6 +842,6 @@ PIPELINES = {
     "cpa": solve_stop,
     "baseline": solve_baseline,
     "root": solve_root,
-    "impact-flow": _floor_impact("flow"),
-    "impact-arrival": _floor_impact("arrival"),
+    "impact-flow": _relaxation("flow", "floor"),
+    "impact-arrival": _relaxation("arrival", "floor"),
 }

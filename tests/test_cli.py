@@ -430,7 +430,8 @@ def test_bench_impact_modes(tmp_path):
         assert row.upper <= row.lp_bound + 1e-9
         assert row.improvement is not None and row.improvement >= -1e-9
         uppers[mode] = row.upper
-    # lp and impact-flow solve the same full flow model by separate code
+    # lp and impact-flow share one pipeline body; this guards the full flow
+    # model's bound they share
     (plain,) = bench.run_bench([str(good)], "lp", SolveConfig(time_limit_s=60))
     assert plain.upper == uppers["impact-flow"]
 

@@ -236,7 +236,7 @@ def test_conflict_cut_closes_the_halves_point(figure_instance):
     # the cut, infeasible after
     handle = build_flow_formulation(figure_instance)
     start, count = handle.row_blocks["floor"]
-    model, _ = handle.model.split_rows(range(start, start + count))
+    model, _ = handle.model.split_rows(start, count)
     xv, yv = HALVES_POINT
     pins = np.column_stack((model.lower, model.upper))
     for a, col in handle.x_index.items():

@@ -748,6 +748,33 @@ def test_reports_do_not_depend_on_the_worker_speed(monkeypatch):
     assert all(base.stats["stolen"] == 0 for pair in reports.values() for _, base in pair)
 
 
+def test_cpa_reports_do_not_depend_on_the_prefetch_cap(monkeypatch):
+    # a frozen session solves a node's LP to the same bits, and leaves its
+    # engine as it was, whether the LP went to the worker or not; so any cap
+    # that submits at all gives the same cpa report
+    config = SolveConfig(time_limit_s=120.0, max_nodes=60)
+    rng = random.Random("prefetch-cap")
+    draws = (_open_draw(rng) for _ in range(40))
+    branching = [i for i in draws if solve_stop(i, config).node_count >= 10][:3]
+    instances = [parse_instance(BRANCHING)] + branching
+    assert len(instances) == 4
+    submit = lp.HighsSession.submit
+    submitted = []
+
+    def counted(self, *args):
+        submitted[-1] += 1
+        return submit(self, *args)
+
+    monkeypatch.setattr(lp.HighsSession, "submit", counted)
+    reports = {}
+    for cap in (1, 2, 1000):
+        monkeypatch.setattr(solver, "PREFETCH_PER_DIVE", cap)
+        submitted.append(0)
+        reports[cap] = [_without_timers(solve_stop(i, config)) for i in instances]
+    assert submitted[0] < submitted[1] < submitted[2]
+    assert reports[2] == reports[1] and reports[1000] == reports[1]
+
+
 def test_no_thread_outlives_a_solve(monkeypatch):
     inst = parse_instance(BRANCHING)
     before = threading.active_count()
@@ -871,6 +898,101 @@ def test_lp_only_bound(figure_instance):
     assert rep.status == "bound"
     assert rep.upper_bound == pytest.approx(2.0, abs=1e-9)
     assert rep.lp_bound == rep.upper_bound
+
+
+# a Chao-style draw with two vehicles and four mandatory vertices: each
+# mandatory vertex alone passes the screen, but the flow relaxation cannot
+# cover all four within the limit of 20; under a limit of 23 the flow model
+# without its floor rows is feasible and the full one still is not
+EXHAUSTED = (
+    "n 21\nm 2\ntmax 20.0\n10.9 7.3 0\n9.7 1.3 35\n4.0 15.5 10\n17.9 7.3 0\n"
+    "16.6 16.3 20\n3.3 15.0 0\n2.2 18.7 35\n6.3 0.4 0\n4.4 6.5 30\n16.2 19.4 30\n"
+    "3.1 10.3 40\n1.4 10.9 0\n12.5 1.6 10\n7.7 3.1 30\n7.5 2.5 20\n10.2 3.4 15\n"
+    "5.3 2.6 30\n5.1 5.1 40\n16.0 13.8 25\n0.9 16.4 40\n9.1 11.3 0\nM: 3 5 7 11\n"
+)
+
+RELAXATION_KINDS = {"lp": "flow", "impact-flow": "flow", "impact-arrival": "arrival"}
+
+
+def _build(pre, kind):
+    return getattr(solver, f"build_{kind}_formulation")(pre)
+
+
+def _floor_free_bound(pre, kind):
+    """The LP bound of formulation ``kind`` with its floor rows made free
+    rather than dropped, or None when that LP is infeasible."""
+    handle = _build(pre, kind)
+    first, count = handle.row_blocks["floor"]
+    lower = handle.model.rows.lower.copy()
+    lower[first : first + count] = -math.inf
+    model = handle.model.copy()
+    model.rows = replace(model.rows, lower=lower)
+    sol = lp.solve(model)
+    return sol.objective if sol.status == "optimal" else None
+
+
+def test_bound_modes_on_an_infeasible_relaxation():
+    # the screen passes and the full LP is infeasible: every relaxation mode
+    # ends infeasible; an impact mode keeps the bound without the floor rows
+    # in lp_bound, None when that LP is infeasible too, and lp keeps none
+    kept = []
+    for limit in ("20.0", "23"):
+        inst = parse_instance(EXHAUSTED.replace("tmax 20.0", f"tmax {limit}"))
+        pre, blocker = solver._screen(inst)
+        assert blocker is None
+        for mode, kind in RELAXATION_KINDS.items():
+            rep = solver.PIPELINES[mode](inst, FAST)
+            assert (rep.status, rep.reason) == ("infeasible", "linear relaxation infeasible"), mode
+            assert rep.upper_bound == -math.inf and rep.root_bound is None, mode
+            want = None if mode == "lp" else _floor_free_bound(pre, kind)
+            if want is None:
+                assert rep.lp_bound is None, (limit, mode)
+            else:
+                assert rep.lp_bound == pytest.approx(want, abs=1e-6), (limit, mode)
+                kept.append((limit, mode))
+    assert kept == [("23", "impact-flow")]
+
+
+def test_bound_modes_report_the_full_and_the_floor_free_bound(rng):
+    # lp: its bound in both upper and lp_bound; an impact mode: the full
+    # bound as upper and root bound, the floor-free one as lp_bound
+    bounded = 0
+    for _ in range(6):
+        inst = make_random_instance(rng, tightness=(0.9, 1.4))
+        pre = solver._screen(inst)[0]
+        for mode, kind in RELAXATION_KINDS.items():
+            rep = solver.PIPELINES[mode](inst, FAST)
+            if rep.status == "infeasible":
+                continue
+            assert rep.status == "bound" and rep.lower_bound == -math.inf, mode
+            bounded += 1
+            full = lp.solve(_build(pre, kind).model).objective
+            assert rep.upper_bound == full, mode
+            if mode == "lp":
+                assert (rep.lp_bound, rep.root_bound) == (full, None)
+            else:
+                assert rep.root_bound == full
+                assert rep.lp_bound == pytest.approx(_floor_free_bound(pre, kind), abs=1e-6), mode
+    assert bounded >= 9
+
+
+def test_bound_modes_look_their_builder_up_at_call_time(figure_instance, monkeypatch):
+    # a builder patched into the solver module, as a tracer wraps it, is the
+    # one every relaxation mode calls
+    built = []
+    for kind in ("flow", "arrival"):
+        name = f"build_{kind}_formulation"
+        original = getattr(solver, name)
+
+        def counted(pre, *args, kind=kind, original=original):
+            built.append(kind)
+            return original(pre, *args)
+
+        monkeypatch.setattr(solver, name, counted)
+    for mode, kind in RELAXATION_KINDS.items():
+        built.clear()
+        solver.PIPELINES[mode](figure_instance, FAST)
+        assert built == [kind], mode
 
 
 def test_solver_reports_cut_counts(rng):
