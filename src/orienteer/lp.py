@@ -19,6 +19,14 @@ bundled with scipy (>= 1.15), used in one of two ways:
                      engine solves submitted LPs in one worker thread while
                      the caller goes on with the first
 
+Engines price the dual simplex with HiGHS's default, dual steepest edge
+(Forrest & Goldfarb, Math. Prog. 1992), except those of a session the search
+has switched with ``HighsSession.price_for_search``: its own engine and the
+worker's then use Devex (Harris, Math. Prog. 1973; ``SEARCH_EDGE_WEIGHTS``),
+cheaper per iteration on the short warm re-solves of search nodes.  The root
+cut loop, ``solve`` and the fallback it serves keep the default, so root cuts
+and relaxation bounds do not move.
+
 ``_pass_model`` is the one place a model becomes an engine's LP (a fresh
 engine's from ``_engine``, or a frozen session's own), and it takes a model
 and nothing else: an LP under other column bounds is the model's
@@ -34,11 +42,13 @@ keeps the worker's results free of thread timing in one of two ways.
   while its caller may still collect one: what the second engine solved
   before each job is then fixed by the call sequence alone.
 * A session its caller has frozen (``HighsSession.freeze``: no more rows)
-  makes that history not matter.  At its first ``submit`` it builds both
-  engines from the row store (an engine that had rows appended keeps other
-  scale factors), and every restart from a saved basis clears the engine's
-  solver first (``clearSolver``): in ``set_basis``, in the worker's job and
-  in ``collect``.  Two engines built alike then solve one (basis, bounds)
+  makes that history not matter.  ``HighsSession.rebuild``, called when the
+  search first branches and by the first ``submit`` at the latest, passes
+  the row store to its own engine again (an engine that had rows appended
+  keeps other scale factors), the worker's engine is built from the same
+  store, and every restart from a saved basis clears the engine's solver
+  first (``clearSolver``): in ``set_basis``, in the worker's job and in
+  ``collect``.  Two engines built alike then solve one (basis, bounds)
   LP to the same bits, simplex iterations included, whatever either solved
   before, and ``restart`` leaves the session's engine where collecting a
   job's result does.  So ``collect`` takes back a job the worker has not
@@ -107,6 +117,12 @@ LE, EQ, GE = "<=", "=", ">="
 
 FEASIBILITY_TOL = 1e-7
 OPTIMALITY_TOL = 1e-9
+
+# HiGHS's ``simplex_dual_edge_weight_strategy`` on a search session's
+# engines: 1 is Devex, against the default -1 (dual steepest edge); a node
+# LP restarts from a stored basis on a cleared solver, where steepest edge
+# pays for its exact weights with no long solve to earn them back
+SEARCH_EDGE_WEIGHTS = 1
 
 
 class LpError(RuntimeError):
@@ -334,13 +350,25 @@ class LpSolution:
 
 def _engine(model, cost=None):
     """A fresh HiGHS engine holding ``model`` (rows in model order, as CSR),
-    quiet and on one thread.  ``cost`` replaces the engine's objective,
-    which is minimized (the model's negated by default)."""
+    quiet, on one thread and under HiGHS's default pricing, which
+    ``_price_for_search`` changes for a search.  ``cost`` replaces the
+    engine's objective, which is minimized (the model's negated by
+    default)."""
     h = _hcore._Highs()
     h.setOptionValue("output_flag", False)
     h.setOptionValue("threads", 1)
     _pass_model(h, model, cost)
     return h
+
+
+def _price_for_search(engine):
+    """Price ``engine``'s dual simplex with ``SEARCH_EDGE_WEIGHTS``."""
+    engine.setOptionValue("simplex_dual_edge_weight_strategy", SEARCH_EDGE_WEIGHTS)
+
+
+def _iterations(engine):
+    """The simplex iterations of the engine's last run."""
+    return engine.getInfoValue("simplex_iteration_count")[1]
 
 
 def _pass_model(engine, model, cost=None):
@@ -469,20 +497,20 @@ def incremental_available():
 
 def _solve_from(engine, cols, saved, bounds, n_rows, clear):
     """(model status, None when the engine raised; the ``_optimum`` pair or
-    None; the final basis as ``HighsSession.basis`` gives it) of the LP
-    ``engine`` holds, ``n_rows`` rows, restarted from the basis ``saved``
-    (cleared first with ``clear``) under the column bounds ``bounds``: the
-    calls ``HighsSession.restart`` makes.  Engine calls and array copies
-    only, for the worker thread."""
+    None; the final basis as ``HighsSession.basis`` gives it; the simplex
+    iterations) of the LP ``engine`` holds, ``n_rows`` rows, restarted from
+    the basis ``saved`` (cleared first with ``clear``) under the column
+    bounds ``bounds``: the calls ``HighsSession.restart`` makes.  Engine
+    calls and array copies only, for the worker thread."""
     try:
         _set_basis(engine, saved, n_rows, clear)
         _set_bounds(engine, cols, bounds)
         engine.run()
         status = engine.getModelStatus()
     except Exception:
-        return None, None, None
+        return None, None, None, 0
     optimum = _optimum(engine) if status == _hcore.HighsModelStatus.kOptimal else None
-    return status, optimum, (engine.getBasis(), n_rows)
+    return status, optimum, (engine.getBasis(), n_rows), _iterations(engine)
 
 
 @dataclass(frozen=True, eq=False)
@@ -520,6 +548,13 @@ class HighsSession:
     free of thread timing, in a session ``freeze`` has frozen and in one it
     has not, the module docstring says.
 
+    Both engines price with HiGHS's default until ``price_for_search``
+    switches them to Devex for good.  ``iterations`` counts the simplex
+    iterations of every run of the session's own engine and of every job
+    whose result ``collect`` goes on from; a job never collected, or whose
+    result is dropped, counts none, so the count does not depend on thread
+    timing.
+
     HiGHS with presolve may report a feasible LP with an unbounded objective
     as infeasible, and the session trusts that verdict.  It is exact for LPs
     whose objective is bounded above, as in every formulation here: only the
@@ -534,7 +569,10 @@ class HighsSession:
         self.prefetched = 0
         self.stolen = 0
         self.prefetch_wait_s = 0.0
+        self.iterations = 0
         self._frozen = False  # no more rows; restarts clear; jobs may be taken back
+        self._rebuilt = False  # a frozen engine passed the row store afresh
+        self._search_priced = False  # both engines on SEARCH_EDGE_WEIGHTS
         self._h = _engine(model)
         self._all_cols = np.arange(model.n_cols, dtype=np.int32)
         self._worker = None  # the thread running submitted jobs, one at a time
@@ -545,6 +583,26 @@ class HighsSession:
         """Take no more rows: ``add_rows`` raises from here on, and ``collect``
         and ``drop`` may cancel a job the worker has not started."""
         self._frozen = True
+
+    def rebuild(self):
+        """In a frozen session, the first call passes the row store to the
+        engine again, under the bounds in force, and restarts it from its
+        current basis: the engine then holds the LP as the worker's engine,
+        built from that store, holds it.  ``submit`` calls it too; other
+        calls do nothing."""
+        if self._frozen and not self._rebuilt:
+            current = self.basis()
+            _pass_model(self._h, self._model.with_bounds(self._bounds))
+            self.set_basis(current)
+            self._rebuilt = True
+
+    def price_for_search(self):
+        """Price every later solve of both engines, the worker's included,
+        with ``SEARCH_EDGE_WEIGHTS``."""
+        self._search_priced = True
+        for engine in (self._h, self._twin):
+            if engine is not None:
+                _price_for_search(engine)
 
     def add_rows(self, rows):
         """Append a block of rows, or a list of blocks, to the model and the
@@ -573,6 +631,7 @@ class HighsSession:
                 self._bounds = bounds_override
                 _set_bounds(self._h, self._all_cols, bounds_override)
             self._h.run()
+            self.iterations += _iterations(self._h)
             status = self._h.getModelStatus()
         except Exception:
             status = None
@@ -586,15 +645,14 @@ class HighsSession:
         """``Job`` for the LP of the model as it is now, under the column
         bounds ``bounds`` (left unchanged from here on), restarted from the
         basis ``saved``.  The first call builds the second engine from the
-        row store and starts the worker; in a frozen session it passes the
-        store to the session's own engine too, which then restarts from its
-        current basis."""
+        row store, priced as the session's own, and starts the worker; a
+        frozen session's engine is rebuilt (``rebuild``) first, unless it
+        was already."""
         if self._worker is None:
-            if self._frozen:
-                current = self.basis()
-                _pass_model(self._h, self._model.with_bounds(self._bounds))
-                self.set_basis(current)
+            self.rebuild()
             self._twin = _engine(self._model)
+            if self._search_priced:
+                _price_for_search(self._twin)
             self._twin_rows = self._model.n_rows
             self._worker = ThreadPoolExecutor(max_workers=1)
         return Job(self._worker.submit(self._prefetch, saved, bounds, self._model.rows), saved)
@@ -608,7 +666,7 @@ class HighsSession:
             try:
                 _append_rows(self._twin, rows.slice(self._twin_rows, n_rows))
             except Exception:
-                return None, None, None
+                return None, None, None, 0
             self._twin_rows = n_rows
         return _solve_from(self._twin, self._all_cols, saved, bounds, n_rows, self._frozen)
 
@@ -645,13 +703,14 @@ class HighsSession:
             self.stolen += 1
             return self.restart(job.saved, bounds)
         started = time.monotonic()
-        status, optimum, final = job.future.result()
+        status, optimum, final, iterations = job.future.result()
         self.prefetch_wait_s += time.monotonic() - started
+        if status not in (_hcore.HighsModelStatus.kInfeasible, _hcore.HighsModelStatus.kOptimal):
+            return self.restart(job.saved, bounds)
+        self.iterations += iterations
         if status == _hcore.HighsModelStatus.kInfeasible:
             self.prefetched += 1
             return LpSolution("infeasible", -math.inf, None)
-        if status != _hcore.HighsModelStatus.kOptimal:
-            return self.restart(job.saved, bounds)
         self._bounds = bounds
         _set_bounds(self._h, self._all_cols, bounds)
         self.set_basis(final)

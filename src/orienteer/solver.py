@@ -68,9 +68,10 @@ child popped restarts its LP on the main engine from the stored basis
 
 Node counts and bounds do not depend on thread timing, by one of two routes.
 The main pipeline's search appends no rows, so it freezes its session
-(``HighsSession.freeze``): at its first job both engines are built anew
-from its row store, every restart from a stored basis clears the engine
-first, and a node's LP comes out the same on either engine.  So
+(``HighsSession.freeze``): when the search first branches its engine is
+built anew from the row store (``HighsSession.rebuild``), as the worker's
+is, every restart from a stored basis clears the engine first, and a
+node's LP comes out the same on either engine.  So
 ``collect`` takes back a job the worker has not started and solves it on the
 main engine, and a popped node never queues behind jobs it does not need; a
 node pruned when popped has its job cancelled (``HighsSession.drop``).
@@ -80,6 +81,14 @@ append rows after jobs were submitted, so its session is not frozen: every
 job runs, in the order of submission, on the one worker engine, and what
 that engine solved before a job is fixed by the search itself.  The worker
 stops when the search ends, however it ends.
+
+The search prices its node re-solves apart from the rest: ``branch_and_bound``
+switches its session's engines, its own and the worker's, to Devex
+(``HighsSession.price_for_search``, ``lp.SEARCH_EDGE_WEIGHTS``), which costs
+less per iteration on a short restart from a stored basis than HiGHS's
+default dual steepest edge.  The main pipeline's root cut loop, the
+baseline's root ``lp.solve``, the bound-only pipelines and every fallback to
+``lp.solve`` keep the default, so root cuts and bounds do not depend on it.
 
 Every pipeline ends in one ``SolveReport``.  Its ``stats`` are the counters
 ``branch_and_bound`` keeps (``_search_stats``), its LP fallbacks those of
@@ -136,14 +145,14 @@ HEURISTIC_EVERY = 10  # the LP-guided heuristic runs at the first node and every
 # waiting children per dive whose LPs go to the worker engine: the nodes popped
 # later are mostly the first few siblings of a dive, and the worker's restarts
 # take more iterations than the dive's own solves, so jobs for the deeper ones
-# would queue up ahead of the next pop.  A cap of 1 or more changes no cpa
-# result: a frozen session solves a node's LP to the same bits, and leaves its
-# engine in the same state, whether the LP was submitted or not.  On the seed
-# 1-3 cpa-solve corpora at the 400-node cap, caps 1, 2, 8 and 1000 give the
-# same cpa reports (504/983/1,330 nodes).  At 0 nothing is submitted, so the
-# frozen session's engine is never rebuilt from its row store, and the cpa
-# trees differ (501/919/1,251 nodes).  The baseline's trees depend on the cap
-# (seed 1: 879/874/874 nodes at caps 2/8/1000).
+# would queue up ahead of the next pop.  The cap changes no cpa result, 0
+# included: a frozen session's engine is rebuilt from its row store when the
+# search first branches, whatever is submitted, and it solves a node's LP to
+# the same bits, and leaves its engine in the same state, whether the LP was
+# submitted or not.  On the seed 1-3 cpa-solve corpora at the 400-node cap,
+# caps 0, 1, 8 and 1000 give the same cpa reports (504/825/1,352 nodes).  The
+# baseline's trees depend on the cap (seed 1: 926/877/876 nodes at caps
+# 2/8/1000).
 PREFETCH_PER_DIVE = 8
 Y_SUPPORT = 1e-6  # visit values above this count as chosen by the LP
 POLISH_PASSES = 2  # 2-opt then reinsertion rounds after the construction
@@ -165,11 +174,12 @@ def _search_stats():
     """The counters of one solve, all at zero: search nodes, the LP-guided
     heuristic's seconds, incumbents and candidates the route validator
     turned down, binary columns fixed by reduced cost, LPs the session
-    settled with the stateless solve, popped nodes whose LP the worker's
-    result settled, popped nodes whose job the main engine took back from
-    the worker unstarted, and the seconds the search waited for the worker.
-    The seconds, ``prefetched`` and ``stolen`` depend on thread timing; the
-    other counts do not.
+    settled with the stateless solve, the simplex iterations of the search's
+    LPs whose results it used (``HighsSession.iterations``), popped nodes
+    whose LP the worker's result settled, popped nodes whose job the main
+    engine took back from the worker unstarted, and the seconds the search
+    waited for the worker.  The seconds, ``prefetched`` and ``stolen``
+    depend on thread timing; the other counts do not.
     ``pool_activated`` stays 0: the search keeps every row in its LP, and the
     key is kept for its readers."""
     return {
@@ -180,6 +190,7 @@ def _search_stats():
         "heuristic_discarded": 0,
         "reduced_cost_fixed": 0,
         "lp_fallbacks": 0,
+        "lp_iterations": 0,
         "prefetched": 0,
         "stolen": 0,
         "prefetch_wait_s": 0.0,
@@ -549,18 +560,24 @@ def branch_and_bound(handle, session, config, deadline, separate=None):
     (``HighsSession.submit``) from that basis, and the result is collected
     when it is popped, or the job cancelled when the node is pruned then.
     With no ``separate`` the search freezes the session, so that collecting
-    may take a job back from the worker.  An unbounded node LP raises
+    may take a job back from the worker, and rebuilds its engine when a node
+    first branches.  Either way both engines price with Devex from the first
+    node on (``HighsSession.price_for_search``).  An unbounded node LP raises
     ``LpError``.  The worker stops however the search ends.
     Returns (status, incumbent value, open bound, incumbent routes, stats).
     The open bound is the best parent bound of the nodes left unsolved (the
     dive child's or the heap top's; +inf for the unsolved first node, -inf
     when none is left); stats are the search's ``_search_stats`` counters,
-    whose LP fallbacks and prefetch and steal counts are all the session's.
+    whose LP fallbacks and prefetch and steal counts are all the session's,
+    and whose ``lp_iterations`` are those of the session's LPs since the
+    first node.
     """
     stats = _search_stats()
     base_bounds = np.column_stack((handle.model.lower, handle.model.upper))
     if separate is None:
         session.freeze()  # no row comes after the root's: jobs may be taken back
+    session.price_for_search()
+    iterations = session.iterations
 
     order = _branch_order(handle)
     step = reward_step(handle.instance.rewards)
@@ -638,6 +655,9 @@ def branch_and_bound(handle, session, config, deadline, separate=None):
                 dive, waits = (sol.objective, depth + 1, upn), down
             else:
                 dive, waits = (sol.objective, depth + 1, down), upn
+            # a frozen engine is rebuilt at the first branching, so that the
+            # tree does not depend on whether any job is submitted
+            session.rebuild()
             start = session.basis()
             if submitted < PREFETCH_PER_DIVE:
                 start = session.submit(start, _node_bounds(base_bounds, waits))
@@ -650,6 +670,7 @@ def branch_and_bound(handle, session, config, deadline, separate=None):
     if dive is not None:
         open_bound = max(open_bound, dive[0])
     stats["lp_fallbacks"] = session.fallbacks
+    stats["lp_iterations"] = session.iterations - iterations
     stats["prefetched"] = session.prefetched
     stats["stolen"] = session.stolen
     stats["prefetch_wait_s"] = session.prefetch_wait_s

@@ -266,6 +266,7 @@ def test_cli_json_carries_the_solve_stats(five_path, tmp_path, capsys):
     assert list(payload["cuts"]) == list(FAMILIES)
     assert all(k in payload for k in timers) and counts.items() <= payload.items()
     assert payload["prefetched"] == 0  # the five-vertex search never branches
+    assert "lp_iterations" in payload and "lp_iterations" not in bench.CSV_FIELDS
     rows = tmp_path / "rows.json"
     assert main(["bench", five_path, "--json-out", str(rows), "--time-limit", "60"]) == 0
     row = json.loads(rows.read_text())["rows"][0]

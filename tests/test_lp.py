@@ -386,6 +386,38 @@ def test_worker_results_agree_with_stateless_solve(seed):
         session.close()
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**9))
+def test_session_counts_the_iterations_of_the_results_it_uses(seed):
+    # every run of the session's own engine counts, and a job's run when
+    # collect goes on from its result; a job never collected counts nothing,
+    # even once the worker has run it
+    rng = random.Random(seed)
+    model = _bounded_model(rng)
+    session = lp.HighsSession(model)
+    want = 0
+    try:
+        for _ in range(3):
+            session.solve(_random_box(rng, model))
+            want += session._h.getInfo().simplex_iteration_count
+            assert session.iterations == want
+        for collected in (True, False):
+            bounds = _random_box(rng, model)
+            job = session.submit(session.basis(), bounds)
+            status, _, _, job_iterations = job.future.result()
+            if not collected:
+                continue
+            session.collect(job, bounds)
+            if status in (lp._hcore.HighsModelStatus.kOptimal, lp._hcore.HighsModelStatus.kInfeasible):
+                want += job_iterations
+            else:
+                want += session._h.getInfo().simplex_iteration_count
+            assert session.iterations == want
+    finally:
+        session.close()
+    assert session.iterations == want
+
+
 def _taken_back_and_run(session, saved, bounds, others):
     """(the LP of ``submit(saved, bounds)`` as the session's engine solves it
     when ``collect`` takes the job back after solving ``others``, as the
@@ -446,42 +478,50 @@ def _assert_taken_back_alike(session, box, rng):
 @given(seed=st.integers(0, 10**9))
 def test_frozen_engines_solve_a_job_to_the_same_bits(seed):
     # rows appended before the freeze and solves on the session's engine
-    # since leave no trace in a job the session takes back
-    rng = random.Random(seed)
-    model = _bounded_model(rng, n_max=25, m_max=20)
-    session = lp.HighsSession(model)
-    session.solve()
-    try:
-        for _ in range(rng.randint(1, 3)):
-            session.add_rows([_random_inequality(rng, model.n_cols) for _ in range(rng.randint(1, 4))])
-            session.solve(_random_box(rng, model))
-        _assert_taken_back_alike(session, lambda: _random_box(rng, model), rng)
-    finally:
-        session.close()
+    # since leave no trace in a job the session takes back, under the
+    # default pricing and under the search's
+    for priced in (False, True):
+        rng = random.Random(seed)
+        model = _bounded_model(rng, n_max=25, m_max=20)
+        session = lp.HighsSession(model)
+        session.solve()
+        try:
+            for _ in range(rng.randint(1, 3)):
+                session.add_rows([_random_inequality(rng, model.n_cols) for _ in range(rng.randint(1, 4))])
+                session.solve(_random_box(rng, model))
+            if priced:
+                session.price_for_search()
+            _assert_taken_back_alike(session, lambda: _random_box(rng, model), rng)
+        finally:
+            session.close()
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_frozen_root_session_solves_a_node_to_the_same_bits(seed):
     # the cpa search's case: the root session, its cuts appended in rounds,
     # and node LPs that fix a few binary columns; the simplex paths of such
-    # degenerate LPs depend on the engine's history unless it is cleared
-    phase = cutting_plane_phase(preprocess(parse_instance(BRANCHING))[0])
-    session, handle = phase.session, phase.handle
-    base = np.array([handle.model.lower, handle.model.upper], dtype=float).T
-    binary = sorted(handle.x_index.values()) + sorted(handle.y_index.values())
-    rng = random.Random(seed)
+    # degenerate LPs depend on the engine's history unless it is cleared.
+    # The search prices with Devex, so its engines are checked that way too
+    for priced in (False, True):
+        phase = cutting_plane_phase(preprocess(parse_instance(BRANCHING))[0])
+        session, handle = phase.session, phase.handle
+        base = np.array([handle.model.lower, handle.model.upper], dtype=float).T
+        binary = sorted(handle.x_index.values()) + sorted(handle.y_index.values())
+        rng = random.Random(seed)
 
-    def box():
-        bounds = base.copy()
-        for col in rng.sample(binary, 3):
-            bounds[col] = rng.randint(0, 1)
-        return bounds
+        def box():
+            bounds = base.copy()
+            for col in rng.sample(binary, 3):
+                bounds[col] = rng.randint(0, 1)
+            return bounds
 
-    try:
-        session.solve(box())
-        _assert_taken_back_alike(session, box, rng)
-    finally:
-        session.close()
+        try:
+            if priced:
+                session.price_for_search()
+            session.solve(box())
+            _assert_taken_back_alike(session, box, rng)
+        finally:
+            session.close()
 
 
 def test_frozen_session_takes_no_rows():

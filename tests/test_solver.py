@@ -668,6 +668,10 @@ def test_baseline_search_starts_from_the_root_basis(monkeypatch):
     node_iters.clear()
     unseeded = solve_baseline(inst, FAST)
     assert len(stateless) == 1 and node_iters[0] > 0
+    # the search spends the first node's iterations more, and nothing else
+    # differs
+    assert unseeded.stats["lp_iterations"] == seeded.stats["lp_iterations"] + node_iters[0]
+    unseeded.stats["lp_iterations"] = seeded.stats["lp_iterations"]
     assert _without_timers(seeded) == _without_timers(unseeded)
 
 
@@ -749,9 +753,10 @@ def test_reports_do_not_depend_on_the_worker_speed(monkeypatch):
 
 
 def test_cpa_reports_do_not_depend_on_the_prefetch_cap(monkeypatch):
-    # a frozen session solves a node's LP to the same bits, and leaves its
-    # engine as it was, whether the LP went to the worker or not; so any cap
-    # that submits at all gives the same cpa report
+    # a frozen session's engine is rebuilt from its row store when the search
+    # first branches, submitted jobs or not, and it solves a node's LP to the
+    # same bits, and leaves its engine as it was, whether the LP went to the
+    # worker or not; so every cap, 0 included, gives the same cpa report
     config = SolveConfig(time_limit_s=120.0, max_nodes=60)
     rng = random.Random("prefetch-cap")
     draws = (_open_draw(rng) for _ in range(40))
@@ -767,12 +772,51 @@ def test_cpa_reports_do_not_depend_on_the_prefetch_cap(monkeypatch):
 
     monkeypatch.setattr(lp.HighsSession, "submit", counted)
     reports = {}
-    for cap in (1, 2, 1000):
+    for cap in (0, 1, 2, 1000):
         monkeypatch.setattr(solver, "PREFETCH_PER_DIVE", cap)
         submitted.append(0)
         reports[cap] = [_without_timers(solve_stop(i, config)) for i in instances]
-    assert submitted[0] < submitted[1] < submitted[2]
-    assert reports[2] == reports[1] and reports[1000] == reports[1]
+    assert 0 == submitted[0] < submitted[1] < submitted[2] < submitted[3]
+    assert reports[0] == reports[1] == reports[2] == reports[1000]
+
+
+def test_only_the_search_prices_with_devex(monkeypatch):
+    # both engines of a search session, its own and the worker's, price with
+    # lp.SEARCH_EDGE_WEIGHTS; the cpa root loop and every lp.solve engine (the
+    # baseline's root, the bound modes, any fallback) keep HiGHS's default
+    def pricing(engine):
+        return engine.getOptionValue("simplex_dual_edge_weight_strategy")[1]
+
+    built = []
+    engine, stateless_solve, close = lp._engine, lp.solve, lp.HighsSession.close
+    stateless, searched = [], []
+
+    def recorded_engine(model, cost=None):
+        built.append(engine(model, cost))
+        return built[-1]
+
+    def recorded_solve(model):
+        first = len(built)
+        sol = stateless_solve(model)
+        stateless.extend(built[first:])
+        return sol
+
+    def closing(self):
+        searched.append((pricing(self._h), pricing(self._twin)))
+        close(self)
+
+    monkeypatch.setattr(lp, "_engine", recorded_engine)
+    monkeypatch.setattr(lp, "solve", recorded_solve)
+    monkeypatch.setattr(lp.HighsSession, "close", closing)
+    inst = parse_instance(BRANCHING)
+    phase = cutting_plane_phase(preprocess(inst)[0])
+    assert pricing(phase.session._h) == -1
+    for pipeline in (solve_stop, solve_baseline):
+        assert pipeline(inst, FAST).node_count > 1
+    assert lp.SEARCH_EDGE_WEIGHTS == 1  # Devex
+    assert searched == [(1, 1)] * 2
+    solve_lp_only(inst)
+    assert len(stateless) >= 2 and all(pricing(h) == -1 for h in stateless)
 
 
 def test_no_thread_outlives_a_solve(monkeypatch):
