@@ -1020,6 +1020,71 @@ def test_bound_modes_report_the_full_and_the_floor_free_bound(rng):
     assert bounded >= 9
 
 
+# (status, upper, lp_bound, root_bound) as bench's CSV prints them, by case
+# and bound mode: the figure instance, EXHAUSTED at the limit where the
+# floor-free flow LP is feasible, and seeded random and Chao-style draws
+PINNED_BOUNDS = {
+    "figure": {
+        "lp": ("bound", "2.000000", "2.000000", ""),
+        "impact-flow": ("bound", "2.000000", "2.000000", "2.000000"),
+        "impact-arrival": ("bound", "2.000000", "2.000000", "2.000000"),
+    },
+    "exhausted-23": {
+        "lp": ("infeasible", "", "", ""),
+        "impact-flow": ("infeasible", "", "157.594492", ""),
+        "impact-arrival": ("infeasible", "", "", ""),
+    },
+    "random-3": {
+        "lp": ("infeasible", "", "", ""),
+        "impact-flow": ("infeasible", "", "", ""),
+        "impact-arrival": ("infeasible", "", "", ""),
+    },
+    "random-19": {
+        "lp": ("bound", "26.973007", "26.973007", ""),
+        "impact-flow": ("bound", "26.973007", "27.053251", "26.973007"),
+        "impact-arrival": ("bound", "26.973007", "27.639543", "26.973007"),
+    },
+    "random-20": {
+        "lp": ("bound", "29.777699", "29.777699", ""),
+        "impact-flow": ("bound", "29.777699", "30.409961", "29.777699"),
+        "impact-arrival": ("bound", "29.777699", "29.777699", "29.777699"),
+    },
+    "chao-1": {
+        "lp": ("bound", "29.074289", "29.074289", ""),
+        "impact-flow": ("bound", "29.074289", "29.083525", "29.074289"),
+        "impact-arrival": ("bound", "29.074289", "29.074289", "29.074289"),
+    },
+    "chao-8": {
+        "lp": ("bound", "23.401792", "23.401792", ""),
+        "impact-flow": ("bound", "23.401792", "23.773125", "23.401792"),
+        "impact-arrival": ("bound", "23.401792", "23.570638", "23.401792"),
+    },
+}
+
+
+def _pinned_case(name):
+    if name == "figure":
+        return make_figure_instance()
+    if name == "exhausted-23":
+        return parse_instance(EXHAUSTED.replace("tmax 20.0", "tmax 23"))
+    family, seed = name.rsplit("-", 1)
+    rng = random.Random(int(seed))
+    if family == "random":
+        return make_random_instance(rng, n_max=16, tightness=(1.05, 1.8))
+    return _chao_style(rng, lambda rng, p: p)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BOUNDS))
+def test_bound_columns_are_pinned(name):
+    # the bound columns of the three relaxation modes, which any rewrite of
+    # the formulations must leave as they are
+    inst = _pinned_case(name)
+    for mode, want in PINNED_BOUNDS[name].items():
+        rep = solver.PIPELINES[mode](inst)
+        got = (rep.status, *(bench._num(v) for v in (rep.upper_bound, rep.lp_bound, rep.root_bound)))
+        assert got == want, mode
+
+
 def test_bound_modes_look_their_builder_up_at_call_time(figure_instance, monkeypatch):
     # a builder patched into the solver module, as a tracer wraps it, is the
     # one every relaxation mode calls
