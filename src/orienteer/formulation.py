@@ -11,8 +11,8 @@ vehicles:
   from i.  The two are linked pointwise by z_ij = T * x_ij - f_ij.
 
 The kinds share every row on x, y and the slack, and differ only in the
-coefficients of the four per-arc value blocks (R: shortest times, d: travel
-times, s/t: origin/destination, in(i)/out(i): arcs entering/leaving i):
+coefficients of the per-arc value rows (R: shortest times, d: travel times,
+s/t: origin/destination, in(i)/out(i): arcs entering/leaving i):
 
   block     row                                    flow: c                  arrival: c
   depart    v_sj = c x_sj                          T - d_sj                 d_sj
@@ -20,7 +20,10 @@ times, s/t: origin/destination, in(i)/out(i): arcs entering/leaving i):
   cap       v_ij <= c x_ij                         T - R_si - d_ij, i != s  T - R_jt
   floor     v_ij >= c x_ij                         R_jt                     R_si + d_ij
 
-The arrival kind may add one ``total_time`` row, sum d_ij x_ij <= m T.
+No floor row is written: an arc's column is w_ij = v_ij - c_ij x_ij, c_ij its
+floor coefficient, so its floor is the column bound w_ij >= 0 and the other
+rows take v_ij as w_ij + c_ij x_ij.  The arrival kind may add one
+``total_time`` row, sum d_ij x_ij <= m T.
 
 The y variables stay materialized (never substituted out) because the cut
 families are expressed on them, which keeps cuts sparse.
@@ -59,6 +62,7 @@ class FormulationHandle:
     row_blocks: dict
     instance: object
     min_times: np.ndarray
+    floor: np.ndarray  # c by arc, in arc order: the value v = w + c x of columns w, x
 
     def point_from_solution(self, sol):
         """(x values by arc, y values by vertex) of an LP solution."""
@@ -83,23 +87,24 @@ def _prepare(inst):
 
 def _rows(count, parts, relation, rhs):
     """A block of ``count`` rows ``relation rhs`` from entry parts (rows,
-    columns, value), each part's value one number or one per entry."""
+    columns, value), each part's value one number or one per entry; entries
+    of value 0 are left out."""
     rows, cols, vals = zip(*parts)
-    vals = [np.broadcast_to(v, len(r)) for r, v in zip(rows, vals)]
-    return rows_from_entries(
-        count, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals), relation, rhs
-    )
+    val = np.concatenate([np.broadcast_to(v, len(r)) for r, v in zip(rows, vals)])
+    keep = val != 0
+    row, col = np.concatenate(rows)[keep], np.concatenate(cols)[keep]
+    return rows_from_entries(count, row, col, val[keep], relation, rhs)
 
 
 def _build(inst, R, depart, consume, cap, floor):
     """The model of one kind from its coefficient tables.
 
-    ``depart``, ``cap`` and ``floor`` are pairs (arc ids, c), the ids
-    ascending in arc order, for the rows v = c x, v <= c x and v >= c x over
-    each arc's value column v; ``consume`` holds the signs of the values
-    entering and leaving a vertex.  Each row block is emitted as arrays of
-    (row, column, value) entries, sorted into CSR form, and all blocks join
-    the model in one append.
+    ``depart`` and ``cap`` are pairs (arc ids, c), the ids ascending in arc
+    order, for the rows v = c x and v <= c x over each arc's value v, taken
+    as w + floor x over its column w; ``consume`` holds the signs of the
+    values entering and leaving a vertex.  Each row block is emitted as
+    arrays of (row, column, value) entries, sorted into CSR form, and all
+    blocks join the model in one append.
     """
     s, t = inst.origin, inst.destination
     tails, heads, d, _ = _arc_tables(inst)
@@ -134,7 +139,7 @@ def _build(inst, R, depart, consume, cap, floor):
     def value_rows(table, relation):
         ids, c = table
         rows = np.arange(len(ids))
-        return _rows(len(ids), [(rows, x_col[ids], -c), (rows, f_col[ids], 1.0)], relation, 0.0)
+        return _rows(len(ids), [(rows, x_col[ids], floor[ids] - c), (rows, f_col[ids], 1.0)], relation, 0.0)
 
     sign_in, sign_out = consume
     chosen = sorted(inst.mandatory) + [s, t]
@@ -160,14 +165,14 @@ def _build(inst, R, depart, consume, cap, floor):
             k,
             [
                 (in_row, f_col[enters], sign_in),
+                (in_row, x_col[enters], sign_in * floor[enters]),
                 (out_row, f_col[leaves], sign_out),
-                (out_row, x_col[leaves], -d[leaves]),
+                (out_row, x_col[leaves], sign_out * floor[leaves] - d[leaves]),
             ],
             EQ,
             0.0,
         ),
         "cap": value_rows(cap, LE),
-        "floor": value_rows(floor, GE),
     }
     model.add_rows(list(blocks.values()))
 
@@ -185,6 +190,7 @@ def _build(inst, R, depart, consume, cap, floor):
         row_blocks=row_blocks,
         instance=inst,
         min_times=R,
+        floor=floor,
     )
 
 
@@ -195,17 +201,17 @@ def _arc_tables(inst):
     return tails, heads, inst.travel_time[tails, heads], np.flatnonzero(tails == inst.origin)
 
 
-def build_flow_formulation(inst):
+def build_flow_formulation(inst, floors=True):
     """Remaining-time commodity model.
 
-    The per-arc flow lower bounds (f_ij >= R_jt x_ij) form the ``floor``
-    block; they are valid inequalities rather than defining constraints, and
-    the bench's impact modes drop the block to measure what it adds.
+    The per-arc flow lower bounds f_ij >= R_jt x_ij, valid inequalities
+    rather than defining constraints, are the column bounds of the shifted
+    values f_ij - R_jt x_ij.  ``floors`` false sets every R_jt here to 0: the
+    model without those bounds, whose gap the bench's impact modes measure.
     """
     R = _prepare(inst)
     T, s, t = inst.time_limit, inst.origin, inst.destination
     tails, heads, d, from_s = _arc_tables(inst)
-    ids = np.arange(len(tails))
     rest = np.flatnonzero(tails != s)
     return _build(
         inst,
@@ -213,13 +219,14 @@ def build_flow_formulation(inst):
         depart=(from_s, T - d[from_s]),
         consume=(1.0, -1.0),
         cap=(rest, T - R[s, tails[rest]] - d[rest]),
-        floor=(ids, R[heads, t]),
+        floor=R[heads, t] if floors else np.zeros(len(tails)),
     )
 
 
-def build_arrival_formulation(inst, include_total_time_row=False):
+def build_arrival_formulation(inst, include_total_time_row=False, floors=True):
     """Arrival-time model; optionally adds the aggregate row
     sum(d_ij x_ij) <= m*T, which is implied but kept by the baseline solver.
+    ``floors`` as for ``build_flow_formulation``, on z_ij >= (R_si + d_ij) x_ij.
     """
     R = _prepare(inst)
     T, s, t = inst.time_limit, inst.origin, inst.destination
@@ -231,7 +238,7 @@ def build_arrival_formulation(inst, include_total_time_row=False):
         depart=(from_s, d[from_s]),
         consume=(-1.0, 1.0),
         cap=(ids, T - R[heads, t]),
-        floor=(ids, R[s, tails] + d),
+        floor=R[s, tails] + d if floors else np.zeros(len(ids)),
     )
     if include_total_time_row:
         model = handle.model

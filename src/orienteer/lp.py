@@ -31,8 +31,8 @@ and relaxation bounds do not move.
 engine's from ``_engine``, or a frozen session's own), and it takes a model
 and nothing else: an LP under other column bounds is the model's
 ``with_bounds`` copy.  The store feeds it, ``HighsSession.add_rows``, the
-worker, ``LpModel.split_rows`` and ``export_lp_text`` as it is.  The
-objective sense is always maximize.
+worker and ``export_lp_text`` as it is.  The objective sense is always
+maximize.
 
 A HiGHS result depends on what its engine solved before, and a session
 keeps the worker's results free of thread timing in one of two ways.
@@ -326,14 +326,6 @@ class LpModel:
     @property
     def n_rows(self):
         return len(self.rows)
-
-    def split_rows(self, first, count):
-        """(copy of the model without rows ``first`` up to ``first + count``,
-        those rows as a block of their own)."""
-        rest = self.copy()
-        last = first + count
-        rest.rows = stack_rows([self.rows.slice(0, first), self.rows.slice(last, self.n_rows)])
-        return rest, self.rows.slice(first, last)
 
 
 @dataclass

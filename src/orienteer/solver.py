@@ -25,8 +25,9 @@ The other pipelines report a relaxation's bound only, as status ``bound``:
 ``lp`` the flow formulation's plain LP; ``root`` the main pipeline's root
 loop under the configured families, its bound against the plain LP's in
 ``lp_bound``; ``impact-flow`` and ``impact-arrival`` a formulation's LP with
-its per-arc value lower bounds, against the same without them.  ``lp`` and
-the two impact modes are one pipeline body (``_relaxation``).
+its per-arc value lower bounds, against the same kind built with every floor
+coefficient at 0, which is that LP without them.  ``lp`` and the two impact
+modes are one pipeline body (``_relaxation``).
 
 Both searches prune on the reward grid: every objective value is a multiple
 of g = gcd(rewards), so a node is dropped once its bound, rounded down to a
@@ -823,13 +824,12 @@ def solve_root(inst, config=SolveConfig(), on_model=None):
     return rep if rep.status == "infeasible" else replace(rep, status="bound")
 
 
-def _relaxation(kind, drop=None):
+def _relaxation(kind, impact=False):
     """Pipeline for the LP bound of formulation ``kind``, reported as its
-    upper bound.  With no ``drop`` that is also its ``lp_bound``; with the
-    name of a row block (``floor``: the per-arc value lower bounds) the
-    bound is the ``root_bound`` too, and ``lp_bound`` the bound without
-    that block (None when that LP is infeasible), so that the pair shows
-    how much the block tightens the relaxation."""
+    upper bound, and its ``lp_bound`` too unless ``impact``: then it is the
+    ``root_bound``, and ``lp_bound`` is the bound of the kind built with
+    ``floors=False``, without its per-arc value lower bounds (None when that
+    LP is infeasible), so the pair shows how much they tighten it."""
 
     def solve_relaxation(inst, config=SolveConfig(), on_model=None):
         t0 = time.monotonic()
@@ -840,15 +840,14 @@ def _relaxation(kind, drop=None):
         handle = build(pre)
         if on_model is not None:
             on_model(handle.model)
-        bare = handle.model if drop is None else handle.model.split_rows(*handle.row_blocks[drop])[0]
-        without = _checked(lp.solve(bare))
-        full = without if drop is None else _checked(lp.solve(handle.model))
+        full = _checked(lp.solve(handle.model))
+        without = _checked(lp.solve(build(pre, floors=False).model)) if impact else full
         timings = {"total": time.monotonic() - t0}
         lp_bound = without.objective if without.status == "optimal" else None
         if full.status == "infeasible":
             return _infeasible_report(timings, "linear relaxation infeasible", lp_bound=lp_bound)
         bound = full.objective
-        root_bound = None if drop is None else bound
+        root_bound = bound if impact else None
         return SolveReport("bound", -math.inf, bound, timings, lp_bound=lp_bound, root_bound=root_bound)
 
     return solve_relaxation
@@ -863,6 +862,6 @@ PIPELINES = {
     "cpa": solve_stop,
     "baseline": solve_baseline,
     "root": solve_root,
-    "impact-flow": _relaxation("flow", "floor"),
-    "impact-arrival": _relaxation("arrival", "floor"),
+    "impact-flow": _relaxation("flow", impact=True),
+    "impact-arrival": _relaxation("arrival", impact=True),
 }

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from orienteer.instance import StopInstance
-from orienteer.lp import Rows, make_row
+from orienteer.lp import GE, LpModel, Rows, make_row, rows_from_entries
 from orienteer.separation import CONFLICT, CONNECTIVITY, COVER, Cut
 
 # vertex ids of the 6-vertex sparse example used throughout
@@ -182,6 +182,52 @@ def row_violations(model, x, tol=1e-6):
     np.add.at(activity, rows, r.values * np.asarray(x)[r.indices])
     bad = np.nonzero((activity < r.lower - tol) | (activity > r.upper + tol))[0]
     return [(int(r), float(activity[r])) for r in bad]
+
+
+def arc_values(handle, point):
+    """The arc values v = w + c x of a formulation's column vector
+    ``point``, in arc order, from each arc's shifted value w, floor
+    coefficient c and arc column x."""
+    point = np.asarray(point)
+    w = np.fromiter(handle.flow_index.values(), dtype=np.int64)
+    x = np.fromiter(handle.x_index.values(), dtype=np.int64)
+    return point[w] + handle.floor * point[x]
+
+
+def unshifted(handle, floors=True):
+    """Reference model for ``handle``'s formulation that undoes the shift of
+    its value columns: the same columns and rows, each arc's w column (with
+    its bounds) standing for v = w + c x, so every row entry a w becomes
+    a v - a c x; with ``floors`` the floor rows v - c x >= 0 follow, one per
+    arc in arc order, placed before a ``total_time`` row as the
+    formulation's blocks were once ordered."""
+    model = handle.model
+    rows = model.rows
+    dense = np.zeros((model.n_rows, model.n_cols))
+    dense[np.repeat(np.arange(model.n_rows), np.diff(rows.starts)), rows.indices] = rows.values
+    w = np.fromiter(handle.flow_index.values(), dtype=np.int64)
+    x = np.fromiter(handle.x_index.values(), dtype=np.int64)
+    dense[:, x] -= dense[:, w] * handle.floor
+    r, j = np.nonzero(dense)
+    starts = np.concatenate(([0], np.cumsum(np.bincount(r, minlength=model.n_rows)))).astype(np.int32)
+    body = Rows(starts, j.astype(np.int32), dense[r, j], rows.lower, rows.upper)
+    blocks = [body]
+    if floors:
+        arcs = np.arange(len(w))
+        floor_rows = rows_from_entries(
+            len(w),
+            np.concatenate((arcs, arcs)),
+            np.concatenate((w, x)),
+            np.concatenate((np.ones(len(w)), -handle.floor)),
+            GE,
+            0.0,
+        )
+        first = handle.row_blocks.get("total_time", (model.n_rows, 0))[0]
+        blocks = [body.slice(0, first), floor_rows, body.slice(first, model.n_rows)]
+    out = LpModel()
+    out.add_columns(model.lower, model.upper, model.objective)
+    out.add_rows(blocks)
+    return out
 
 
 @pytest.fixture

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orienteer import lp
 from orienteer.formulation import (
@@ -21,9 +23,11 @@ from conftest import (
     L,
     S,
     T,
+    arc_values,
     make_figure_instance,
     make_random_instance,
     row_violations,
+    unshifted,
     with_objective,
 )
 
@@ -32,9 +36,10 @@ def map_solution(handle, sol, target):
     """Carry an optimal point of one formulation into the other kind over
     the same instance.
 
-    Arc values translate by f_ij = T * x_ij - z_ij (both directions); x, y
-    and the idle-vehicle slack transfer verbatim.  Returns a full column
-    vector for ``target``'s model.
+    Arc values translate by f_ij = T * x_ij - z_ij (both directions), each
+    recovered from the source's shifted value column and stored shifted by
+    the target's floor coefficient; x, y and the idle-vehicle slack transfer
+    verbatim.  Returns a full column vector for ``target``'s model.
     """
     T = handle.instance.time_limit
     out = np.zeros(target.model.n_cols)
@@ -42,8 +47,9 @@ def map_solution(handle, sol, target):
         out[target.x_index[a]] = sol.x[c]
     for i, c in handle.y_index.items():
         out[target.y_index[i]] = sol.x[c]
-    for a, c in handle.flow_index.items():
-        out[target.flow_index[a]] = T * sol.x[handle.x_index[a]] - sol.x[c]
+    x = sol.x[np.fromiter(handle.x_index.values(), dtype=np.int64)]
+    values = T * x - arc_values(handle, sol.x)
+    out[np.fromiter(target.flow_index.values(), dtype=np.int64)] = values - target.floor * x
     out[target.slack_index] = sol.x[handle.slack_index]
     return out
 
@@ -75,10 +81,8 @@ def expected_row_counts(inst, kind):
     }
     if kind == "flow":
         counts["cap"] = len(arcs) - n_from_s
-        counts["floor"] = len(arcs)
     else:
         counts["cap"] = len(arcs)
-        counts["floor"] = len(arcs)
         counts["total_time"] = 1
     return counts
 
@@ -215,7 +219,7 @@ def test_depart_flow_value(figure_instance):
     bounds[x_sl, 0] = 1.0
     sol = lp.solve(hf.model.with_bounds(bounds))
     assert sol.status == "optimal"
-    f_sl = sol.x[hf.flow_index[(S, L)]]
+    f_sl = arc_values(hf, sol.x)[list(hf.flow_index).index((S, L))]
     want = figure_instance.time_limit - figure_instance.travel_time[S, L]
     assert f_sl == pytest.approx(want, abs=1e-7)
 
@@ -255,9 +259,9 @@ GOLDEN_BUILDS = {
 # sha256 of the export_lp_text output for the preprocessed
 # data/unclassified_node_lp.txt instance, by build
 UNCLASSIFIED_SHA256 = {
-    "flow": "3f19f576e5849445a5c788da0dc62695b52dc8d3013f15327404da3ca724f9fc",
-    "arrival": "f42adb435d336885f7f429db0725622201ef0726effbb41bd4b022903c8068bd",
-    "arrival_total_time": "e962270ce1495713ee3c500aa0a3c68c552a704e68115ec8e85649dcc6cf027d",
+    "flow": "718c6c492f3c11950f943aefd92097cf24114a8bd70b88c7baf348d5d44b9a05",
+    "arrival": "6bfed0ea21388c31bd2642fa4a3d6d6b084262ea61b0c19d467232c1ae99c700",
+    "arrival_total_time": "c78a212b9085b740808fa59f04660c54819be9d01a4fb0e9dc2bb803020d0911",
 }
 
 
@@ -274,59 +278,102 @@ def test_lp_text_matches_golden(build):
     assert hashlib.sha256(text.encode()).hexdigest() == UNCLASSIFIED_SHA256[build]
 
 
+@pytest.mark.parametrize("build", sorted(GOLDEN_BUILDS))
+def test_unshifted_reference_is_the_classic_model(build):
+    # undoing the shift gives back, coefficient for coefficient, the model
+    # that wrote each floor as a row of its own over unshifted value columns
+    # (data/figure_<build>_unshifted.lp)
+    pre, _ = preprocess(make_figure_instance())
+    with open(os.path.join(DATA, f"figure_{build}_unshifted.lp")) as fh:
+        assert lp.export_lp_text(unshifted(GOLDEN_BUILDS[build](pre))) == fh.read()
+
+
+def _same_lp(model, reference):
+    got, want = lp.solve(model), lp.solve(reference)
+    assert got.status == want.status
+    if want.status == "optimal":
+        assert got.objective == pytest.approx(want.objective, rel=1e-6, abs=1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**9), kind=st.sampled_from(["arrival", "flow"]))
+def test_shifted_model_solves_as_the_unshifted_reference(seed, kind):
+    # the shifted value columns leave the polytope as it is: at the root and
+    # under random fixings of the binary columns, each kind solves to the
+    # status and objective of its reference with explicit floor rows, and
+    # the kind built with every floor coefficient at 0 to those of the
+    # reference without them
+    rng = random.Random(seed)
+    pre, _ = preprocess(make_random_instance(rng, n_max=12, tightness=(1.0, 2.5)))
+    build = build_flow_formulation if kind == "flow" else build_arrival_formulation
+    try:
+        handle = build(pre)
+    except FormulationError:  # a mandatory vertex no route reaches
+        return
+    bare = build(pre, floors=False)
+    pairs = [(handle.model, unshifted(handle)), (bare.model, unshifted(handle, floors=False))]
+    binary = list(handle.x_index.values()) + list(handle.y_index.values())
+    for trial in range(4):
+        boxes = np.column_stack((handle.model.lower, handle.model.upper))
+        for col in rng.sample(binary, rng.randint(1, max(1, len(binary) // 3))) if trial else ():
+            boxes[col] = rng.choice((0.0, 1.0))
+        for model, reference in pairs:
+            _same_lp(model.with_bounds(boxes), reference.with_bounds(boxes))
+
+
 # sha256 of the export_lp_text output by build for the preprocessed
 # make_random_instance(random.Random(seed), n_max=14, tightness=(1.8, 3.5)),
 # by seed: 5 to 14 vertices, 7 to 88 arcs, some with mandatory vertices
 RANDOM_SHA256 = {
     0: {
-        "flow": "f42f65b02f813ddfe828bdf8eeb761587323fbcdb2eaee96c5e2cc962b3cf244",
-        "arrival": "f95ba3e6b0f8d3f43115cc19b93a00c26eb5a11534c39852e454e4b7e0d28727",
-        "arrival_total_time": "bc0301af4842f2bcd7c2d7388c0a8ebdc41f1b660b08016a27b70959443261c6",
+        "flow": "4905bd7f2be832c7bb093016395b24dac361e70b82095bbb792a6f59856c9e0c",
+        "arrival": "2f436dde15d1858d743ba2410151efe0a1a3df4e753eeb3c5c5d85e07337d6c3",
+        "arrival_total_time": "623ab69b45676a2d119e54a504a299d0874769cf7834e6d3bb9420316aa10dae",
     },
     1: {
-        "flow": "e6c0e3700133d6d228e86b462358d13ad2c3ef2b7af3e6fcff2d9a7f0bc67105",
-        "arrival": "aebb3c530835014108d9f5e5dd9e22888730bd70cbfd74b0ae8d9687eac5fb0c",
-        "arrival_total_time": "bb98c2890d2892325d4a8cc04b94dbf2ca5b5c4e5bc2a0e2da76989ab928cb52",
+        "flow": "b9f0e67738dd734e2ba1b1ca8e31e4e04f5fe818fdbc42c82b4178af6067b2ce",
+        "arrival": "efae6a7da2c2727a5e02a10c4a02b4228b5102fda12effb12368cbf9002f480d",
+        "arrival_total_time": "5b77fb1a23298a7b831f04a80494eba41d13ffa1aa3cc9ef0fcef6c9bc5a8956",
     },
     2: {
-        "flow": "ce23fdc35f4313d28975515d7dcd6622a6909603556b227b1d55650298efec92",
-        "arrival": "5afe2f74f8179e2a1d12aa08e1676be5e4477e8c4c671d509bbfbdb5aef63177",
-        "arrival_total_time": "8dcd3d379c1b429e3343e7f5e9b70c46bc7ba6725350ab772be6e8006e70164c",
+        "flow": "f6d8b45ebb1890c4e735c5819b1d89d9780c6988e29c4e6cad25ade512ded3aa",
+        "arrival": "81e158ba25ac59f3c43a57322e4491455304f6ae73ac775f25e035227e005b4d",
+        "arrival_total_time": "29c75c645949f007b1ae1e780a80f484235b0b75a3f00090d390fe927c24240d",
     },
     3: {
-        "flow": "b4cc5c20381b76565719f5446263a02812493cbc6175417490fad2848e193ec4",
-        "arrival": "9294885770b78bc28bbecef8ec46ef1917e165e64545abcdd7164a218d034205",
-        "arrival_total_time": "1317e56c3c698c1f04bcf1947daa6c16c7e6209169b26b122973b0eaee64357b",
+        "flow": "02f898b5e5e5642b4a63298243beee0a4fd3c9697a0ddb6124e27360f174a3aa",
+        "arrival": "c92b04fb339741a91adbf846a9b0ce4b6fae05e3802cb2d2e3e43a1d8e36cd6a",
+        "arrival_total_time": "263883d07124f08a6b8353ea638faf622aab41a2ce5b4fef02ae61dcb94f0781",
     },
     4: {
-        "flow": "036b950e9faf205e806d054945dfe42f1d730bea0ac63993cbd61493bac5d9e4",
-        "arrival": "657d152c6bffe19bf29c9a094e1ee36a83c97c8eb01a00c3fd02399a53cda7cf",
-        "arrival_total_time": "6d001cb139bd6d42c956cffb029dd47737f6b9bb23dd4be5aa6d0e0f59b5b1ea",
+        "flow": "a56776549986157e3edca908624cd38056adc4c398afaba30c64b97f170ef791",
+        "arrival": "3c2d0b13ee4564e3ed3bab5513c013be332d681e936af072be3d23c07eaa7a3e",
+        "arrival_total_time": "66ce951320682525309466c3809646b6d58b0bcf94f28eaa73ceca18854be1c9",
     },
     5: {
-        "flow": "36216c01ee051b78220d3189ba692846d8db077a8f44267522b5793d32e5b17a",
-        "arrival": "d9f9a39f5df93709143373b651f5ab83c4e61cebe14155eb5329fb5e19a79cf0",
-        "arrival_total_time": "efc2338ab331900834d68a1c0d49f4cfdcbfcbbb23250426f29ca3cf95481233",
+        "flow": "f6046e276b36330f2bc155d6fac62a01eac95784d66b60af3f3564ff3c8c7018",
+        "arrival": "de4f49737e06000992bff456ad3dd69552f129cb10dad0990fc3ce17080e4e60",
+        "arrival_total_time": "b52db93d7bd9aa7a7a4640dd187d3604a3f446fd61ad4208c265d24e34422102",
     },
     6: {
-        "flow": "c84586598d2d0a583df8f3e962f119ab1e7c5c5e4c0a3cd6c71db0d05505cec9",
-        "arrival": "9f6c06be6755085bb47d50e477d09ed74877e84db2434f9ebab5ffbc5fc370a0",
-        "arrival_total_time": "a411cd2a56e21766aabd7326a172fc3261920c417ab3f0e2f8bad668074ca15e",
+        "flow": "d429fd48a6c3d9e9efb729a3e8aabac3a97b4050d3342791677e999d3d933a19",
+        "arrival": "4150dbaad4929f5c04cd4221f6ee5fe8f582be665b71da7225126881bc805e51",
+        "arrival_total_time": "51a3add732a9bf5be8c9e44956c47920cb29d12fdce46b9d0eaaed633ba7c540",
     },
     7: {
-        "flow": "a68fbba4145e6de89067dd8959a3be4c93f3ae4332342d4b0bb8006e5813f1ee",
-        "arrival": "20e5f56135520860e7e620a8761e273e2d6f28b6e03aaa0e9741c6bbb024b5dd",
-        "arrival_total_time": "160faa45e481fdfff4f27ef2010befac60304df11a126779d9cda0e5464aec38",
+        "flow": "c078e0332b2f293efc9330a7eece245c0d59b8a705beea29d3ec244cdb2aed50",
+        "arrival": "37578f88ef1bedf2e81e2c244913b200804d35c4c81c4b6e8c9101abbe84a359",
+        "arrival_total_time": "ea12e512ebb0dfcd3b60970b5951d7f575987b9d28c929a2eca0275acdb8cc28",
     },
     8: {
-        "flow": "44e4e5d5631d70d7dd358862478c30068d9c4252e944bd38b9e5d871dc1ac704",
-        "arrival": "0314f25b41791b44b34f261cf15ad87a5347270cfd10cda354ebe2a34098a048",
-        "arrival_total_time": "ef1396f97b222540a0a7d9893a5bb6b1f942f7749fe481e686b3f2132af1cae6",
+        "flow": "55a9e2d7565840d179c6ec8880ce52d28b64b665207bbdb2798f5e43a91bd9c7",
+        "arrival": "3942f6af5f4f35b83b80aec77a6d45d92e6f81ce01d0934b40a31c49eff7a95d",
+        "arrival_total_time": "cf801484f749d28d0140166d83dec1710c77fe10131139d16a79b815dadf750c",
     },
     9: {
-        "flow": "902a87c393e8a04c90fcf22c08278b6a16b7b8d73572416c4fb57baa2deea304",
-        "arrival": "a248db21650c0a687200adb082bf5c1936562981588db5f66c970c05f88d4fd7",
-        "arrival_total_time": "d3e573683f7b573499211406062aa43ccc92d66fa93c7cbaa71b6a1165fa0ce5",
+        "flow": "07b920f551ebcbd4315303f00068c3c47789efaca700e090887ca521470536b3",
+        "arrival": "d983c4fc2e9267e7b2e2bcf1b18f7e08121a5ac18e92f2069ee86ee4ecc44af8",
+        "arrival_total_time": "c10b27b8e3145d321bfd996cb30e90f9671ba4af8cafa5a1cc4e416070f0a072",
     },
 }
 
@@ -344,7 +391,9 @@ def test_lp_text_of_random_builds_pinned(seed):
 def test_build_rejects_a_non_finite_coefficient():
     # vertex 2 is entered but cannot reach the destination, and the model is
     # built without preprocessing: its arc's floor coefficient R_2t is +inf,
-    # which the row store refuses as make_row would
+    # so the x coefficients that the arc's shifted value column brings into
+    # its depart and consume rows are infinite, which the row store refuses
+    # as make_row would
     n = 4
     d = np.ones((n, n))
     np.fill_diagonal(d, 0.0)

@@ -147,23 +147,21 @@ def test_row_store_keeps_rows_that_restart_their_columns():
     add_row(model, [(2, 1.0)], ">=", 0.5)
     assert model.n_rows == 3
     assert lp.solve(model).objective == pytest.approx(2.0)
-    rest, picked = model.split_rows(1, 1)
-    assert (rest.n_rows, len(picked)) == (2, 1)
-    assert picked.indices.tolist() == [0, 1] and rest.rows.indices.tolist() == [1, 2, 2]
+    assert model.rows.indices.tolist() == [1, 2, 0, 1, 2]
 
 
 def test_appends_leave_earlier_copies_and_splits_unchanged():
     # an append replaces each array it grows by a grown copy, so a copy or a
-    # split taken before sees none of it
+    # block split off before sees none of it
     model = lp.LpModel()
     model.add_columns([0.0, -1.0], [1.0, 2.0], [1.0, 3.0])
     model.add_rows([lp.make_row([(0, 1.0), (1, 1.0)], "<=", 1.5), lp.make_row([(1, 1.0)], ">=", -0.5)])
     copy = model.copy()
-    rest, picked = model.split_rows(0, 1)
+    picked = model.rows.slice(0, 1)
 
     def state():
-        models = [(m.lower, m.upper, m.objective, m.rows.indices, m.rows.upper) for m in (copy, rest)]
-        return [a.tolist() for arrays in models for a in arrays] + [picked.indices.tolist()]
+        arrays = (copy.lower, copy.upper, copy.objective, copy.rows.indices, copy.rows.upper)
+        return [a.tolist() for a in arrays] + [picked.indices.tolist()]
 
     before = state()
     model.add_columns([0.0], [4.0], [2.0])
@@ -202,42 +200,6 @@ def _random_model(seed, n_max=7, m_max=8):
         coeffs = [(j, rng.uniform(-4, 4)) for j in range(n) if rng.random() < 0.7]
         add_row(model, coeffs or [(rng.randrange(n), 1.0)], rng.choice(["<=", ">=", "="]), rng.uniform(-6, 6))
     return model
-
-
-def _store(rows):
-    return [a.tolist() for a in (rows.starts, rows.indices, rows.values, rows.lower, rows.upper)]
-
-
-def _row_list(rows):
-    s = rows.starts.tolist()
-    return [
-        (rows.indices[s[k] : s[k + 1]].tolist(), rows.values[s[k] : s[k + 1]].tolist(), rows.lower[k], rows.upper[k])
-        for k in range(len(rows))
-    ]
-
-
-def test_split_rows_cuts_one_contiguous_block():
-    # every block of every random model, empty ones, ones at row 0 and ones
-    # ending at the last row among them: the rest keeps the other rows in
-    # order, and restacking it around the block at ``first`` gives the store
-    # back, starts in the int32 the engine takes
-    sizes = []
-    for seed in range(30):
-        model = _random_model(seed)
-        m = model.n_rows
-        sizes.append(m)
-        whole = _row_list(model.rows)
-        for first in range(m + 1):
-            for count in range(m - first + 1):
-                rest, block = model.split_rows(first, count)
-                assert _row_list(block) == whole[first : first + count]
-                assert _row_list(rest.rows) == whole[:first] + whole[first + count :]
-                head, tail = rest.rows.slice(0, first), rest.rows.slice(first, rest.n_rows)
-                restacked = lp.stack_rows([head, block, tail])
-                assert _store(restacked) == _store(model.rows)
-                assert rest.rows.starts.dtype == block.starts.dtype == np.int32
-                assert rest.lower is model.lower and rest.upper is model.upper
-    assert max(sizes) >= 3
 
 
 @settings(max_examples=120, deadline=None)

@@ -51,6 +51,7 @@ from conftest import (
     make_reward_universe,
     plain_cover,
     point_of_routes,
+    unshifted,
 )
 
 # the two-path fractional points of the 6-vertex example
@@ -235,8 +236,7 @@ def test_conflict_cut_closes_the_halves_point(figure_instance):
     # pin the fractional point into the user-cut relaxation: feasible before
     # the cut, infeasible after
     handle = build_flow_formulation(figure_instance)
-    start, count = handle.row_blocks["floor"]
-    model, _ = handle.model.split_rows(start, count)
+    model = unshifted(handle, floors=False)
     xv, yv = HALVES_POINT
     pins = np.column_stack((model.lower, model.upper))
     for a, col in handle.x_index.items():
@@ -795,6 +795,7 @@ def test_flow_path_screen_keeps_the_root_loop(monkeypatch):
 
         return run
 
+    conflict_cuts = 0
     for n, m, tmax in ((21, 2, 15), (21, 4, 20), (32, 3, 15), (32, 4, 20)):
         inst = _chao_style(rng, n, m, tmax)
         phases = []
@@ -805,6 +806,8 @@ def test_flow_path_screen_keeps_the_root_loop(monkeypatch):
         with_screen, without = phases
         assert with_screen.cuts == without.cuts
         assert with_screen.upper_bound == without.upper_bound
-        assert any(c.family == CONFLICT for c in with_screen.cuts)
+        conflict_cuts += sum(c.family == CONFLICT for c in with_screen.cuts)
+    # the draws separate conflict cuts, though not every draw does
+    assert conflict_cuts > 0
     # the screen settles pairs: fewer max-flow calls for the same cuts
     assert calls[True] < calls[False]

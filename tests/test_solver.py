@@ -52,6 +52,7 @@ from conftest import (
     make_figure_instance,
     make_random_instance,
     point_of_routes,
+    unshifted,
 )
 from test_cli_helpers import independent_route_check
 
@@ -963,15 +964,10 @@ def _build(pre, kind):
 
 
 def _floor_free_bound(pre, kind):
-    """The LP bound of formulation ``kind`` with its floor rows made free
-    rather than dropped, or None when that LP is infeasible."""
-    handle = _build(pre, kind)
-    first, count = handle.row_blocks["floor"]
-    lower = handle.model.rows.lower.copy()
-    lower[first : first + count] = -math.inf
-    model = handle.model.copy()
-    model.rows = replace(model.rows, lower=lower)
-    sol = lp.solve(model)
+    """The LP bound of formulation ``kind`` with its shift undone and no
+    floor row written (``unshifted``), or None when that LP is
+    infeasible."""
+    sol = lp.solve(unshifted(_build(pre, kind), floors=False))
     return sol.objective if sol.status == "optimal" else None
 
 
@@ -1087,21 +1083,22 @@ def test_bound_columns_are_pinned(name):
 
 def test_bound_modes_look_their_builder_up_at_call_time(figure_instance, monkeypatch):
     # a builder patched into the solver module, as a tracer wraps it, is the
-    # one every relaxation mode calls
+    # one every relaxation mode calls: once for lp, and for an impact mode
+    # once more with its floors at 0
     built = []
     for kind in ("flow", "arrival"):
         name = f"build_{kind}_formulation"
         original = getattr(solver, name)
 
-        def counted(pre, *args, kind=kind, original=original):
-            built.append(kind)
-            return original(pre, *args)
+        def counted(pre, *args, kind=kind, original=original, **kwargs):
+            built.append((kind, kwargs.get("floors", True)))
+            return original(pre, *args, **kwargs)
 
         monkeypatch.setattr(solver, name, counted)
     for mode, kind in RELAXATION_KINDS.items():
         built.clear()
         solver.PIPELINES[mode](figure_instance, FAST)
-        assert built == [kind], mode
+        assert built == [(kind, True)] + ([] if mode == "lp" else [(kind, False)]), mode
 
 
 def test_solver_reports_cut_counts(rng):
