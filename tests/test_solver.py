@@ -883,9 +883,10 @@ def test_unbounded_node_lp_raises(rng, monkeypatch):
 
 
 def test_instance_with_an_unclassified_node_lp_solves_infeasible():
-    # a seeded mandatory-heavy instance with no feasible route set: one of
-    # the baseline's node LPs is left unclassified by HiGHS with and without
-    # presolve, and only the zero-cost probe shows it is empty
+    # a seeded mandatory-heavy instance with no feasible route set, which
+    # the baseline proves by a long search (819 nodes): HiGHS leaves one of
+    # its worker jobs unclassified, which the session restarts on its own
+    # engine, and no node LP falls back to fresh engines
     inst = read_instance(os.path.join(os.path.dirname(__file__), "data", "unclassified_node_lp.txt"))
     for pipeline in (solve_stop, solve_baseline):
         assert pipeline(inst, FAST).status == "infeasible", pipeline.__name__
